@@ -106,50 +106,40 @@ def _take(fields: dict[str, str], text: str, key: str, convert):
         raise UsageError(f"malformed parameter {text!r}: {key}={raw!r}") from exc
 
 
-def parse_model(text: str) -> ProcessModel:
-    family, fields = _parse_fields(text, "model")
+# Family name -> (constructor, its arguments as (key, type) in order).
+_MODEL_FAMILIES = {
+    "cycle-trap": (CycleTrap, (("p", float), ("L", int), ("M", int))),
+    "brw": (BiasedWalk, (("p", float), ("m", int))),
+    "two-point": (TwoPoint, (("t1", int), ("w1", float), ("t2", int))),
+}
+# A sweep varies the single argument of a restart family.
+_RESTART_FAMILIES = {
+    "geometric": (GeometricRestart, (("rho", float),)),
+    "sharp": (SharpRestart, (("N", int),)),
+}
+
+
+def _parse_family(text: str, kind: str, families: dict):
+    family, fields = _parse_fields(text, kind)
+    if family not in families:
+        raise UsageError(f"unknown {kind} family {family!r}")
+    make, keys = families[family]
+    args = [_take(fields, text, key, convert) for key, convert in keys]
     try:
-        if family == "cycle-trap":
-            model = CycleTrap(
-                p=_take(fields, text, "p", float),
-                L=_take(fields, text, "L", int),
-                M=_take(fields, text, "M", int),
-            )
-        elif family == "brw":
-            model = BiasedWalk(p=_take(fields, text, "p", float), m=_take(fields, text, "m", int))
-        elif family == "two-point":
-            model = TwoPoint(
-                t1=_take(fields, text, "t1", int),
-                w1=_take(fields, text, "w1", float),
-                t2=_take(fields, text, "t2", int),
-            )
-        else:
-            raise UsageError(f"unknown model family {family!r}")
+        value = make(*args)
     except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(f"invalid model {text!r}: {exc}") from exc
+        raise UsageError(f"invalid {kind} {text!r}: {exc}") from exc
     if fields:
-        raise UsageError(f"malformed model {text!r}: unknown keys {sorted(fields)}")
-    return model
+        raise UsageError(f"malformed {kind} {text!r}: unknown keys {sorted(fields)}")
+    return value
+
+
+def parse_model(text: str) -> ProcessModel:
+    return _parse_family(text, "model", _MODEL_FAMILIES)
 
 
 def parse_restart(text: str) -> RestartSpec:
-    family, fields = _parse_fields(text, "restart")
-    try:
-        if family == "geometric":
-            spec = GeometricRestart(rho=_take(fields, text, "rho", float))
-        elif family == "sharp":
-            spec = SharpRestart(n_restart=_take(fields, text, "N", int))
-        else:
-            raise UsageError(f"unknown restart family {family!r}")
-    except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(f"invalid restart {text!r}: {exc}") from exc
-    if fields:
-        raise UsageError(f"malformed restart {text!r}: unknown keys {sorted(fields)}")
-    return spec
+    return _parse_family(text, "restart", _RESTART_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -257,28 +247,29 @@ def run_sweep(
     """Analytic (and optionally Monte Carlo) restarted means over a grid.
 
     Monte Carlo is skipped on rows whose analytic mean is infinite
-    (preemptive or defective); each row uses seed + row index.
+    (preemptive or defective); each row uses seed + row index.  A row with
+    censored trials gets a warning on stderr: its mean is a lower bound.
     """
     grid = list(grid)
     if not grid:
         raise UsageError("sweep grid is empty")
+    if family not in _RESTART_FAMILIES:
+        raise UsageError(f"unknown restart family {family!r}")
+    if not 0 <= seed <= 2**64 - len(grid):
+        raise UsageError(f"seed {seed} out of range: row seeds seed..seed+{len(grid) - 1} "
+                         "must lie in [0, 2**64)")
+    make, ((_, convert),) = _RESTART_FAMILIES[family]
     baseline = model.mean()
     rows = []
     for index, param in enumerate(grid):
-        if family == "geometric":
-            analytic = fpur.mean_T_geometric(model, float(param))
-        elif family == "sharp":
-            analytic = fpur.mean_T_sharp(model, int(param))
-        else:
-            raise UsageError(f"unknown restart family {family!r}")
+        spec = make(convert(param))
+        analytic = fpur.mean_T(model, spec)
         mc = ci_low = ci_high = None
         if trials > 0 and math.isfinite(analytic):
-            spec = (
-                GeometricRestart(float(param))
-                if family == "geometric"
-                else SharpRestart(int(param))
-            )
             est = simulate_fpur(model, spec, SimConfig(trials, seed + index, step_cap))
+            if est.censored:
+                print(f"warning: {family} param={_fmt(param)}: {est.censored} of {trials} trials censored "
+                      f"at step cap {step_cap}; mean_t_mc is a lower bound", file=sys.stderr)
             if est.trials_used > 0:
                 mc, ci_low, ci_high = est.mean, est.ci_low, est.ci_high
         rows.append(
@@ -383,6 +374,13 @@ def _resolve_seed(value: int | None) -> int:
     return DEFAULT_SEED
 
 
+def _check_run_counts(args) -> None:
+    if args.trials is not None and args.trials < 0:
+        raise UsageError("--trials must be >= 0")
+    if args.step_cap < 1:
+        raise UsageError("--step-cap must be >= 1")
+
+
 def cmd_analyze(args) -> int:
     model = parse_model(args.model)
     spec = parse_restart(args.restart)
@@ -405,6 +403,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_run_counts(args)
     model = parse_model(args.model)
     if args.restart_family == "geometric":
         if not args.points >= 1:
@@ -434,15 +433,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    trials = None
-    if args.no_mc:
-        trials = 0
-    elif args.trials is not None:
-        trials = args.trials
+    _check_run_counts(args)
     paths = run_figure(
         args.figure_id,
         outdir=args.outdir,
-        trials=trials,
+        trials=0 if args.no_mc else args.trials,
         seed=_resolve_seed(args.seed),
         step_cap=args.step_cap,
     )
@@ -496,7 +491,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: --output or --outdir not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError) as exc:

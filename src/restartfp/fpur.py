@@ -21,7 +21,6 @@ from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, series_divide
 from .models import (
     BiasedWalk,
     CycleTrap,
-    ExplicitRestart,
     GeometricRestart,
     ProcessModel,
     RestartSpec,
@@ -60,22 +59,13 @@ def _underlying_pmf(model: ProcessModel, spec: RestartSpec, t_max: int | None) -
     if t_max is not None:
         return model.pmf(t_max)
     u = model.pmf()
-    # Sharp restart reads cumulative mass up to N-1; make sure the horizon
-    # reaches it so only a < RESIDUAL_TARGET tail is unaccounted.
-    if isinstance(spec, SharpRestart) and u.t_max < spec.n_restart - 1:
-        u = model.pmf(spec.n_restart - 1)
+    # A bounded restart law reads P(U > n) up to its last epoch minus one;
+    # make sure the horizon reaches it so only a < RESIDUAL_TARGET tail is
+    # unaccounted.
+    last = spec.last_epoch()
+    if last is not None and u.t_max < last - 1:
+        u = model.pmf(last - 1)
     return u
-
-
-def _restart_survival_vector(spec: RestartSpec, size: int) -> np.ndarray:
-    """P(R > n) for n = 0..size-1."""
-    if isinstance(spec, GeometricRestart):
-        return (1.0 - spec.rho) ** np.arange(size)
-    if isinstance(spec, SharpRestart):
-        out = np.zeros(size)
-        out[: min(size, spec.n_restart)] = 1.0
-        return out
-    return np.array([spec.survival(n) for n in range(size)])
 
 
 def _renewal_terms(
@@ -84,7 +74,7 @@ def _renewal_terms(
     """Return (u, nu, d) where nu = sum u(n) P(R > n) and d is the renewal
     denominator, both accumulated from nonnegative terms."""
     u = _underlying_pmf(model, spec, t_max)
-    surv_r = _restart_survival_vector(spec, u.coefficients.size)
+    surv_r = spec.survival_array(u.coefficients.size)
     nu = math.fsum(u.coefficients * surv_r)
     d = (1.0 - model.hit_prob()) * (1.0 - spec.hit_prob()) + nu
     return u, nu, d
@@ -117,35 +107,10 @@ def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float, t_max: int | None
         return hitting_prob_T(model, spec, t_max)
     u = _underlying_pmf(model, spec, t_max)
     t = u.t_max
-    zpow = z ** np.arange(t + 1)
-    surv_r = _restart_survival_vector(spec, t + 1)
-    numerator = math.fsum(u.coefficients * zpow * surv_r)
-
+    numerator = math.fsum(u.coefficients * z ** np.arange(t + 1) * spec.survival_array(t + 1))
     # P(U >= i) = P(U > i-1), shifted one slot.
-    surv_u_before = np.empty(t + 2)
-    surv_u_before[0] = 1.0
-    surv_u_before[1:] = u._suffix[1:] + u.residual
-
-    if isinstance(spec, SharpRestart):
-        n = spec.n_restart
-        surv = u.residual if n - 1 > t else float(surv_u_before[n])
-        den_sum = z**n * surv
-    elif isinstance(spec, GeometricRestart):
-        x = (1.0 - spec.rho) * z
-        terms = [spec.rho * z * x ** (i - 1) * surv_u_before[i] for i in range(1, t + 2)]
-        # Beyond the horizon P(U >= i) is the constant residual.
-        tail = spec.rho * z * u.residual * x ** (t + 1) / (1.0 - x)
-        den_sum = math.fsum(terms) + tail
-    else:
-        r = spec.pmf_array(max(t + 1, spec.dist.t_max if isinstance(spec, ExplicitRestart) else 0))
-        terms = []
-        for i in range(1, r.size):
-            if r[i] != 0.0:
-                surv = u.residual if i - 1 > t else float(surv_u_before[i])
-                terms.append(z**i * r[i] * surv)
-        den_sum = math.fsum(terms)
-
-    denominator = 1.0 - den_sum
+    surv_u_before = np.concatenate(([1.0], u.survival_array()))
+    denominator = 1.0 - spec.wins_pgf(z, surv_u_before, u.residual)
     return numerator / denominator
 
 
@@ -156,13 +121,8 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
     u(n) P(R > n) by the denominator coefficients delta(n=0) - r(n) P(U >= n).
     """
     u = model.pmf(t_max)
-    surv_r = _restart_survival_vector(spec, t_max + 1)
-    num = u.coefficients * surv_r
-
-    surv_u_before = np.empty(t_max + 1)
-    surv_u_before[0] = 1.0
-    if t_max >= 1:
-        surv_u_before[1:] = u._suffix[1 : t_max + 1] + u.residual
+    num = u.coefficients * spec.survival_array(t_max + 1)
+    surv_u_before = np.concatenate(([1.0], u.survival_array()[:t_max]))
     den = -spec.pmf_array(t_max) * surv_u_before
     den[0] = 1.0
 
@@ -180,30 +140,25 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
 def mean_T_generic(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """E[T] by the renewal identity E[min(U, R)] / P(R > U).
 
-    E[min(U, R)] is the survival-product sum over n >= 0 with analytic
-    tails for the geometric and sharp families.  Returns infinity for
+    E[min(U, R)] is the survival-product sum over the horizon of U plus
+    the restart law's own tail sum beyond it.  Returns infinity for
     preemptive pairs and whenever the restarted process is defective.
     """
     u, nu, d = _renewal_terms(model, spec, t_max)
-    if d <= PREEMPTIVE_TOL:
+    if d <= PREEMPTIVE_TOL or nu / d < 1.0:
         return math.inf
-    if nu / d < 1.0:
-        return math.inf
-    t = u.t_max
-    surv_u = u._suffix[1:] + u.residual  # P(U > n), n = 0..t
-    surv_r = _restart_survival_vector(spec, t + 1)
-    head = math.fsum(surv_u * surv_r)
+    head = math.fsum(u.survival_array() * spec.survival_array(u.t_max + 1))
+    return (head + spec.survival_sum(u.t_max + 1, u.residual)) / d
+
+
+def mean_T(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
+    """E[T] by the family's closed form where one exists (geometric,
+    sharp), else by the renewal identity of :func:`mean_T_generic`."""
     if isinstance(spec, GeometricRestart):
-        x = 1.0 - spec.rho
-        tail = u.residual * x ** (t + 1) / spec.rho
-    elif isinstance(spec, SharpRestart):
-        tail = u.residual * max(0, spec.n_restart - 1 - t)
-    else:
-        r_top = spec.dist.t_max if isinstance(spec, ExplicitRestart) else t
-        tail = math.fsum(u.residual * spec.survival(n) for n in range(t + 1, r_top + 1))
-        # Beyond both horizons each term is at most residual_u * residual_r,
-        # which is zero whenever either side is a proper distribution.
-    return (head + tail) / d
+        return mean_T_geometric(model, spec.rho)
+    if isinstance(spec, SharpRestart):
+        return mean_T_sharp(model, spec.n_restart, t_max)
+    return mean_T_generic(model, spec, t_max)
 
 
 def mean_T_geometric(model: ProcessModel, rho: float) -> float:
@@ -352,15 +307,9 @@ def analyze(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) ->
             expected_restarts=math.inf,
             preemptive=True,
         )
-    if isinstance(spec, GeometricRestart):
-        mean_t = mean_T_geometric(model, spec.rho)
-    elif isinstance(spec, SharpRestart):
-        mean_t = mean_T_sharp(model, spec.n_restart, t_max)
-    else:
-        mean_t = mean_T_generic(model, spec, t_max)
     return FpurReport(
         hit_prob=min(1.0, nu / d),
-        mean_T=mean_t,
+        mean_T=mean_T(model, spec, t_max),
         p_restart_wins=min(1.0, max(0.0, 1.0 - d)),
         expected_restarts=min(1.0, max(0.0, 1.0 - d)) / d,
         preemptive=False,

@@ -50,7 +50,12 @@ def _check_z(z: float) -> None:
 
 
 class RestartSpec:
-    """When the restart clock fires.  Subclasses are immutable value objects."""
+    """When the restart clock fires.  Subclasses are immutable value objects.
+
+    Each family also supplies what :mod:`restartfp.fpur` and the simulator
+    need: survival vector, inverse-CDF draw, last epoch and two tail sums.
+    The sums here assume finite support; unbounded families override them.
+    """
 
     def pmf(self, n: int) -> float:
         raise NotImplementedError
@@ -78,6 +83,37 @@ class RestartSpec:
 
     def describe(self) -> str:
         raise NotImplementedError
+
+    def draw(self, u: float):
+        """One epoch by inverse CDF on the uniform ``u``; infinity when ``u``
+        lands in mass at infinity."""
+        raise NotImplementedError
+
+    def last_epoch(self) -> int | None:
+        """Largest epoch the law can place mass on; None when unbounded."""
+        raise NotImplementedError
+
+    def survival_array(self, size: int) -> np.ndarray:
+        """P(R > n) for n = 0..size-1."""
+        return np.array([self.survival(n) for n in range(size)])
+
+    def survival_sum(self, start: int, residual: float) -> float:
+        """residual * sum_{n >= start} P(R > n): the tail of E[min(U, R)]
+        past a horizon beyond which P(U > n) is the constant ``residual``.
+        Terms past the last epoch are left out: each is at most ``residual``
+        times the law's own residual, zero whenever either law is proper."""
+        return math.fsum(residual * self.survival(n) for n in range(start, self.last_epoch() + 1))
+
+    def wins_pgf(self, z: float, surv_u_before: np.ndarray, residual: float) -> float:
+        """sum_i z^i r(i) P(U >= i), given P(U >= i) as ``surv_u_before[i]``
+        inside that array and as the constant ``residual`` past its end."""
+        size = surv_u_before.size
+        r = self.pmf_array(max(size - 1, self.last_epoch()))
+        return math.fsum(
+            z**i * r[i] * (float(surv_u_before[i]) if i < size else residual)
+            for i in range(1, r.size)
+            if r[i] != 0.0
+        )
 
 
 @dataclass(frozen=True)
@@ -125,6 +161,27 @@ class GeometricRestart(RestartSpec):
     def describe(self) -> str:
         return f"geometric:rho={self.rho!r}"
 
+    def draw(self, u: float) -> int:
+        # The epoch support starts at 1, so u = 0 still draws 1.
+        return max(1, math.ceil(math.log1p(-u) / math.log1p(-self.rho)))
+
+    def last_epoch(self) -> None:
+        return None
+
+    def survival_array(self, size: int) -> np.ndarray:
+        return (1.0 - self.rho) ** np.arange(size)
+
+    def survival_sum(self, start: int, residual: float) -> float:
+        return residual * (1.0 - self.rho) ** start / self.rho
+
+    def wins_pgf(self, z: float, surv_u_before: np.ndarray, residual: float) -> float:
+        size = surv_u_before.size
+        x = (1.0 - self.rho) * z
+        terms = [self.rho * z * x ** (i - 1) * surv_u_before[i] for i in range(1, size)]
+        # Past the array P(U >= i) is the constant residual: a geometric tail.
+        tail = self.rho * z * residual * x ** (size - 1) / (1.0 - x)
+        return math.fsum(terms) + tail
+
 
 @dataclass(frozen=True)
 class SharpRestart(RestartSpec):
@@ -164,17 +221,29 @@ class SharpRestart(RestartSpec):
     def describe(self) -> str:
         return f"sharp:N={self.n_restart}"
 
+    def draw(self, u: float) -> int:
+        return self.n_restart
+
+    def last_epoch(self) -> int:
+        return self.n_restart
+
+    def survival_array(self, size: int) -> np.ndarray:
+        out = np.zeros(size)
+        out[: self.n_restart] = 1.0
+        return out
+
 
 @dataclass(frozen=True, eq=False)
-class ExplicitRestart(RestartSpec):
-    """Restart clock with an arbitrary user-supplied PMF on positive integers."""
+class _ExplicitLaw:
+    """A law given directly as a PMF on the positive integers; the common
+    part of the explicit restart clock and the explicit process."""
 
     dist: TruncatedPMF
     _cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dist.coefficients[0] != 0.0:
-            raise ValueError("restart PMF must place zero mass at n=0")
+            raise ValueError(f"{type(self).__name__} PMF must place zero mass at n=0")
         cdf = np.cumsum(self.dist.coefficients)
         cdf.setflags(write=False)
         object.__setattr__(self, "_cdf", cdf)
@@ -185,17 +254,6 @@ class ExplicitRestart(RestartSpec):
         if idx > self.dist.t_max:
             return math.inf
         return idx
-
-    def pmf(self, n: int) -> float:
-        if 0 <= n <= self.dist.t_max:
-            return float(self.dist.coefficients[n])
-        return 0.0
-
-    def cdf(self, n: int) -> float:
-        return self.dist.cumulative(n)
-
-    def survival(self, n: int) -> float:
-        return self.dist.survival(n)
 
     def pgf(self, z: float) -> float:
         return self.dist.evaluate(z)
@@ -208,11 +266,29 @@ class ExplicitRestart(RestartSpec):
             return 1.0 - self.dist.residual
         return 1.0
 
+
+class ExplicitRestart(_ExplicitLaw, RestartSpec):
+    """Restart clock with an arbitrary user-supplied PMF on positive integers."""
+
+    def pmf(self, n: int) -> float:
+        if 0 <= n <= self.dist.t_max:
+            return float(self.dist.coefficients[n])
+        return 0.0
+
+    def cdf(self, n: int) -> float:
+        return self.dist.cumulative(n)
+
+    def survival(self, n: int) -> float:
+        return self.dist.survival(n)
+
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
         upto = min(t_max, self.dist.t_max)
         out[: upto + 1] = self.dist.coefficients[: upto + 1]
         return out
+
+    def last_epoch(self) -> int:
+        return self.dist.t_max
 
     def describe(self) -> str:
         return f"explicit-restart:t_max={self.dist.t_max}"
@@ -461,7 +537,7 @@ class _CountdownMixin:
 
     def step(self, state, u: float):
         if state is None:
-            return self._draw_total(u) - 1
+            return self.draw(u) - 1
         if state == 0:
             raise ValueError("cannot step a terminal state")
         return state - 1
@@ -512,29 +588,15 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         points = [t for t, w in ((self.t1, self.w1), (self.t2, 1.0 - self.w1)) if w > 0.0]
         return min(points) if points else self.t1
 
-    def _draw_total(self, u: float) -> int:
+    def draw(self, u: float) -> int:
         return self.t1 if u < self.w1 else self.t2
 
     def describe(self) -> str:
         return f"two-point:t1={self.t1},w1={self.w1!r},t2={self.t2}"
 
 
-@dataclass(frozen=True, eq=False)
-class ExplicitProcess(_CountdownMixin, ProcessModel):
+class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
     """Underlying process defined directly by an arbitrary hitting-time PMF."""
-
-    dist: TruncatedPMF
-    _cdf: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.dist.coefficients[0] != 0.0:
-            raise ValueError("hitting-time PMF must place zero mass at n=0")
-        cdf = np.cumsum(self.dist.coefficients)
-        cdf.setflags(write=False)
-        object.__setattr__(self, "_cdf", cdf)
-
-    def pgf(self, z: float) -> float:
-        return self.dist.evaluate(z)
 
     def pmf(self, t_max: int | None = None) -> TruncatedPMF:
         if t_max is None or t_max == self.dist.t_max:
@@ -553,14 +615,6 @@ class ExplicitProcess(_CountdownMixin, ProcessModel):
         return TruncatedPMF(self.dist.coefficients[: t_max + 1],
                             residual=self.dist.residual + dropped, residual_kind=kind)
 
-    def hit_prob(self) -> float:
-        if self.dist.residual_kind == AT_INFINITY:
-            return 1.0 - self.dist.residual
-        return 1.0
-
-    def mean(self) -> float:
-        return self.dist.mean()
-
     def second_factorial_moment(self) -> float:
         return self.dist.second_factorial_moment()
 
@@ -569,12 +623,6 @@ class ExplicitProcess(_CountdownMixin, ProcessModel):
         if nonzero.size == 0:
             raise ValueError("hitting-time PMF has empty finite support")
         return int(nonzero[0])
-
-    def _draw_total(self, u: float):
-        idx = int(np.searchsorted(self._cdf, u, side="right"))
-        if idx > self.dist.t_max:
-            return math.inf
-        return idx
 
     def describe(self) -> str:
         return f"explicit:t_max={self.dist.t_max}"

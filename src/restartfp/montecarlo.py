@@ -15,7 +15,7 @@ from statistics import NormalDist, fmean, stdev
 
 import numpy as np
 
-from .models import ExplicitRestart, GeometricRestart, ProcessModel, RestartSpec, SharpRestart
+from .models import ProcessModel, RestartSpec
 
 _BUFFER = 256
 
@@ -86,13 +86,9 @@ def sample_restart(spec: RestartSpec, u: float):
     Geometric draws are at least 1 (the epoch support starts at 1); explicit
     specs may return infinity when the draw lands in the residual mass.
     """
-    if isinstance(spec, GeometricRestart):
-        return max(1, math.ceil(math.log1p(-u) / math.log1p(-spec.rho)))
-    if isinstance(spec, SharpRestart):
-        return spec.n_restart
-    if isinstance(spec, ExplicitRestart):
-        return spec.draw(u)
-    raise TypeError(f"unsupported restart spec {spec!r}")
+    if not isinstance(spec, RestartSpec):
+        raise TypeError(f"unsupported restart spec {spec!r}")
+    return spec.draw(u)
 
 
 def _summarize(samples: list[float], restarts: list[int], censored: int, config: SimConfig) -> SimEstimate:
@@ -130,13 +126,14 @@ def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> 
     restart_counts: list[int] = []
     censored = 0
     cap = config.step_cap
+    draw = spec.draw
     for trial in range(config.trials):
         stream = _UniformStream(config.seed, trial)
         total = 0
         restarts = 0
         hit = False
         while total < cap:
-            epoch = sample_restart(spec, stream.next())
+            epoch = draw(stream.next())
             state = model.initial_state()
             leg = 0
             while total < cap:

@@ -129,6 +129,10 @@ class TruncatedPMF:
             return self.residual
         return self.residual + float(self._suffix[n + 1])
 
+    def survival_array(self) -> np.ndarray:
+        """P(X > n) for n = 0..t_max; entry n equals ``survival(n)``."""
+        return self._suffix[1:] + self.residual
+
 
 def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     """First t_max+1 coefficients of the formal power-series quotient.

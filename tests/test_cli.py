@@ -1,5 +1,7 @@
 """Command-line interface: parsing, CSV round-trips, figure presets."""
 
+import csv
+import io
 import math
 import os
 
@@ -305,6 +307,36 @@ class TestSweepCommand:
         assert capsys.readouterr().out == with_flag
 
 
+class TestCensoredRows:
+    def test_sweep_warns_once_per_censored_row(self, capsys):
+        args = [
+            "sweep", "--model", "brw:p=0.55,m=3", "--restart-family", "sharp",
+            "--n-min", "200", "--n-max", "201", "--trials", "50", "--step-cap", "300",
+        ]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        warnings = captured.err.strip().splitlines()
+        assert len(warnings) == 1
+        assert "param=201" in warnings[0]
+        assert "1 of 50 trials censored" in warnings[0]
+        # The CSV keeps its nine columns and still prints the censored mean.
+        assert [len(record) for record in csv.reader(io.StringIO(captured.out))] == [9, 9, 9]
+        result = parse_sweep_csv(captured.out)
+        assert result.rows[1].mean_t_mc == pytest.approx(25.69, abs=0.005)
+
+    def test_figure_warns_too(self, tmp_path, capsys):
+        code = main(["figure", "6", "--outdir", str(tmp_path), "--trials", "5", "--step-cap", "12"])
+        assert code == 0
+        warnings = capsys.readouterr().err.strip().splitlines()
+        assert warnings
+        assert all(line.startswith("warning: sharp param=") for line in warnings)
+
+    def test_uncensored_sweep_is_silent(self, capsys):
+        assert main(["sweep", "--model", TP_FAST_TEXT, "--restart-family", "geometric",
+                     "--points", "3", "--trials", "20"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestFigureCommand:
     def test_sharp_figure_analytic_only(self, tmp_path, capsys):
         code = main(["figure", "5", "--outdir", str(tmp_path), "--no-mc"])
@@ -376,6 +408,46 @@ class TestExitCodes:
         assert main(["analyze", "--model", TP_FAST_TEXT]) == 2
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    SWEEP = ["sweep", "--model", TP_FAST_TEXT, "--restart-family", "geometric", "--points", "3"]
+
+    def test_negative_trials_is_two(self, capsys):
+        assert main(self.SWEEP + ["--trials", "-5"]) == 2
+        assert "error: --trials" in capsys.readouterr().err
+        assert main(["figure", "1", "--trials", "-5"]) == 2
+        assert "error: --trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "10"])
+    def test_zero_step_cap_is_two(self, capsys, trials):
+        assert main(self.SWEEP + ["--step-cap", "0", "--trials", trials]) == 2
+        assert "error: --step-cap" in capsys.readouterr().err
+
+    def test_negative_seed_is_two(self, capsys):
+        assert main(self.SWEEP + ["--seed", "-1", "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert "error: seed -1" in captured.err
+        assert captured.out == ""
+
+    def test_negative_env_seed_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        assert main(self.SWEEP + ["--trials", "10"]) == 2
+        assert "error: seed -1" in capsys.readouterr().err
+
+    def test_last_row_seed_must_fit_64_bits(self, capsys):
+        # Three rows use seeds s, s+1, s+2; the last must stay below 2**64.
+        assert main(self.SWEEP + ["--seed", str(2**64 - 2), "--trials", "2"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert main(self.SWEEP + ["--seed", str(2**64 - 3), "--trials", "2"]) == 0
+        capsys.readouterr()
+
+    def test_missing_outdir_is_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["figure", "1", "--outdir", str(missing), "--no-mc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert main(self.SWEEP + ["--output", str(missing / "sweep.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_numerical_failure_is_one(self, capsys):
         code = main(

@@ -34,6 +34,7 @@ from restartfp import (
     fpur_pgf,
     fpur_pmf,
     hitting_prob_T,
+    mean_T,
     mean_T_generic,
     mean_T_geometric,
     mean_T_sharp,
@@ -202,6 +203,43 @@ class TestMeanGeneric:
             p_r = 1.0 - nu
             decomposition = win_time / nu + (p_r / nu) * (lose_time / p_r)
             assert mean_T_generic(model, spec) == pytest.approx(decomposition, rel=1e-9)
+
+
+class TestSharpAsExplicitClock:
+    """Sharp restart and the explicit clock with all mass at N run the same
+    finite-support formulas, so every value agrees exactly."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [CycleTrap(0.25, 5, 10), BiasedWalk(0.55, 3), TwoPoint(3, 0.4, 9)],
+        ids=lambda m: m.describe(),
+    )
+    @pytest.mark.parametrize("n_restart", [2, 4, 8, 13, 30])
+    def test_values_identical(self, model, n_restart):
+        sharp = SharpRestart(n_restart)
+        explicit = ExplicitRestart(TruncatedPMF.from_masses({n_restart: 1.0}))
+        for fn in (hitting_prob_T, p_restart_wins, mean_T_generic):
+            assert fn(model, sharp) == fn(model, explicit), fn.__name__
+        for z in (0.0, 0.4, 0.9, 0.99, 1.0):
+            assert fpur_pgf(model, sharp, z) == fpur_pgf(model, explicit, z)
+        a, b = fpur_pmf(model, sharp, 80), fpur_pmf(model, explicit, 80)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert (a.residual, a.residual_kind) == (b.residual, b.residual_kind)
+
+
+class TestMeanT:
+    def test_dispatches_to_family_closed_forms(self):
+        trap = CycleTrap(0.25, 7, 5)
+        assert mean_T(trap, GeometricRestart(0.2)) == mean_T_geometric(trap, 0.2)
+        assert mean_T(trap, SharpRestart(9)) == mean_T_sharp(trap, 9)
+        assert mean_T(trap, SharpRestart(9), 50) == mean_T_sharp(trap, 9, 50)
+        explicit = ExplicitRestart(TruncatedPMF.from_masses({3: 0.5, 9: 0.5}))
+        assert mean_T(trap, explicit) == mean_T_generic(trap, explicit)
+
+    def test_analyze_reports_it(self):
+        trap = CycleTrap(0.25, 7, 5)
+        for spec in (GeometricRestart(0.2), SharpRestart(9)):
+            assert analyze(trap, spec).mean_T == mean_T(trap, spec)
 
 
 class TestMeanGeometricClosedForm:

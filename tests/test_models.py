@@ -96,6 +96,41 @@ class TestExplicitRestart:
         assert spec.draw(0.76) == math.inf
 
 
+SPEC_FAMILIES = [
+    GeometricRestart(0.3),
+    SharpRestart(4),
+    ExplicitRestart(
+        TruncatedPMF.from_masses({1: 0.25, 3: 0.5}, residual=0.25, residual_kind=AT_INFINITY)
+    ),
+]
+
+
+class TestRestartSpecSurface:
+    @pytest.mark.parametrize("spec", SPEC_FAMILIES, ids=lambda s: s.describe())
+    def test_survival_array_matches_scalar(self, spec):
+        array = spec.survival_array(12)
+        assert array.size == 12
+        expected = [spec.survival(n) for n in range(12)]
+        np.testing.assert_allclose(array, expected, rtol=1e-14, atol=0)
+
+    def test_last_epoch(self):
+        assert [spec.last_epoch() for spec in SPEC_FAMILIES] == [None, 4, 3]
+
+    def test_geometric_tails_match_finite_sums(self):
+        # A geometric law cut at a far horizon, as an explicit clock, runs
+        # the finite-support sums; the closed-form tails must agree.
+        geo = GeometricRestart(0.3)
+        horizon = 200
+        cut = ExplicitRestart(TruncatedPMF(geo.pmf_array(horizon), residual=geo.survival(horizon)))
+        assert geo.survival_sum(5, 0.2) == pytest.approx(cut.survival_sum(5, 0.2), rel=1e-12)
+        u = CycleTrap(0.5, 2, 4).pmf(10)
+        surv_u_before = np.concatenate(([1.0], u.survival_array()))
+        for z in (0.3, 0.9, 0.999):
+            assert geo.wins_pgf(z, surv_u_before, u.residual) == pytest.approx(
+                cut.wins_pgf(z, surv_u_before, u.residual), rel=1e-12
+            )
+
+
 class TestCycleTrap:
     def test_pgf_example(self):
         trap = CycleTrap(0.75, 2, 14)
@@ -279,7 +314,7 @@ class TestExplicitProcess:
         dist = TruncatedPMF.from_masses({1: 0.7}, residual=0.3, residual_kind=AT_INFINITY)
         assert ExplicitProcess(dist).hit_prob() == pytest.approx(0.7)
 
-    def test_draw_total_lands_in_residual(self):
+    def test_draw_lands_in_residual(self):
         dist = TruncatedPMF.from_masses({1: 0.7}, residual=0.3, residual_kind=AT_INFINITY)
         model = ExplicitProcess(dist)
         assert model.step(None, 0.5) == 0

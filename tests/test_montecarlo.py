@@ -85,10 +85,19 @@ class TestSampleRestart:
         assert min(draws) == 1
         assert abs(np.mean(draws) - 2.0) < 0.01
 
-    def test_geometric_matches_inverse_cdf(self):
-        spec = GeometricRestart(0.3)
-        for u in (0.1, 0.29, 0.3, 0.71, 0.95):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeometricRestart(0.3),
+            SharpRestart(3),
+            ExplicitRestart(TruncatedPMF.from_masses({1: 0.3, 2: 0.41, 6: 0.29})),
+        ],
+        ids=lambda s: s.describe(),
+    )
+    def test_matches_inverse_cdf(self, spec):
+        for u in (0.0, 0.1, 0.29, 0.3, 0.71, 0.95):
             k = sample_restart(spec, u)
+            assert k == spec.draw(u)
             assert spec.cdf(k - 1) <= u <= spec.cdf(k) + 1e-12
 
     def test_explicit_residual_draw_is_infinite(self):

@@ -116,6 +116,20 @@ class TestTailSums:
         for n in range(-1, 6):
             assert dist.cumulative(n) + dist.survival(n) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            TruncatedPMF.from_masses({1: 0.3, 2: 0.3, 4: 0.4}),
+            TruncatedPMF.from_masses({2: 0.25, 5: 0.5}, residual=0.25, residual_kind=AT_INFINITY),
+            TruncatedPMF.from_masses({0: 1.0}),
+        ],
+    )
+    def test_survival_array_matches_scalar(self, dist):
+        array = dist.survival_array()
+        assert array.size == dist.t_max + 1
+        for n in range(dist.t_max + 1):
+            assert array[n] == dist.survival(n)
+
 
 class TestSeriesDivide:
     def test_geometric_series(self):
