@@ -246,6 +246,8 @@ def run_sweep(
 ) -> SweepResult:
     """Analytic (and optionally Monte Carlo) restarted means over a grid.
 
+    Every row's restart spec is built before any row runs, so a parameter
+    outside the family's domain is a usage error that costs no work.
     Monte Carlo is skipped on rows whose analytic mean is infinite
     (preemptive or defective); each row uses seed + row index.  A row with
     censored trials gets a warning on stderr: its mean is a lower bound.
@@ -259,10 +261,15 @@ def run_sweep(
         raise UsageError(f"seed {seed} out of range: row seeds seed..seed+{len(grid) - 1} "
                          "must lie in [0, 2**64)")
     make, ((_, convert),) = _RESTART_FAMILIES[family]
+    specs = []
+    for param in grid:
+        try:
+            specs.append(make(convert(param)))
+        except ValueError as exc:
+            raise UsageError(f"invalid {family} sweep parameter {_fmt(param)}: {exc}") from exc
     baseline = model.mean()
     rows = []
-    for index, param in enumerate(grid):
-        spec = make(convert(param))
+    for index, (param, spec) in enumerate(zip(grid, specs)):
         analytic = fpur.mean_T(model, spec)
         mc = ci_low = ci_high = None
         if trials > 0 and math.isfinite(analytic):

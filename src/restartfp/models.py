@@ -333,6 +333,20 @@ class ProcessModel:
         """Advance one time step using the uniform draw ``u`` in [0, 1)."""
         raise NotImplementedError
 
+    def run_leg(self, state, u: list, start: int, steps: int):
+        """Advance up to ``steps`` >= 1 steps from the non-terminal ``state``,
+        step k reading ``u[start + k]``, and stop at the first terminal
+        state.  Returns (state, steps taken, whether it is terminal).
+
+        Equal to repeated :meth:`step` calls; subclasses override it with a
+        faster loop."""
+        step, is_terminal = self.step, self.is_terminal
+        for i in range(start, start + steps):
+            state = step(state, u[i])
+            if is_terminal(state):
+                return state, i - start + 1, True
+        return state, steps, False
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -420,6 +434,27 @@ class CycleTrap(ProcessModel):
         if state == self.M:
             return 0
         return state + 1
+
+    def run_leg(self, state: int, u: list, start: int, steps: int):
+        # Only a step from 0 reads its uniform; the runs below and above 0
+        # are deterministic, so each is crossed in one move.
+        p, period, floor = self.p, self.M + 1, -self.L
+        i, end = start, start + steps
+        while i < end:
+            if state == 0:
+                state = -1 if u[i] < p else 1
+                i += 1
+            elif state < 0:
+                k = min(state - floor, end - i)
+                state -= k
+                i += k
+            else:
+                k = min(period - state, end - i)
+                state = (state + k) % period
+                i += k
+            if state == floor:
+                return state, i - start, True
+        return state, steps, False
 
     def describe(self) -> str:
         return f"cycle-trap:p={self.p!r},L={self.L},M={self.M}"
@@ -520,6 +555,17 @@ class BiasedWalk(ProcessModel):
             raise ValueError("cannot step a terminal state")
         return state - 1 if u < self.p else state + 1
 
+    def run_leg(self, state: int, u: list, start: int, steps: int):
+        p = self.p
+        for i in range(start, start + steps):
+            if u[i] < p:
+                state -= 1
+                if state == 0:
+                    return 0, i - start + 1, True
+            else:
+                state += 1
+        return state, steps, False
+
     def describe(self) -> str:
         return f"brw:p={self.p!r},m={self.m}"
 
@@ -541,6 +587,17 @@ class _CountdownMixin:
         if state == 0:
             raise ValueError("cannot step a terminal state")
         return state - 1
+
+    def run_leg(self, state, u: list, start: int, steps: int):
+        # After the first draw the countdown is arithmetic; a draw in the
+        # mass at infinity leaves an infinite state that never reaches 0.
+        taken = 0
+        if state is None:
+            state = self.draw(u[start]) - 1
+            taken = 1
+        if state <= steps - taken:
+            return 0, taken + state, True
+        return state - (steps - taken), steps, False
 
 
 @dataclass(frozen=True)

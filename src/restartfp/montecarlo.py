@@ -1,10 +1,16 @@
 """Trajectory-level simulation of first passage under restart.
 
-Each trial pre-draws a restart epoch, advances the model's step simulator,
+Each trial pre-draws a restart epoch, advances the model one leg at a time,
 and resets whenever the epoch arrives at or before termination (a tie goes
 to the restart).  Randomness is counter-based: trial ``i`` of a run seeded
-with ``s`` uses Philox keyed by ``(s, i)``, so results are reproducible
-regardless of execution order or thread count.
+with ``s`` reads the uniforms of ``Philox(key=(s << 64) + i)`` in order, so
+results are reproducible regardless of execution order or thread count.
+
+The first 64 uniforms (``_HEAD``) of up to 256 trials (``_BATCH``) come
+from one vectorised Philox4x64-10 call; a trial that runs past its head
+continues from numpy's own Philox at the same key and counter.  A model
+consumes the uniforms through :meth:`ProcessModel.run_leg`, one call per
+stretch of steps.
 """
 
 from __future__ import annotations
@@ -17,7 +23,26 @@ import numpy as np
 
 from .models import ProcessModel, RestartSpec
 
-_BUFFER = 256
+# Uniforms per trial made by the batched generator; the median trial of a
+# figure-6 row uses about 28.  A multiple of 4, the Philox block size.
+_HEAD = 64
+# Trials per batched call: memory is bounded by this, not by the trial count.
+_BATCH = 256
+# Native draws past the head double in size up to this many uniforms, so a
+# trial of n steps makes O(log n) draws and wastes less than half of them.
+_MAX_CHUNK = 4096
+
+# Philox4x64-10 multipliers and Weyl key increments, as rows for the pair of
+# counter words (0, 2) that each round multiplies.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> np.uint64(32)
+
+# Philox counter and output buffer of a stream that has used its head: the
+# next draw makes block _HEAD // 4 + 1.
+_RESUME_COUNTER = np.array([_HEAD // 4, 0, 0, 0], dtype=np.uint64)
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -61,23 +86,64 @@ class SimEstimate:
         return self.censored > 0
 
 
-class _UniformStream:
-    """Buffered uniforms from one counter-based generator."""
+def _philox_heads(seed: int, first: int, count: int) -> np.ndarray:
+    """The first ``_HEAD`` uniforms of trials ``first .. first+count-1``, one
+    row per trial, equal bit for bit to
+    ``Generator(Philox(key=(seed << 64) + trial)).random(_HEAD)``.
 
-    __slots__ = ("_rng", "_buf", "_pos")
+    numpy's Philox keys a trial with the words (trial, seed) and numbers its
+    4-word blocks from counter 1; a double is the top 53 bits of a word.
+    The 64x64 -> 128-bit products are built from 32-bit limbs.
+    """
+    blocks = _HEAD // 4
+    lanes = count * blocks
+    key = np.empty((2, lanes), dtype=np.uint64)
+    key[0] = np.repeat(np.arange(count, dtype=np.uint64) + np.uint64(first), blocks)
+    key[1] = seed
+    # Counter words (0, 2) in x and (1, 3) in y; only word 0 starts nonzero.
+    x = np.zeros((2, lanes), dtype=np.uint64)
+    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), count)
+    y = np.zeros((2, lanes), dtype=np.uint64)
+    shift = np.uint64(32)
+    for _ in range(10):
+        x_lo, x_hi = x & _LOW32, x >> shift
+        lo_lo = _M_LO * x_lo
+        mid = _M_LO * x_hi + (lo_lo >> shift)
+        cross = _M_HI * x_lo + (mid & _LOW32)
+        hi = _M_HI * x_hi + (mid >> shift) + (cross >> shift)
+        x, y = hi[::-1] ^ y ^ key, _PHILOX_M[::-1] * x[::-1]
+        key += _PHILOX_W
+    words = np.stack((x[0], y[0], x[1], y[1]), axis=-1)
+    return ((words >> np.uint64(11)) * (1.0 / 9007199254740992.0)).reshape(count, _HEAD)
 
-    def __init__(self, seed: int, trial: int) -> None:
-        self._rng = np.random.Generator(np.random.Philox(key=(seed << 64) + trial))
-        self._buf = self._rng.random(_BUFFER).tolist()
-        self._pos = 0
 
-    def next(self) -> float:
-        if self._pos == _BUFFER:
-            self._buf = self._rng.random(_BUFFER).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
+def _uniform_chunks(rng: np.random.Generator, seed: int, trial: int, head: list):
+    """Trial ``trial``'s uniforms as successive lists: its batched head, then
+    draws from ``rng``, whose Philox is re-keyed to resume the stream right
+    after the head.  Streams that share ``rng`` must be read one at a time."""
+    yield head
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _RESUME_COUNTER, "key": np.array([trial, seed], dtype=np.uint64)},
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    size = _HEAD
+    while True:
+        size = min(2 * size, _MAX_CHUNK)
+        yield rng.random(size).tolist()
+
+
+def _trial_streams(seed: int, trials: int):
+    """One uniform-chunk iterator per trial, in trial order; each must be
+    left before the next is read."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    for first in range(0, trials, _BATCH):
+        heads = _philox_heads(seed, first, min(_BATCH, trials - first)).tolist()
+        for offset, head in enumerate(heads):
+            yield _uniform_chunks(rng, seed, first + offset, head)
 
 
 def sample_restart(spec: RestartSpec, u: float):
@@ -127,27 +193,38 @@ def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> 
     censored = 0
     cap = config.step_cap
     draw = spec.draw
-    for trial in range(config.trials):
-        stream = _UniformStream(config.seed, trial)
-        total = 0
-        restarts = 0
+    run_leg = model.run_leg
+    for chunks in _trial_streams(config.seed, config.trials):
+        u = next(chunks)
+        pos = total = restarts = 0
         hit = False
         while total < cap:
-            epoch = draw(stream.next())
+            if pos >= len(u):
+                pos -= len(u)
+                u = next(chunks)
+            epoch = draw(u[pos])
+            pos += 1
+            # Only the steps before the epoch can end the trial: the step on
+            # the epoch restarts whatever state it reaches (a tie goes to the
+            # restart), so it is counted without being simulated.
+            free = epoch - 1
             state = model.initial_state()
-            leg = 0
-            while total < cap:
-                state = model.step(state, stream.next())
-                leg += 1
-                total += 1
-                if leg == epoch:
-                    restarts += 1
-                    break
-                if model.is_terminal(state):
-                    hit = True
+            while free and total < cap:
+                if pos >= len(u):
+                    pos -= len(u)
+                    u = next(chunks)
+                state, taken, hit = run_leg(state, u, pos, min(free, cap - total, len(u) - pos))
+                pos += taken
+                total += taken
+                free -= taken
+                if hit:
                     break
             if hit:
                 break
+            if total < cap:
+                pos += 1
+                total += 1
+                restarts += 1
         if hit:
             samples.append(float(total))
             restart_counts.append(restarts)
@@ -161,17 +238,18 @@ def underlying_samples(model: ProcessModel, config: SimConfig) -> tuple[np.ndarr
     samples: list[float] = []
     censored = 0
     cap = config.step_cap
-    for trial in range(config.trials):
-        stream = _UniformStream(config.seed, trial)
+    run_leg = model.run_leg
+    for chunks in _trial_streams(config.seed, config.trials):
+        u = next(chunks)
+        pos = total = 0
         state = model.initial_state()
-        total = 0
         hit = False
-        while total < cap:
-            state = model.step(state, stream.next())
-            total += 1
-            if model.is_terminal(state):
-                hit = True
-                break
+        while not hit and total < cap:
+            if pos == len(u):
+                u, pos = next(chunks), 0
+            state, taken, hit = run_leg(state, u, pos, min(cap - total, len(u) - pos))
+            pos += taken
+            total += taken
         if hit:
             samples.append(float(total))
         else:

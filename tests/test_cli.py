@@ -1,6 +1,7 @@
 """Command-line interface: parsing, CSV round-trips, figure presets."""
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -17,6 +18,7 @@ from restartfp import (
     cycle_trap_sharp_classify,
     mean_T_sharp,
 )
+from restartfp import cli
 from restartfp.cli import (
     DEFAULT_SEED,
     RHO_SWEEP_HI,
@@ -384,6 +386,28 @@ class TestFigureCommand:
         for row in mc_rows:
             assert row.ci_low <= row.mean_t_mc <= row.ci_high
 
+    # SHA-256 of the figure CSVs at trials=40, seed=3, recorded from the
+    # per-trial Generator(Philox(...)) engine: any drift in the Monte Carlo
+    # streams or the step semantics changes these bytes.
+    FIGURE_DIGESTS = {
+        "fig1_two-point_t11-w10.75-t220_geometric.csv":
+            "4f3e05f25c1b7488e7beb49cbe4ad0f5ee14ce3623558cfc9dc39fe570540967",
+        "fig4_cycle-trap_p0.75-L2-M14_geometric.csv":
+            "e720e826727f2fef9e97fa0ea07a03e820f9e68bd6a055293edc709430506b66",
+        "fig4_cycle-trap_p0.5-L2-M4_geometric.csv":
+            "4418854bf2a0ae0818d503549adc56291584a859213e547836fae595d6f2ad88",
+        "fig6_cycle-trap_p0.25-L5-M10_sharp.csv":
+            "f81da830c47cf70ad724b6ee67a8738fb9c967d99a8a4ebfa7dd9e21e4103695",
+    }
+
+    @pytest.mark.parametrize("figure_id", ["1", "4", "6"])
+    def test_monte_carlo_figure_bytes_are_frozen(self, tmp_path, figure_id):
+        paths = run_figure(figure_id, outdir=str(tmp_path), trials=40, seed=3)
+        assert paths
+        for path in paths:
+            digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            assert digest == self.FIGURE_DIGESTS[os.path.basename(path)]
+
     def test_two_trap_figure_writes_both_files(self, tmp_path):
         paths = run_figure("4", outdir=str(tmp_path), trials=0)
         assert len(paths) == 2
@@ -449,19 +473,30 @@ class TestExitCodes:
         assert main(self.SWEEP + ["--output", str(missing / "sweep.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_numerical_failure_is_one(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--model",
-                TP_FAST_TEXT,
-                "--restart-family",
-                "geometric",
-                "--rho-min",
-                "0",
-                "--points",
-                "1",
-            ]
-        )
-        assert code == 1
-        assert "numerical failure" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "family_args",
+        [
+            ["geometric", "--rho-min", "0", "--points", "1"],
+            ["geometric", "--rho-min", "0.5", "--rho-max", "1.5"],
+            ["sharp", "--n-min", "0", "--n-max", "5"],
+        ],
+    )
+    def test_out_of_range_sweep_parameter_is_two(self, capsys, monkeypatch, family_args):
+        # Every row's spec is checked before the first row runs, so the
+        # valid rows ahead of the bad one do no Monte Carlo.
+        calls = []
+        monkeypatch.setattr(cli, "simulate_fpur", lambda *args: calls.append(args))
+        argv = ["sweep", "--model", TP_FAST_TEXT, "--trials", "10", "--restart-family"]
+        assert main(argv + family_args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid ")
+        assert captured.out == ""
+        assert calls == []
+
+    def test_numerical_failure_is_one(self, capsys, monkeypatch):
+        def fail(model, spec, t_max=None):
+            raise ArithmeticError("series did not converge")
+
+        monkeypatch.setattr(cli.fpur, "mean_T", fail)
+        assert main(self.SWEEP) == 1
+        assert "numerical failure: series did not converge" in capsys.readouterr().err

@@ -1,15 +1,22 @@
-"""Simulation engine: determinism, epoch sampling, estimator calibration."""
+"""Simulation engine: determinism, epoch sampling, estimator calibration,
+the stream contract, and equality with the scalar reference loop."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scalar_engine
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restartfp import (
     BiasedWalk,
     CycleTrap,
+    ExplicitProcess,
     ExplicitRestart,
     GeometricRestart,
+    ProcessModel,
     SharpRestart,
     SimConfig,
     SimEstimate,
@@ -22,6 +29,7 @@ from restartfp import (
     simulate_underlying,
     underlying_samples,
 )
+from restartfp.montecarlo import _BATCH, _HEAD, _philox_heads, _trial_streams, _uniform_chunks
 
 TP_FAST = TwoPoint(1, 0.75, 20)
 
@@ -219,3 +227,164 @@ class TestEstimateShape:
             trials_used=1,
             mean_restarts=0.0,
         )
+
+
+def native_uniforms(seed, trial, n):
+    return np.random.Generator(np.random.Philox(key=(seed << 64) + trial)).random(n)
+
+
+def read(chunks, n):
+    out = []
+    for chunk in chunks:
+        out += chunk
+        if len(out) >= n:
+            return np.array(out[:n])
+
+
+def batched_uniforms(seed, trial, n):
+    """The first ``n`` uniforms the engine reads for one trial."""
+    head = _philox_heads(seed, trial, 1)[0].tolist()
+    rng = np.random.Generator(np.random.Philox(key=0))
+    return read(_uniform_chunks(rng, seed, trial, head), n)
+
+
+# Lengths that end inside the head, on it, just past it, past the first
+# native draw, and past the point where native draws stop growing.
+SEAM_LENGTHS = [_HEAD - 1, _HEAD, _HEAD + 1, _HEAD + 256 + 1, 20_000]
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("trial", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    def test_trial_stream_equals_native_philox(self, seed, trial, n):
+        assert np.array_equal(batched_uniforms(seed, trial, n), native_uniforms(seed, trial, n))
+
+    @given(seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**64 - 1),
+           n=st.sampled_from(SEAM_LENGTHS))
+    @settings(max_examples=40, deadline=None)
+    def test_random_keys(self, seed, trial, n):
+        assert np.array_equal(batched_uniforms(seed, trial, n), native_uniforms(seed, trial, n))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_batched_heads_row_by_row(self, seed):
+        first = 2**32 - 3
+        heads = _philox_heads(seed, first, 7)
+        assert heads.shape == (7, _HEAD)
+        for row, trial in enumerate(range(first, first + 7)):
+            assert np.array_equal(heads[row], native_uniforms(seed, trial, _HEAD))
+
+    def test_trial_streams_cross_batches(self):
+        # Trials in order, across the batch boundary and a partial last
+        # batch; consecutive trials share one re-keyed native generator.
+        trials = _BATCH + 5
+        streams = [read(chunks, _HEAD + 200) for chunks in _trial_streams(11, trials)]
+        assert len(streams) == trials
+        for trial in (0, 1, _BATCH - 1, _BATCH, trials - 1):
+            assert np.array_equal(streams[trial], native_uniforms(11, trial, _HEAD + 200))
+
+
+@dataclass(frozen=True)
+class StepOnlyWalk(ProcessModel):
+    """A lazy walk defined only through the one-step simulator, as a user
+    subclass may be: the engine runs it through the base ``run_leg``."""
+
+    start: int = 3
+
+    def initial_state(self):
+        return self.start
+
+    def is_terminal(self, state):
+        return state == 0
+
+    def step(self, state, u):
+        if u < 0.45:
+            return state - 1
+        return state + 1 if u > 0.7 else state
+
+
+EXPLICIT_WITH_INFINITY = ExplicitProcess(
+    TruncatedPMF.from_masses({2: 0.3, 9: 0.2, 70: 0.2}, residual=0.3, residual_kind="at_infinity")
+)
+ORACLE_MODELS = [
+    CycleTrap(0.25, 5, 10),
+    CycleTrap(0.6, 2, 4),  # every passage takes >= 2 steps: ties with sharp N = 2
+    CycleTrap(1.0, 1, 1),
+    BiasedWalk(0.55, 3),
+    BiasedWalk(0.3, 1),  # transient: long legs, censoring
+    TwoPoint(1, 0.75, 20),
+    TwoPoint(3, 0.5, 70),
+    EXPLICIT_WITH_INFINITY,
+    StepOnlyWalk(),
+]
+ORACLE_SPECS = [
+    GeometricRestart(0.1),
+    GeometricRestart(0.005),
+    SharpRestart(1),
+    SharpRestart(2),
+    SharpRestart(66),
+    ExplicitRestart(TruncatedPMF.from_masses({3: 0.4, 40: 0.2}, residual=0.4,
+                                             residual_kind="at_infinity")),
+]
+# A cap inside the first leg, on the head's last uniform, past it, and one
+# long enough for most trials to finish.
+ORACLE_CAPS = [5, _HEAD - 1, _HEAD + 1, 700]
+
+
+class TestEngineOracle:
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.describe())
+    def test_simulate_fpur_equals_scalar_loop(self, model, spec):
+        for cap in ORACLE_CAPS:
+            config = SimConfig(trials=60, seed=21, step_cap=cap)
+            assert simulate_fpur(model, spec, config) == scalar_engine.simulate_fpur(model, spec, config)
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: type(m).__name__)
+    def test_underlying_samples_equal_scalar_loop(self, model):
+        for cap in ORACLE_CAPS:
+            config = SimConfig(trials=_BATCH + 20, seed=22, step_cap=cap)
+            samples, censored = underlying_samples(model, config)
+            want, want_censored = scalar_engine.underlying_samples(model, config)
+            assert censored == want_censored
+            assert np.array_equal(samples, want)
+
+    def test_terminal_step_on_the_epoch_restarts(self):
+        # TwoPoint(1, 1.0, 1) terminates on step 1, the sharp epoch: every
+        # leg restarts, so every trial is censored, as in the scalar loop.
+        model, spec = TwoPoint(1, 1.0, 1), SharpRestart(1)
+        config = SimConfig(trials=10, seed=4, step_cap=200)
+        estimate = simulate_fpur(model, spec, config)
+        assert estimate.censored == 10
+        assert estimate == scalar_engine.simulate_fpur(model, spec, config)
+
+
+def step_by_step(model, state, u, start, steps):
+    return ProcessModel.run_leg(model, state, u, start, steps)
+
+
+class TestLegKernels:
+    @given(data=st.data(), p=st.floats(0.05, 1.0), L=st.integers(1, 6), M=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_trap(self, data, p, L, M):
+        model = CycleTrap(p, L, M)
+        self.check(data, model, st.integers(-L + 1, M))
+
+    @given(data=st.data(), p=st.floats(0.05, 0.95), m=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_biased_walk(self, data, p, m):
+        self.check(data, BiasedWalk(p, m), st.integers(1, 12))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_countdown(self, data):
+        model = data.draw(st.sampled_from([TwoPoint(1, 0.75, 20), TwoPoint(3, 0.5, 7),
+                                           EXPLICIT_WITH_INFINITY]))
+        states = st.one_of(st.none(), st.integers(1, 30), st.just(math.inf))
+        self.check(data, model, states)
+
+    def check(self, data, model, states):
+        state = data.draw(states)
+        u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
+        start = data.draw(st.integers(0, len(u) - 1))
+        steps = data.draw(st.integers(1, len(u) - start))
+        assert model.run_leg(state, u, start, steps) == step_by_step(model, state, u, start, steps)
