@@ -4,10 +4,11 @@ Composes an underlying process with a restart specification and computes
 the restarted hitting time's PGF, hitting probability, mean, and the
 beneficial-restart criteria for the geometric and sharp families.
 
-Numerical strategy: every quantity that formally reads "1 minus a sum" is
-instead accumulated from nonnegative survival terms, so values such as the
-renewal denominator stay accurate even when the straightforward form would
-cancel catastrophically.
+Every renewal sum comes from the restart law's ``renewal`` method: closed
+forms on the model's PGF for geometric restart, exact finite sums for a
+clock with finite support.  The renewal denominator is accumulated from
+nonnegative terms rather than as "1 minus a sum", so it stays accurate even
+when the straightforward form would cancel catastrophically.
 """
 
 from __future__ import annotations
@@ -55,48 +56,30 @@ class FpurReport:
     preemptive: bool
 
 
-def _underlying_pmf(model: ProcessModel, spec: RestartSpec, t_max: int | None) -> TruncatedPMF:
-    if t_max is not None:
-        return model.pmf(t_max)
-    u = model.pmf()
-    # A bounded restart law reads P(U > n) up to its last epoch minus one;
-    # make sure the horizon reaches it so only a < RESIDUAL_TARGET tail is
-    # unaccounted.
-    last = spec.last_epoch()
-    if last is not None and u.t_max < last - 1:
-        u = model.pmf(last - 1)
-    return u
-
-
-def _renewal_terms(
-    model: ProcessModel, spec: RestartSpec, t_max: int | None
-) -> tuple[TruncatedPMF, float, float]:
-    """Return (u, nu, d) where nu = sum u(n) P(R > n) and d is the renewal
-    denominator, both accumulated from nonnegative terms."""
-    u = _underlying_pmf(model, spec, t_max)
-    surv_r = spec.survival_array(u.coefficients.size)
-    nu = math.fsum(u.coefficients * surv_r)
-    d = (1.0 - model.hit_prob()) * (1.0 - spec.hit_prob()) + nu
-    return u, nu, d
+def _denominator(model: ProcessModel, spec: RestartSpec, nu: float) -> float:
+    """The renewal denominator P(R > U): nu = sum u(n) P(R > n) plus the
+    mass on which neither clock ever fires, both nonnegative."""
+    return (1.0 - model.hit_prob()) * (1.0 - spec.hit_prob()) + nu
 
 
 def p_restart_wins(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """P(R <= U), the probability a restart epoch arrives no later than the
     underlying first passage; 1 minus this is the renewal denominator."""
-    _, _, d = _renewal_terms(model, spec, t_max)
-    return min(1.0, max(0.0, 1.0 - d))
+    nu, _, _ = spec.renewal(model, 1.0, t_max)
+    return min(1.0, max(0.0, 1.0 - _denominator(model, spec, nu)))
 
 
 def hitting_prob_T(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """P(T < infinity) for the restarted process; 0 for preemptive pairs."""
-    _, nu, d = _renewal_terms(model, spec, t_max)
+    nu, _, _ = spec.renewal(model, 1.0, t_max)
+    d = _denominator(model, spec, nu)
     if d <= PREEMPTIVE_TOL:
         return 0.0
     return min(1.0, nu / d)
 
 
 def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float, t_max: int | None = None) -> float:
-    """PGF of the restarted hitting time via truncated double sums.
+    """PGF of the restarted hitting time from the restart law's renewal sums.
 
     Numerator: sum_n z^n u(n) P(R > n).  Denominator: 1 - sum_i z^i r(i)
     P(U >= i).  At z=1 this reduces to (and is answered by) hitting_prob_T.
@@ -105,13 +88,8 @@ def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float, t_max: int | None
         raise ValueError(f"z={z!r} outside [0, 1]")
     if z == 1.0:
         return hitting_prob_T(model, spec, t_max)
-    u = _underlying_pmf(model, spec, t_max)
-    t = u.t_max
-    numerator = math.fsum(u.coefficients * z ** np.arange(t + 1) * spec.survival_array(t + 1))
-    # P(U >= i) = P(U > i-1), shifted one slot.
-    surv_u_before = np.concatenate(([1.0], u.survival_array()))
-    denominator = 1.0 - spec.wins_pgf(z, surv_u_before, u.residual)
-    return numerator / denominator
+    numerator, wins, _ = spec.renewal(model, z, t_max)
+    return numerator / (1.0 - wins)
 
 
 def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF:
@@ -138,17 +116,15 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
 
 
 def mean_T_generic(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
-    """E[T] by the renewal identity E[min(U, R)] / P(R > U).
-
-    E[min(U, R)] is the survival-product sum over the horizon of U plus
-    the restart law's own tail sum beyond it.  Returns infinity for
-    preemptive pairs and whenever the restarted process is defective.
+    """E[T] by the renewal identity E[min(U, R)] / P(R > U), both from the
+    restart law's renewal sums.  Returns infinity for preemptive pairs and
+    whenever the restarted process is defective.
     """
-    u, nu, d = _renewal_terms(model, spec, t_max)
+    nu, _, head = spec.renewal(model, 1.0, t_max)
+    d = _denominator(model, spec, nu)
     if d <= PREEMPTIVE_TOL or nu / d < 1.0:
         return math.inf
-    head = math.fsum(u.survival_array() * spec.survival_array(u.t_max + 1))
-    return (head + spec.survival_sum(u.t_max + 1, u.residual)) / d
+    return head / d
 
 
 def mean_T(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
@@ -298,7 +274,8 @@ def best_geometric_rho(model: ProcessModel, grid=None) -> tuple[float, float]:
 
 def analyze(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> FpurReport:
     """Full report for one (process, restart) pair."""
-    _, nu, d = _renewal_terms(model, spec, t_max)
+    nu, _, _ = spec.renewal(model, 1.0, t_max)
+    d = _denominator(model, spec, nu)
     if d <= PREEMPTIVE_TOL:
         return FpurReport(
             hit_prob=0.0,

@@ -53,8 +53,9 @@ class RestartSpec:
     """When the restart clock fires.  Subclasses are immutable value objects.
 
     Each family also supplies what :mod:`restartfp.fpur` and the simulator
-    need: survival vector, inverse-CDF draw, last epoch and two tail sums.
-    The sums here assume finite support; unbounded families override them.
+    need: survival vector, inverse-CDF draw, last epoch and the renewal
+    sums.  The sums here assume finite support; unbounded families override
+    them.
     """
 
     def pmf(self, n: int) -> float:
@@ -97,23 +98,37 @@ class RestartSpec:
         """P(R > n) for n = 0..size-1."""
         return np.array([self.survival(n) for n in range(size)])
 
-    def survival_sum(self, start: int, residual: float) -> float:
-        """residual * sum_{n >= start} P(R > n): the tail of E[min(U, R)]
-        past a horizon beyond which P(U > n) is the constant ``residual``.
-        Terms past the last epoch are left out: each is at most ``residual``
-        times the law's own residual, zero whenever either law is proper."""
-        return math.fsum(residual * self.survival(n) for n in range(start, self.last_epoch() + 1))
+    def renewal(
+        self, model: ProcessModel, z: float, t_max: int | None = None
+    ) -> tuple[float, float, float]:
+        """Renewal sums of the model's first passage U against this clock R
+        at ``z`` in [0, 1]: (N, W, H) with N = sum_n z^n u(n) P(R > n),
+        W = sum_i z^i r(i) P(U >= i) and H = E[min(U, R)].
 
-    def wins_pgf(self, z: float, surv_u_before: np.ndarray, residual: float) -> float:
-        """sum_i z^i r(i) P(U >= i), given P(U >= i) as ``surv_u_before[i]``
-        inside that array and as the constant ``residual`` past its end."""
-        size = surv_u_before.size
-        r = self.pmf_array(max(size - 1, self.last_epoch()))
-        return math.fsum(
-            z**i * r[i] * (float(surv_u_before[i]) if i < size else residual)
-            for i in range(1, r.size)
-            if r[i] != 0.0
-        )
+        Here the law has finite support, so U's PMF is expanded only to the
+        last epoch minus one (at least to U's smallest support point, and to
+        ``t_max`` when that is larger); P(R > n) vanishes from the last
+        epoch on, so every sum is exact at that horizon.  A law that keeps
+        mass past its last epoch reads U over the model's default expansion
+        (or ``t_max``), extended to the last epoch minus one, and leaves out
+        what lies beyond it.
+        """
+        last = self.last_epoch()
+        if self.survival(last) == 0.0:
+            floor = model.min_support() if t_max is None else t_max
+            u = model.pmf(max(last - 1, floor))
+        else:
+            u = model.pmf(t_max)
+            if u.t_max < last - 1:
+                u = model.pmf(last - 1)
+        size = u.t_max + 1
+        zn = z ** np.arange(size + 1)
+        surv_u = u.survival_array()
+        surv_r = self.survival_array(size)
+        n_sum = math.fsum(u.coefficients * zn[:size] * surv_r)
+        # P(U >= i) = P(U > i-1), one slot later; r(i) reaches i = size.
+        w_sum = math.fsum(zn * self.pmf_array(size) * np.concatenate(([1.0], surv_u)))
+        return n_sum, w_sum, math.fsum(surv_u * surv_r)
 
 
 @dataclass(frozen=True)
@@ -121,10 +136,13 @@ class GeometricRestart(RestartSpec):
     """Restart after a geometric number of steps: r(n) = rho (1-rho)^(n-1), n >= 1."""
 
     rho: float
+    # log(1 - rho), the inverse-CDF denominator of every draw.
+    _log_x: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly inside (0, 1)")
+        object.__setattr__(self, "_log_x", math.log1p(-self.rho))
 
     def pmf(self, n: int) -> float:
         if n < 1:
@@ -163,7 +181,7 @@ class GeometricRestart(RestartSpec):
 
     def draw(self, u: float) -> int:
         # The epoch support starts at 1, so u = 0 still draws 1.
-        return max(1, math.ceil(math.log1p(-u) / math.log1p(-self.rho)))
+        return max(1, math.ceil(math.log1p(-u) / self._log_x))
 
     def last_epoch(self) -> None:
         return None
@@ -171,16 +189,16 @@ class GeometricRestart(RestartSpec):
     def survival_array(self, size: int) -> np.ndarray:
         return (1.0 - self.rho) ** np.arange(size)
 
-    def survival_sum(self, start: int, residual: float) -> float:
-        return residual * (1.0 - self.rho) ** start / self.rho
-
-    def wins_pgf(self, z: float, surv_u_before: np.ndarray, residual: float) -> float:
-        size = surv_u_before.size
-        x = (1.0 - self.rho) * z
-        terms = [self.rho * z * x ** (i - 1) * surv_u_before[i] for i in range(1, size)]
-        # Past the array P(U >= i) is the constant residual: a geometric tail.
-        tail = self.rho * z * residual * x ** (size - 1) / (1.0 - x)
-        return math.fsum(terms) + tail
+    def renewal(
+        self, model: ProcessModel, z: float, t_max: int | None = None
+    ) -> tuple[float, float, float]:
+        """Closed forms on the model's PGF, with x = 1 - rho:
+        N = u~(xz), W = rho z (1 - u~(xz)) / (1 - xz), H = (1 - u~(x)) / rho.
+        No PMF is expanded, so ``t_max`` is ignored."""
+        x = 1.0 - self.rho
+        n_sum = model.pgf(x * z)
+        w_sum = self.rho * z * (1.0 - n_sum) / (1.0 - x * z)
+        return n_sum, w_sum, (1.0 - model.pgf(x)) / self.rho
 
 
 @dataclass(frozen=True)

@@ -183,31 +183,32 @@ def _summarize(samples: list[float], restarts: list[int], censored: int, config:
     )
 
 
-def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> SimEstimate:
-    """Estimate E[T] for the restarted process from ``config.trials`` trials.
-
-    Preemptive pairs produce all-censored runs (flagged, not raised).
-    """
+def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig):
+    """Run ``config.trials`` trials; returns (first-passage times, restart
+    counts, censored count).  With ``spec`` None the process never restarts
+    and no epoch uniform is read."""
     samples: list[float] = []
     restart_counts: list[int] = []
     censored = 0
     cap = config.step_cap
-    draw = spec.draw
+    draw = None if spec is None else spec.draw
     run_leg = model.run_leg
     for chunks in _trial_streams(config.seed, config.trials):
         u = next(chunks)
         pos = total = restarts = 0
         hit = False
         while total < cap:
-            if pos >= len(u):
-                pos -= len(u)
-                u = next(chunks)
-            epoch = draw(u[pos])
-            pos += 1
-            # Only the steps before the epoch can end the trial: the step on
-            # the epoch restarts whatever state it reaches (a tie goes to the
-            # restart), so it is counted without being simulated.
-            free = epoch - 1
+            if draw is None:
+                free = math.inf
+            else:
+                if pos >= len(u):
+                    pos -= len(u)
+                    u = next(chunks)
+                # Only the steps before the epoch can end the trial: the step
+                # on the epoch restarts whatever state it reaches (a tie goes
+                # to the restart), so it is counted without being simulated.
+                free = draw(u[pos]) - 1
+                pos += 1
             state = model.initial_state()
             while free and total < cap:
                 if pos >= len(u):
@@ -230,30 +231,20 @@ def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> 
             restart_counts.append(restarts)
         else:
             censored += 1
-    return _summarize(samples, restart_counts, censored, config)
+    return samples, restart_counts, censored
+
+
+def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> SimEstimate:
+    """Estimate E[T] for the restarted process from ``config.trials`` trials.
+
+    Preemptive pairs produce all-censored runs (flagged, not raised).
+    """
+    return _summarize(*_run_trials(model, spec, config), config)
 
 
 def underlying_samples(model: ProcessModel, config: SimConfig) -> tuple[np.ndarray, int]:
     """Raw first-passage times of the bare process; returns (samples, censored)."""
-    samples: list[float] = []
-    censored = 0
-    cap = config.step_cap
-    run_leg = model.run_leg
-    for chunks in _trial_streams(config.seed, config.trials):
-        u = next(chunks)
-        pos = total = 0
-        state = model.initial_state()
-        hit = False
-        while not hit and total < cap:
-            if pos == len(u):
-                u, pos = next(chunks), 0
-            state, taken, hit = run_leg(state, u, pos, min(cap - total, len(u) - pos))
-            pos += taken
-            total += taken
-        if hit:
-            samples.append(float(total))
-        else:
-            censored += 1
+    samples, _, censored = _run_trials(model, None, config)
     return np.asarray(samples), censored
 
 

@@ -138,7 +138,10 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     """First t_max+1 coefficients of the formal power-series quotient.
 
     Exact long-division recurrence:
-    q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0].
+    q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0],
+    summed up to the denominator's last nonzero coefficient.  Once the
+    numerator is spent and the quotient has been exactly 0 for the
+    denominator's length, every later coefficient is exactly 0 as well.
     """
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
@@ -146,11 +149,17 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
         raise ZeroDivisionError("denominator constant term is zero; quotient series undefined")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    den = den[: np.flatnonzero(den)[-1] + 1]
+    spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
     quot = np.zeros(t_max + 1)
+    zeros = 0
     for n in range(t_max + 1):
-        acc = num[n] if n < num.size else 0.0
+        if n >= spent and zeros >= den.size:
+            break
+        acc = num[n] if n < spent else 0.0
         kmax = min(n, den.size - 1)
         if kmax >= 1:
             acc -= float(np.dot(den[1 : kmax + 1], quot[n - kmax : n][::-1]))
         quot[n] = acc / den[0]
+        zeros = zeros + 1 if quot[n] == 0.0 else 0
     return quot

@@ -227,6 +227,48 @@ class TestSharpAsExplicitClock:
         assert (a.residual, a.residual_kind) == (b.residual, b.residual_kind)
 
 
+HORIZON_MODELS = [CycleTrap(0.25, 5, 10), BiasedWalk(0.5, 1), BiasedWalk(0.3, 2), TwoPoint(3, 0.4, 9)]
+
+
+class TestRenewalHorizon:
+    """How far each restart family expands the underlying PMF."""
+
+    @pytest.mark.parametrize("model", HORIZON_MODELS, ids=lambda m: m.describe())
+    def test_geometric_never_expands(self, model, monkeypatch):
+        def refuse(self, t_max=None):
+            raise AssertionError("geometric restart expanded the underlying PMF")
+
+        monkeypatch.setattr(type(model), "pmf", refuse)
+        spec = GeometricRestart(0.1)
+        report = analyze(model, spec)
+        assert report.hit_prob == hitting_prob_T(model, spec) == 1.0
+        assert report.mean_T == mean_T_geometric(model, 0.1)
+        assert 0.0 < fpur_pgf(model, spec, 0.9) < 1.0
+        assert 0.0 < p_restart_wins(model, spec) < 1.0
+        assert mean_T_generic(model, spec) == pytest.approx(report.mean_T, rel=1e-12)
+
+    @pytest.mark.parametrize("model", HORIZON_MODELS, ids=lambda m: m.describe())
+    @pytest.mark.parametrize("n_restart", [2, 8, 30])
+    def test_sharp_expands_to_epoch_minus_one(self, model, n_restart, monkeypatch):
+        horizons = []
+        pmf = type(model).pmf
+
+        def record(self, t_max=None):
+            horizons.append(t_max)
+            return pmf(self, t_max)
+
+        monkeypatch.setattr(type(model), "pmf", record)
+        spec = SharpRestart(n_restart)
+        for fn in (hitting_prob_T, p_restart_wins, mean_T_generic):
+            fn(model, spec)
+        fpur_pgf(model, spec, 0.9)
+        assert horizons == [max(n_restart - 1, model.min_support())] * 4
+        for t_max in (10, 100):
+            horizons.clear()
+            hitting_prob_T(model, spec, t_max)
+            assert horizons == [max(n_restart - 1, t_max)]
+
+
 class TestMeanT:
     def test_dispatches_to_family_closed_forms(self):
         trap = CycleTrap(0.25, 7, 5)

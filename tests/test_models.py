@@ -116,19 +116,38 @@ class TestRestartSpecSurface:
     def test_last_epoch(self):
         assert [spec.last_epoch() for spec in SPEC_FAMILIES] == [None, 4, 3]
 
-    def test_geometric_tails_match_finite_sums(self):
-        # A geometric law cut at a far horizon, as an explicit clock, runs
-        # the finite-support sums; the closed-form tails must agree.
+    @pytest.mark.parametrize(
+        "model",
+        [CycleTrap(0.5, 2, 4), BiasedWalk(0.3, 1), TwoPoint(3, 0.4, 9)],
+        ids=lambda m: m.describe(),
+    )
+    def test_geometric_renewal_matches_finite_sums(self, model):
+        # A geometric law cut at a far horizon, its tail folded onto the
+        # last epoch, is an explicit clock with finite support: its exact
+        # finite sums must agree with the closed forms on the PGF.
         geo = GeometricRestart(0.3)
         horizon = 200
-        cut = ExplicitRestart(TruncatedPMF(geo.pmf_array(horizon), residual=geo.survival(horizon)))
-        assert geo.survival_sum(5, 0.2) == pytest.approx(cut.survival_sum(5, 0.2), rel=1e-12)
-        u = CycleTrap(0.5, 2, 4).pmf(10)
-        surv_u_before = np.concatenate(([1.0], u.survival_array()))
-        for z in (0.3, 0.9, 0.999):
-            assert geo.wins_pgf(z, surv_u_before, u.residual) == pytest.approx(
-                cut.wins_pgf(z, surv_u_before, u.residual), rel=1e-12
+        masses = geo.pmf_array(horizon)
+        masses[horizon] += geo.survival(horizon)
+        cut = ExplicitRestart(TruncatedPMF(masses))
+        for z in (0.0, 0.3, 0.9, 0.999, 1.0):
+            np.testing.assert_allclose(
+                geo.renewal(model, z), cut.renewal(model, z), rtol=1e-12, atol=1e-15
             )
+
+    def test_geometric_renewal_ignores_horizon(self):
+        geo, trap = GeometricRestart(0.3), CycleTrap(0.5, 2, 4)
+        assert geo.renewal(trap, 0.9, 7) == geo.renewal(trap, 0.9)
+
+    def test_residual_law_reads_full_expansion(self):
+        # Mass past the last epoch: the sums need U beyond it.
+        trap = CycleTrap(0.5, 2, 4)
+        spec = SPEC_FAMILIES[2]
+        u = trap.pmf()
+        nu = math.fsum(u.coefficients * spec.survival_array(u.t_max + 1))
+        assert spec.renewal(trap, 1.0)[0] == nu
+        # u(2) P(R > 2) plus P(U > 2) times the mass at infinity.
+        assert nu == pytest.approx(0.5 * 0.75 + 0.5 * 0.25, rel=1e-9)
 
 
 class TestCycleTrap:

@@ -152,3 +152,48 @@ class TestSeriesDivide:
         product = np.convolve(a, b)
         recovered = series_divide(product, b, len(a) - 1)
         assert np.allclose(recovered, a, atol=1e-12, rtol=1e-12)
+
+    def test_trailing_zeros_leave_zero_tail(self):
+        # A sharp-restart shape: the quotient is a geometric comb, then 0.
+        num = np.array([0.0, 0.5, 0.0, 0.0])
+        den = np.zeros(50)
+        den[0], den[3] = 1.0, -1e-200
+        quotient = series_divide(num, den, 40)
+        assert quotient[:8].tolist() == [0.0, 0.5, 0.0, 0.0, 5e-201, 0.0, 0.0, 0.0]
+        assert np.all(quotient[8:] == 0.0)
+
+
+def plain_divide(num, den, t_max):
+    """The dense long-division loop over every coefficient: the oracle."""
+    quot = np.zeros(t_max + 1)
+    for n in range(t_max + 1):
+        acc = num[n] if n < num.size else 0.0
+        kmax = min(n, den.size - 1)
+        if kmax >= 1:
+            acc -= float(np.dot(den[1 : kmax + 1], quot[n - kmax : n][::-1]))
+        quot[n] = acc / den[0]
+    return quot
+
+
+@st.composite
+def restart_shaped_series(draw):
+    """A nonnegative numerator over 1 - (nonnegative terms), as fpur_pmf
+    divides, each with trailing zeros and scaled far enough down that the
+    quotient can underflow to exact zeros."""
+    num = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)))
+    num *= 2.0 ** -draw(st.integers(0, 1060))
+    num = np.concatenate((num, np.zeros(draw(st.integers(0, 12)))))
+    tail = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=12)))
+    tail *= 2.0 ** -draw(st.integers(0, 600))
+    den = np.concatenate(([draw(st.floats(0.5, 1.0))], -tail, np.zeros(draw(st.integers(0, 12)))))
+    return num, den, draw(st.integers(0, 80))
+
+
+class TestSeriesDivideEarlyStop:
+    @given(restart_shaped_series())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_loop(self, series):
+        num, den, t_max = series
+        got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
