@@ -115,26 +115,39 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
     return TruncatedPMF(quot, residual=residual, residual_kind=kind)
 
 
+def _renewal_mean(nu: float, head: float, d: float) -> float:
+    """E[T] = E[min(U, R)] / P(R > U) from the renewal sums N(1) = nu,
+    H = head and the denominator d; infinity for preemptive or defective
+    pairs."""
+    if d <= PREEMPTIVE_TOL or nu / d < 1.0:
+        return math.inf
+    return head / d
+
+
 def mean_T_generic(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """E[T] by the renewal identity E[min(U, R)] / P(R > U), both from the
     restart law's renewal sums.  Returns infinity for preemptive pairs and
     whenever the restarted process is defective.
     """
     nu, _, head = spec.renewal(model, 1.0, t_max)
-    d = _denominator(model, spec, nu)
-    if d <= PREEMPTIVE_TOL or nu / d < 1.0:
-        return math.inf
-    return head / d
+    return _renewal_mean(nu, head, _denominator(model, spec, nu))
+
+
+def _closed_form_mean(model: ProcessModel, spec: RestartSpec, t_max: int | None) -> float | None:
+    """E[T] by the family's closed form (geometric, sharp); None when the
+    family has none."""
+    if isinstance(spec, GeometricRestart):
+        return mean_T_geometric(model, spec.rho)
+    if isinstance(spec, SharpRestart):
+        return mean_T_sharp(model, spec.n_restart, t_max)
+    return None
 
 
 def mean_T(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """E[T] by the family's closed form where one exists (geometric,
     sharp), else by the renewal identity of :func:`mean_T_generic`."""
-    if isinstance(spec, GeometricRestart):
-        return mean_T_geometric(model, spec.rho)
-    if isinstance(spec, SharpRestart):
-        return mean_T_sharp(model, spec.n_restart, t_max)
-    return mean_T_generic(model, spec, t_max)
+    closed = _closed_form_mean(model, spec, t_max)
+    return mean_T_generic(model, spec, t_max) if closed is None else closed
 
 
 def mean_T_geometric(model: ProcessModel, rho: float) -> float:
@@ -274,7 +287,7 @@ def best_geometric_rho(model: ProcessModel, grid=None) -> tuple[float, float]:
 
 def analyze(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> FpurReport:
     """Full report for one (process, restart) pair."""
-    nu, _, _ = spec.renewal(model, 1.0, t_max)
+    nu, _, head = spec.renewal(model, 1.0, t_max)
     d = _denominator(model, spec, nu)
     if d <= PREEMPTIVE_TOL:
         return FpurReport(
@@ -284,9 +297,10 @@ def analyze(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) ->
             expected_restarts=math.inf,
             preemptive=True,
         )
+    closed = _closed_form_mean(model, spec, t_max)
     return FpurReport(
         hit_prob=min(1.0, nu / d),
-        mean_T=mean_T(model, spec, t_max),
+        mean_T=_renewal_mean(nu, head, d) if closed is None else closed,
         p_restart_wins=min(1.0, max(0.0, 1.0 - d)),
         expected_restarts=min(1.0, max(0.0, 1.0 - d)) / d,
         preemptive=False,

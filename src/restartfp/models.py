@@ -505,36 +505,42 @@ class BiasedWalk(ProcessModel):
         root = _clamped_sqrt(1.0 - 4.0 * self.p * self.q * z * z)
         return (2.0 * self.p * z / (1.0 + root)) ** self.m
 
-    def _mass_at(self, k: int) -> float:
-        # u(m+2k) = m p^m (pq)^k C(m+2k, k) / (m+2k), binomial in log space.
-        n = self.m + 2 * k
-        log_mass = (
-            math.log(self.m)
-            + self.m * math.log(self.p)
-            + (k * math.log(self.p * self.q) if k else 0.0)
-            + math.lgamma(n + 1)
-            - math.lgamma(k + 1)
-            - math.lgamma(n - k + 1)
-            - math.log(n)
-        )
-        return math.exp(log_mass)
+    def _masses(self, k_cap: int, target: float = math.inf) -> list[float]:
+        """u(m+2k) for k = 0..k_cap, stopping early once their running sum
+        reaches ``target``.
+
+        u(m+2k) = m p^m (pq)^k C(m+2k, k) / (m+2k), binomial in log space,
+        its terms added left to right with the constant ones first.
+        """
+        m = self.m
+        head = math.log(m) + m * math.log(self.p)
+        log_pq = math.log(self.p * self.q)
+        exp, lgamma, log = math.exp, math.lgamma, math.log
+        masses = []
+        acc = 0.0
+        for k in range(k_cap + 1):
+            n = m + 2 * k
+            masses.append(exp(
+                head
+                + (k * log_pq if k else 0.0)
+                + lgamma(n + 1)
+                - lgamma(k + 1)
+                - lgamma(n - k + 1)
+                - log(n)
+            ))
+            acc += masses[-1]
+            if acc >= target:
+                break
+        return masses
 
     def pmf(self, t_max: int | None = None) -> TruncatedPMF:
-        hit = self.hit_prob()
         if t_max is None:
-            k_cap = (MAX_TERMS - 1 - self.m) // 2
-            masses = []
-            acc = 0.0
-            for k in range(k_cap + 1):
-                masses.append(self._mass_at(k))
-                acc += masses[-1]
-                if acc >= hit - RESIDUAL_TARGET:
-                    break
+            masses = self._masses((MAX_TERMS - 1 - self.m) // 2, self.hit_prob() - RESIDUAL_TARGET)
             t_max = self.m + 2 * (len(masses) - 1)
         elif t_max < self.m:
             raise ValueError(f"t_max={t_max} is below the smallest support point {self.m}")
         else:
-            masses = [self._mass_at(k) for k in range((t_max - self.m) // 2 + 1)]
+            masses = self._masses((t_max - self.m) // 2)
         coeffs = np.zeros(t_max + 1)
         coeffs[self.m : self.m + 2 * len(masses) : 2] = masses
         residual = max(0.0, 1.0 - math.fsum(masses))

@@ -21,6 +21,9 @@ MASS_TOL = 1e-9
 TRUNCATION = "truncation"
 AT_INFINITY = "at_infinity"
 
+# Coefficients per block of the blocked series division.
+_BLOCK = 128
+
 
 @dataclass(frozen=True, eq=False)
 class TruncatedPMF:
@@ -134,26 +137,14 @@ class TruncatedPMF:
         return self._suffix[1:] + self.residual
 
 
-def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
-    """First t_max+1 coefficients of the formal power-series quotient.
-
-    Exact long-division recurrence:
-    q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0],
-    summed up to the denominator's last nonzero coefficient.  Once the
-    numerator is spent and the quotient has been exactly 0 for the
-    denominator's length, every later coefficient is exactly 0 as well.
-    """
-    num = np.asarray(numerator, dtype=float)
-    den = np.asarray(denominator, dtype=float)
-    if den.size == 0 or den[0] == 0.0:
-        raise ZeroDivisionError("denominator constant term is zero; quotient series undefined")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
-    den = den[: np.flatnonzero(den)[-1] + 1]
-    spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
-    quot = np.zeros(t_max + 1)
+def _substitute(num: np.ndarray, den: np.ndarray, width: int, spent: int) -> np.ndarray:
+    """First ``width`` quotient coefficients, one at a time:
+    q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0].  Stops, leaving
+    zeros, once n >= spent and the quotient has been exactly 0 for the
+    denominator's length: every later coefficient is exactly 0 as well."""
+    quot = np.zeros(width)
     zeros = 0
-    for n in range(t_max + 1):
+    for n in range(width):
         if n >= spent and zeros >= den.size:
             break
         acc = num[n] if n < spent else 0.0
@@ -162,4 +153,53 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
             acc -= float(np.dot(den[1 : kmax + 1], quot[n - kmax : n][::-1]))
         quot[n] = acc / den[0]
         zeros = zeros + 1 if quot[n] == 0.0 else 0
+    return quot
+
+
+def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
+    """First t_max+1 coefficients of the formal power-series quotient.
+
+    Blocked forward substitution.  The first ``_BLOCK`` coefficients come
+    from the long-division recurrence
+    q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0],
+    which also gives g = 1/den to ``_BLOCK`` terms.  Each later block
+    subtracts the earlier blocks' contribution (one correlation) from the
+    numerator and multiplies by the lower-triangular Toeplitz matrix of g.
+    Sums run up to the denominator's last nonzero coefficient.  When the
+    numerator is nonnegative and the denominator is den[0] > 0 minus
+    nonnegative terms, as for a restarted law, every product and sum is
+    nonnegative, so nothing cancels; the last bits may differ from the
+    one-coefficient-at-a-time loop.  Once the numerator is spent and the
+    quotient has been exactly 0 for the denominator's length (checked per
+    block), every later coefficient is exactly 0 and the division stops.
+    """
+    num = np.asarray(numerator, dtype=float)
+    den = np.asarray(denominator, dtype=float)
+    if den.size == 0 or den[0] == 0.0:
+        raise ZeroDivisionError("denominator constant term is zero; quotient series undefined")
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    den = den[: np.flatnonzero(den)[-1] + 1]
+    spent = min(np.flatnonzero(num)[-1] + 1 if np.any(num) else 0, t_max + 1)
+    top = np.zeros(t_max + 1)
+    top[:spent] = num[:spent]
+    quot = np.zeros(t_max + 1)
+    quot[:_BLOCK] = _substitute(top, den, min(_BLOCK, t_max + 1), spent)
+    if t_max < _BLOCK:
+        return quot
+    g = _substitute(np.ones(1), den, _BLOCK, 1)
+    # Lower-triangular Toeplitz matrix of g: row i is g[i], ..., g[0], 0, ...
+    padded = np.concatenate((np.zeros(_BLOCK - 1), g))
+    inverse = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, _BLOCK)[:, ::-1])
+    # Zero-padded so each block's correlation window has its full length.
+    den_pad = np.concatenate((den, np.zeros(_BLOCK)))
+    for b in range(_BLOCK, t_max + 1, _BLOCK):
+        if b >= max(spent, den.size) and not quot[b - den.size : b].any():
+            break
+        e = min(b + _BLOCK, t_max + 1)
+        # At least one lag (den_pad[1] is 0 for a constant denominator),
+        # so the correlation is never empty.
+        k = max(min(b, den.size - 1), 1)
+        rhs = top[b:e] - np.correlate(den_pad[1 : k + e - b], quot[b - k : b][::-1], "valid")
+        quot[b:e] = inverse[: e - b, : e - b] @ rhs
     return quot

@@ -159,6 +159,30 @@ class TestFpurPmf:
         assert dist.cumulative(200) == pytest.approx(2 / 3, abs=1e-9)
 
 
+TRAP, WALK = CycleTrap(0.75, 2, 14), BiasedWalk(0.55, 3)
+
+
+class TestLongFpurPmf:
+    """Laws long enough that the series division runs many blocks: the
+    16k-step cycle trap and the 8k-step walk under both restart families."""
+
+    @pytest.mark.parametrize(
+        "model, spec, t_max, reference",
+        [
+            (TRAP, GeometricRestart(0.2), 16000, lambda: mean_T_geometric(TRAP, 0.2)),
+            (TRAP, SharpRestart(13), 16000, lambda: cycle_trap_sharp_mean(0.75, 2, 14, 13)),
+            (WALK, GeometricRestart(0.02), 8000, lambda: mean_T_geometric(WALK, 0.02)),
+            (WALK, SharpRestart(21), 8000, lambda: mean_T_sharp(WALK, 21)),
+        ],
+        ids=["trap-geometric", "trap-sharp", "walk-geometric", "walk-sharp"],
+    )
+    def test_mean_and_mass(self, model, spec, t_max, reference):
+        dist = fpur_pmf(model, spec, t_max)
+        assert dist.t_max == t_max
+        assert math.fsum(dist.coefficients) + dist.residual == pytest.approx(1.0, abs=1e-9)
+        assert dist.mean() == pytest.approx(reference(), rel=1e-9)
+
+
 class TestMeanGeneric:
     def test_small_rate_limit(self):
         assert mean_T_generic(TP_FAST, GeometricRestart(1e-6)) == pytest.approx(5.75, rel=1e-3)
@@ -267,6 +291,28 @@ class TestRenewalHorizon:
             horizons.clear()
             hitting_prob_T(model, spec, t_max)
             assert horizons == [max(n_restart - 1, t_max)]
+
+
+    def test_analyze_expands_once(self, monkeypatch):
+        # No closed form: the report's mean comes from the same renewal sums.
+        model = BiasedWalk(0.55, 3)
+        spec = ExplicitRestart(TruncatedPMF.from_masses({40: 0.5, 4000: 0.5}))
+        horizons = []
+        pmf = BiasedWalk.pmf
+
+        def record(self, t_max=None):
+            horizons.append(t_max)
+            return pmf(self, t_max)
+
+        monkeypatch.setattr(BiasedWalk, "pmf", record)
+        report = analyze(model, spec)
+        assert horizons == [3999]
+        wins = p_restart_wins(model, spec)
+        assert report.hit_prob == hitting_prob_T(model, spec)
+        assert report.mean_T == mean_T_generic(model, spec)
+        assert report.p_restart_wins == wins
+        assert report.expected_restarts == pytest.approx(wins / (1.0 - wins), rel=1e-15)
+        assert not report.preemptive
 
 
 class TestMeanT:

@@ -244,6 +244,26 @@ class TestBiasedWalk:
             expected = m * math.comb(n, k) * p ** (m + k) * q**k / n
             assert dist.coefficients[n] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("p, m", [(0.55, 3), (0.6, 1), (0.8, 7), (0.54, 3), (0.3, 2)])
+    def test_masses_match_single_mass_formula(self, p, m):
+        # The log-space formula of one mass, terms added in the same order.
+        def mass_at(k):
+            n = m + 2 * k
+            return math.exp(
+                math.log(m)
+                + m * math.log(p)
+                + (k * math.log(p * (1.0 - p)) if k else 0.0)
+                + math.lgamma(n + 1)
+                - math.lgamma(k + 1)
+                - math.lgamma(n - k + 1)
+                - math.log(n)
+            )
+
+        walk = BiasedWalk(p, m)
+        for dist in (walk.pmf(m + 4000), walk.pmf()):
+            masses = dist.coefficients[m::2].tolist()
+            assert masses == [mass_at(k) for k in range(len(masses))]
+
     def test_hit_prob_and_mean(self):
         assert BiasedWalk(0.3, 1).hit_prob() == pytest.approx(3 / 7, rel=1e-14)
         assert BiasedWalk(0.3, 1).mean() == math.inf

@@ -176,17 +176,20 @@ def plain_divide(num, den, t_max):
 
 
 @st.composite
-def restart_shaped_series(draw):
+def restart_shaped_series(draw, max_size=12, max_t=80, sharp=False):
     """A nonnegative numerator over 1 - (nonnegative terms), as fpur_pmf
     divides, each with trailing zeros and scaled far enough down that the
-    quotient can underflow to exact zeros."""
-    num = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)))
+    quotient can underflow to exact zeros.  A sharp denominator keeps only
+    the last of its nonnegative terms, as sharp restart does."""
+    num = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=max_size)))
     num *= 2.0 ** -draw(st.integers(0, 1060))
-    num = np.concatenate((num, np.zeros(draw(st.integers(0, 12)))))
-    tail = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=12)))
+    num = np.concatenate((num, np.zeros(draw(st.integers(0, max_size)))))
+    tail = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=max_size)))
     tail *= 2.0 ** -draw(st.integers(0, 600))
-    den = np.concatenate(([draw(st.floats(0.5, 1.0))], -tail, np.zeros(draw(st.integers(0, 12)))))
-    return num, den, draw(st.integers(0, 80))
+    if sharp:
+        tail[:-1] = 0.0
+    den = np.concatenate(([draw(st.floats(0.5, 1.0))], -tail, np.zeros(draw(st.integers(0, max_size)))))
+    return num, den, draw(st.integers(0, max_t))
 
 
 class TestSeriesDivideEarlyStop:
@@ -197,3 +200,44 @@ class TestSeriesDivideEarlyStop:
         got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
         assert np.array_equal(got == 0.0, want == 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+# Below 2**-1000 the quotient is near or in the subnormal range, where a
+# reordered sum keeps fewer significant bits.
+SUBNORMAL_ATOL = 2.0**-1000
+
+
+class TestSeriesDivideBlocked:
+    """Quotients long enough to span several blocks of the division."""
+
+    @given(st.one_of(
+        restart_shaped_series(max_size=300, max_t=700),
+        restart_shaped_series(max_size=300, max_t=700, sharp=True),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_loop(self, series):
+        num, den, t_max = series
+        got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=SUBNORMAL_ATOL)
+        # Once the numerator is spent and the quotient has been exactly 0
+        # for the denominator's length, it stays exactly 0.
+        size = np.flatnonzero(den)[-1] + 1
+        spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
+        for n in range(max(spent, size), t_max + 1):
+            if not got[n - size : n].any():
+                assert not got[n:].any()
+                break
+
+    @pytest.mark.parametrize("t_max", [127, 128, 129, 255, 256, 1000])
+    def test_block_edges(self, t_max):
+        # 1 / (1 - x/2 - x**2/4) has positive Fibonacci-like coefficients.
+        den = np.array([1.0, -0.5, -0.25])
+        np.testing.assert_allclose(
+            series_divide(np.array([1.0]), den, t_max),
+            plain_divide(np.array([1.0]), den, t_max),
+            rtol=1e-13, atol=SUBNORMAL_ATOL,
+        )
+
+    def test_constant_denominator(self):
+        num = np.arange(1.0, 301.0)
+        assert series_divide(num, np.array([2.0]), 299).tolist() == (num / 2.0).tolist()
