@@ -8,28 +8,21 @@ Every renewal sum comes from the restart law's ``renewal`` method: closed
 forms on the model's PGF for geometric restart, exact finite sums for a
 clock with finite support.  The renewal denominator is accumulated from
 nonnegative terms rather than as "1 minus a sum", so it stays accurate even
-when the straightforward form would cancel catastrophically.
+when the straightforward form would cancel catastrophically, and it is
+exactly 0 only for a preemptive pair.  Closed-form means come from the
+restart law's ``closed_form_mean``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, series_divide
-from .models import (
-    BiasedWalk,
-    CycleTrap,
-    GeometricRestart,
-    ProcessModel,
-    RestartSpec,
-    SharpRestart,
-)
-
-# A renewal denominator at or below this is treated as preemptive restart.
-PREEMPTIVE_TOL = 1e-12
+from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart
 
 # Classification labels for sharp restart on the cycle trap.
 BENEFICIAL = "beneficial"
@@ -56,26 +49,33 @@ class FpurReport:
     preemptive: bool
 
 
-def _denominator(model: ProcessModel, spec: RestartSpec, nu: float) -> float:
-    """The renewal denominator P(R > U): nu = sum u(n) P(R > n) plus the
-    mass on which neither clock ever fires, both nonnegative."""
-    return (1.0 - model.hit_prob()) * (1.0 - spec.hit_prob()) + nu
+def _at_one(
+    model: ProcessModel, spec: RestartSpec, t_max: int | None = None, nu: float | None = None
+) -> tuple[float, float, float, float]:
+    """(P(T < infinity), P(R <= U), E[T], d = P(R > U)) from one renewal
+    call at z = 1, or from N(1) passed as ``nu`` (the mean is then nan).
+    E[T] = E[min(U, R)] / d when T surely hits, else infinity.  d adds N(1) = sum u(n) P(R > n) to the mass on which
+    neither clock ever fires, both nonnegative, so it is 0 exactly when R
+    always fires first: the pair is preemptive and never hits."""
+    head = math.nan
+    if nu is None:
+        nu, _, head = spec.renewal(model, 1.0, t_max)
+    d = (1.0 - model.hit_prob()) * (1.0 - spec.hit_prob()) + nu
+    if d == 0.0:
+        return 0.0, 1.0, math.inf, d
+    hit = min(1.0, nu / d)
+    return hit, max(0.0, 1.0 - d), head / d if hit == 1.0 else math.inf, d
 
 
 def p_restart_wins(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """P(R <= U), the probability a restart epoch arrives no later than the
     underlying first passage; 1 minus this is the renewal denominator."""
-    nu, _, _ = spec.renewal(model, 1.0, t_max)
-    return min(1.0, max(0.0, 1.0 - _denominator(model, spec, nu)))
+    return _at_one(model, spec, t_max)[1]
 
 
 def hitting_prob_T(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """P(T < infinity) for the restarted process; 0 for preemptive pairs."""
-    nu, _, _ = spec.renewal(model, 1.0, t_max)
-    d = _denominator(model, spec, nu)
-    if d <= PREEMPTIVE_TOL:
-        return 0.0
-    return min(1.0, nu / d)
+    return _at_one(model, spec, t_max)[0]
 
 
 def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float, t_max: int | None = None) -> float:
@@ -110,18 +110,13 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
         raise ArithmeticError("restarted PMF division produced negative mass")
     np.clip(quot, 0.0, None, out=quot)
     residual = max(0.0, 1.0 - math.fsum(quot))
-    hit = hitting_prob_T(model, spec)
-    kind = AT_INFINITY if hit < 1.0 - PREEMPTIVE_TOL else TRUNCATION
+    # A finite clock that has surely fired by t_max zeroes every renewal term
+    # from its last epoch on, so N(1) sums the numerator's head; U is not
+    # expanded again.  Geometric restart's renewal expands nothing anyway.
+    last = spec.last_epoch()
+    nu = math.fsum(num[:last]) if last is not None and spec.survival(t_max) == 0.0 else None
+    kind = AT_INFINITY if _at_one(model, spec, nu=nu)[0] < 1.0 else TRUNCATION
     return TruncatedPMF(quot, residual=residual, residual_kind=kind)
-
-
-def _renewal_mean(nu: float, head: float, d: float) -> float:
-    """E[T] = E[min(U, R)] / P(R > U) from the renewal sums N(1) = nu,
-    H = head and the denominator d; infinity for preemptive or defective
-    pairs."""
-    if d <= PREEMPTIVE_TOL or nu / d < 1.0:
-        return math.inf
-    return head / d
 
 
 def mean_T_generic(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
@@ -129,35 +124,19 @@ def mean_T_generic(model: ProcessModel, spec: RestartSpec, t_max: int | None = N
     restart law's renewal sums.  Returns infinity for preemptive pairs and
     whenever the restarted process is defective.
     """
-    nu, _, head = spec.renewal(model, 1.0, t_max)
-    return _renewal_mean(nu, head, _denominator(model, spec, nu))
-
-
-def _closed_form_mean(model: ProcessModel, spec: RestartSpec, t_max: int | None) -> float | None:
-    """E[T] by the family's closed form (geometric, sharp); None when the
-    family has none."""
-    if isinstance(spec, GeometricRestart):
-        return mean_T_geometric(model, spec.rho)
-    if isinstance(spec, SharpRestart):
-        return mean_T_sharp(model, spec.n_restart, t_max)
-    return None
+    return _at_one(model, spec, t_max)[2]
 
 
 def mean_T(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """E[T] by the family's closed form where one exists (geometric,
     sharp), else by the renewal identity of :func:`mean_T_generic`."""
-    closed = _closed_form_mean(model, spec, t_max)
+    closed = spec.closed_form_mean(model, t_max)
     return mean_T_generic(model, spec, t_max) if closed is None else closed
 
 
 def mean_T_geometric(model: ProcessModel, rho: float) -> float:
     """E[T] under geometric restart: (1 - u~(1-rho)) / (rho u~(1-rho))."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly inside (0, 1)")
-    value = model.pgf(1.0 - rho)
-    if value <= 0.0:
-        return math.inf
-    return (1.0 - value) / (rho * value)
+    return GeometricRestart(rho).closed_form_mean(model)
 
 
 def mean_T_sharp(model: ProcessModel, n_restart: int, t_max: int | None = None) -> float:
@@ -165,16 +144,7 @@ def mean_T_sharp(model: ProcessModel, n_restart: int, t_max: int | None = None) 
     (sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1); infinity if preemptive."""
     if n_restart < 1:
         raise ValueError("n_restart must be >= 1")
-    if n_restart <= model.min_support():
-        return math.inf
-    horizon = n_restart - 1 if t_max is None else max(t_max, n_restart - 1)
-    u = model.pmf(horizon)
-    coeffs = u.coefficients[: n_restart]
-    mass_below = math.fsum(coeffs)
-    if mass_below <= 0.0:
-        return math.inf
-    weighted = math.fsum(n * c for n, c in enumerate(coeffs))
-    return (weighted + n_restart * u.survival(n_restart - 1)) / mass_below
+    return SharpRestart(operator.index(n_restart)).closed_form_mean(model, t_max)
 
 
 def cycle_trap_sharp_mean(p: float, L: int, M: int, n_restart: int) -> float:
@@ -189,7 +159,7 @@ def cycle_trap_sharp_mean(p: float, L: int, M: int, n_restart: int) -> float:
     return L + (q_hi * n_restart + (q / p) * (M + 1) * bracket) / (1.0 - q_hi)
 
 
-def derivative_criterion_D(model: ProcessModel, t_max: int | None = None) -> float:
+def derivative_criterion_D(model: ProcessModel) -> float:
     """(2 E[U]^2 - u~''(1)) / 2; negative values guarantee a beneficial
     low-rate geometric window.  Inapplicable to defective or infinite-moment
     processes."""
@@ -286,22 +256,14 @@ def best_geometric_rho(model: ProcessModel, grid=None) -> tuple[float, float]:
 
 
 def analyze(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> FpurReport:
-    """Full report for one (process, restart) pair."""
-    nu, _, head = spec.renewal(model, 1.0, t_max)
-    d = _denominator(model, spec, nu)
-    if d <= PREEMPTIVE_TOL:
-        return FpurReport(
-            hit_prob=0.0,
-            mean_T=math.inf,
-            p_restart_wins=1.0,
-            expected_restarts=math.inf,
-            preemptive=True,
-        )
-    closed = _closed_form_mean(model, spec, t_max)
+    """Full report for one (process, restart) pair; its mean is the one
+    :func:`mean_T` picks."""
+    hit, wins, mean, d = _at_one(model, spec, t_max)
+    closed = spec.closed_form_mean(model, t_max)
     return FpurReport(
-        hit_prob=min(1.0, nu / d),
-        mean_T=_renewal_mean(nu, head, d) if closed is None else closed,
-        p_restart_wins=min(1.0, max(0.0, 1.0 - d)),
-        expected_restarts=min(1.0, max(0.0, 1.0 - d)) / d,
-        preemptive=False,
+        hit_prob=hit,
+        mean_T=mean if closed is None else closed,
+        p_restart_wins=wins,
+        expected_restarts=math.inf if d == 0.0 else wins / d,
+        preemptive=d == 0.0,
     )

@@ -53,9 +53,9 @@ class RestartSpec:
     """When the restart clock fires.  Subclasses are immutable value objects.
 
     Each family also supplies what :mod:`restartfp.fpur` and the simulator
-    need: survival vector, inverse-CDF draw, last epoch and the renewal
-    sums.  The sums here assume finite support; unbounded families override
-    them.
+    need: survival vector, inverse-CDF draw, last epoch, the renewal sums
+    and the closed-form mean where one exists.  The sums here assume finite
+    support; unbounded families override them.
     """
 
     def pmf(self, n: int) -> float:
@@ -96,7 +96,11 @@ class RestartSpec:
 
     def survival_array(self, size: int) -> np.ndarray:
         """P(R > n) for n = 0..size-1."""
-        return np.array([self.survival(n) for n in range(size)])
+        raise NotImplementedError
+
+    def closed_form_mean(self, model: ProcessModel, t_max: int | None = None) -> float | None:
+        """E[T] by this family's closed form; None when it has none."""
+        return None
 
     def renewal(
         self, model: ProcessModel, z: float, t_max: int | None = None
@@ -110,15 +114,15 @@ class RestartSpec:
         ``t_max`` when that is larger); P(R > n) vanishes from the last
         epoch on, so every sum is exact at that horizon.  A law that keeps
         mass past its last epoch reads U over the model's default expansion
-        (or ``t_max``), extended to the last epoch minus one, and leaves out
-        what lies beyond it.
+        (or ``t_max``, raised to U's smallest support point), extended to
+        the last epoch minus one, and leaves out what lies beyond it.
         """
         last = self.last_epoch()
+        floor = model.min_support() if t_max is None else max(model.min_support(), t_max)
         if self.survival(last) == 0.0:
-            floor = model.min_support() if t_max is None else t_max
             u = model.pmf(max(last - 1, floor))
         else:
-            u = model.pmf(t_max)
+            u = model.pmf(None if t_max is None else floor)
             if u.t_max < last - 1:
                 u = model.pmf(last - 1)
         size = u.t_max + 1
@@ -200,6 +204,14 @@ class GeometricRestart(RestartSpec):
         w_sum = self.rho * z * (1.0 - n_sum) / (1.0 - x * z)
         return n_sum, w_sum, (1.0 - model.pgf(x)) / self.rho
 
+    def closed_form_mean(self, model: ProcessModel, t_max: int | None = None) -> float:
+        """(1 - u~(1-rho)) / (rho u~(1-rho)), infinity when u~(1-rho) is 0.
+        No PMF is expanded, so ``t_max`` is ignored."""
+        value = model.pgf(1.0 - self.rho)
+        if value <= 0.0:
+            return math.inf
+        return (1.0 - value) / (self.rho * value)
+
 
 @dataclass(frozen=True)
 class SharpRestart(RestartSpec):
@@ -249,6 +261,21 @@ class SharpRestart(RestartSpec):
         out = np.zeros(size)
         out[: self.n_restart] = 1.0
         return out
+
+    def closed_form_mean(self, model: ProcessModel, t_max: int | None = None) -> float:
+        """(sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1), with U expanded
+        to N-1 (or ``t_max`` when larger); infinity if preemptive."""
+        n_restart = self.n_restart
+        if n_restart <= model.min_support():
+            return math.inf
+        horizon = n_restart - 1 if t_max is None else max(t_max, n_restart - 1)
+        u = model.pmf(horizon)
+        coeffs = u.coefficients[: n_restart]
+        mass_below = math.fsum(coeffs)
+        if mass_below <= 0.0:
+            return math.inf
+        weighted = math.fsum(n * c for n, c in enumerate(coeffs))
+        return (weighted + n_restart * u.survival(n_restart - 1)) / mass_below
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,6 +334,10 @@ class ExplicitRestart(_ExplicitLaw, RestartSpec):
 
     def last_epoch(self) -> int:
         return self.dist.t_max
+
+    def survival_array(self, size: int) -> np.ndarray:
+        head = self.dist.survival_array()[:size]
+        return np.concatenate((head, np.full(size - head.size, self.dist.residual)))
 
     def describe(self) -> str:
         return f"explicit-restart:t_max={self.dist.t_max}"

@@ -221,6 +221,27 @@ class TestAnalyzeCommand:
         assert values["beneficial"] == "false"
 
 
+class TestAnalyzeAgreesWithSweep:
+    # Renewal denominators in (0, 1e-12]: both pairs hit with probability 1.
+    @pytest.mark.parametrize(
+        "model, restart, grid",
+        [
+            ("cycle-trap:p=0.5,L=300,M=3", "geometric:rho=0.1", ["--rho-min", "0.1", "--rho-max", "0.1", "--points", "1"]),
+            ("brw:p=0.00001,m=3", "sharp:N=4", ["--n-min", "4", "--n-max", "4"]),
+        ],
+    )
+    def test_same_mean_and_verdict(self, capsys, model, restart, grid):
+        assert main(["analyze", "--model", model, "--restart", restart]) == 0
+        values = analyze_lines(capsys)
+        assert main(["sweep", "--model", model, "--restart-family", restart.split(":")[0], *grid]) == 0
+        (row,) = parse_sweep_csv(capsys.readouterr().out).rows
+        assert values["preemptive"] == "false"
+        assert values["hit_prob_restarted"] == "1"
+        assert math.isfinite(row.mean_t_analytic)
+        assert values["mean_restarted"] == _fmt(row.mean_t_analytic)
+        assert values["beneficial"] == _fmt(row.beneficial)
+
+
 class TestSweepCommand:
     def test_stdout_csv(self, capsys):
         code = main(["sweep", "--model", TP_FAST_TEXT, "--restart-family", "geometric"])

@@ -293,6 +293,51 @@ class TestRenewalHorizon:
             assert horizons == [max(n_restart - 1, t_max)]
 
 
+    def test_fpur_pmf_expands_once(self, monkeypatch):
+        # The clock has surely fired by t_max, so the residual tag sums the
+        # numerator it already has instead of expanding U again.
+        model, spec = BiasedWalk(0.55, 3), SharpRestart(3000)
+        tag = AT_INFINITY if hitting_prob_T(model, spec) < 1.0 else TRUNCATION
+        horizons = []
+        pmf = BiasedWalk.pmf
+
+        def record(self, t_max=None):
+            horizons.append(t_max)
+            return pmf(self, t_max)
+
+        monkeypatch.setattr(BiasedWalk, "pmf", record)
+        law = fpur_pmf(model, spec, 3000)
+        assert horizons == [3000]
+        assert law.residual_kind == tag
+
+    @pytest.mark.parametrize("model", HORIZON_MODELS, ids=lambda m: m.describe())
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SharpRestart(8),
+            SharpRestart(30),
+            ExplicitRestart(TruncatedPMF.from_masses({3: 0.5, 9: 0.5})),
+            # Spent at 6, six epochs before its last.
+            ExplicitRestart(TruncatedPMF(np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5] + [0.0] * 6))),
+        ],
+        ids=lambda s: s.describe(),
+    )
+    def test_spent_clock_numerator_sums_to_renewal_n(self, model, spec):
+        # What fpur_pmf sums for its tag once the clock has fired by t_max.
+        for t_max in (6, spec.last_epoch(), 100, 1000):
+            if spec.survival(t_max) == 0.0:
+                num = model.pmf(t_max).coefficients * spec.survival_array(t_max + 1)
+                assert math.fsum(num[: spec.last_epoch()]) == spec.renewal(model, 1.0)[0]
+
+    def test_horizon_below_support_is_raised(self):
+        model, spec = BiasedWalk(0.55, 40), SharpRestart(10)
+        for fn in (hitting_prob_T, p_restart_wins, mean_T_generic):
+            assert fn(model, spec, 18) == fn(model, spec)
+        # A clock with mass past its last epoch reads U from the raised horizon.
+        leaky = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=AT_INFINITY))
+        for fn in (hitting_prob_T, p_restart_wins, mean_T_generic):
+            assert fn(model, leaky, 18) == fn(model, leaky, 40)
+
     def test_analyze_expands_once(self, monkeypatch):
         # No closed form: the report's mean comes from the same renewal sums.
         model = BiasedWalk(0.55, 3)
@@ -330,6 +375,60 @@ class TestMeanT:
             assert analyze(trap, spec).mean_T == mean_T(trap, spec)
 
 
+    def test_sharp_wrapper_takes_numpy_integers(self):
+        trap = CycleTrap(0.25, 7, 5)
+        value = mean_T_sharp(trap, np.int64(9))
+        assert type(value) is float
+        assert value == mean_T_sharp(trap, 9) == SharpRestart(9).closed_form_mean(trap)
+
+
+# Pairs whose renewal denominator d = P(R > U) is positive but at most 1e-12.
+TINY_DENOMINATOR_PAIRS = [
+    (CycleTrap(0.5, 300, 3), GeometricRestart(0.1)),
+    (BiasedWalk(0.00001, 3), SharpRestart(4)),
+    (BiasedWalk(0.00001, 3), ExplicitRestart(TruncatedPMF.from_masses({4: 0.5, 9: 0.5}))),
+]
+
+# Pairs whose restart surely fires before the first passage.
+PREEMPTIVE_PAIRS = [
+    (CycleTrap(0.25, 7, 5), SharpRestart(7)),
+    (BiasedWalk(0.3, 2), SharpRestart(2)),
+    (TwoPoint(3, 0.4, 9), ExplicitRestart(TruncatedPMF.from_masses({1: 0.5, 3: 0.5}))),
+    (
+        ExplicitProcess(TruncatedPMF.from_masses({5: 0.2, 6: 0.3}, residual=0.5, residual_kind=AT_INFINITY)),
+        ExplicitRestart(TruncatedPMF.from_masses({2: 1.0})),
+    ),
+]
+
+
+class TestPreemptiveIsExact:
+    """A pair is preemptive exactly when d == 0, with no tolerance."""
+
+    @pytest.mark.parametrize("model, spec", TINY_DENOMINATOR_PAIRS, ids=lambda x: x.describe())
+    def test_tiny_denominator_still_hits(self, model, spec):
+        report = analyze(model, spec)
+        assert not report.preemptive
+        assert report.hit_prob == hitting_prob_T(model, spec) == 1.0
+        assert report.mean_T == mean_T(model, spec)
+        assert math.isfinite(report.mean_T)
+        assert 0.0 < 1.0 - report.p_restart_wins <= 1e-12
+        assert fpur_pmf(model, spec, 400).residual_kind == TRUNCATION
+
+    @pytest.mark.parametrize("model, spec", PREEMPTIVE_PAIRS, ids=lambda x: x.describe())
+    def test_exactly_preemptive(self, model, spec):
+        report = analyze(model, spec)
+        assert report.preemptive
+        assert (report.hit_prob, report.mean_T, report.p_restart_wins, report.expected_restarts) == (
+            0.0, math.inf, 1.0, math.inf,
+        )
+        assert hitting_prob_T(model, spec) == 0.0
+        assert p_restart_wins(model, spec) == 1.0
+        assert mean_T(model, spec) == mean_T_generic(model, spec) == math.inf
+        law = fpur_pmf(model, spec, 50)
+        assert not law.coefficients.any()
+        assert (law.residual, law.residual_kind) == (1.0, AT_INFINITY)
+
+
 class TestMeanGeometricClosedForm:
     def test_two_point_example(self):
         u_tilde = (2.7 + 0.9**20) / 4
@@ -357,10 +456,12 @@ class TestMeanGeometricClosedForm:
         assert mean_T_generic(model, GeometricRestart(rho)) == pytest.approx(closed, rel=1e-9)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rho must lie strictly inside \(0, 1\)"):
             mean_T_geometric(TP_FAST, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rho must lie strictly inside \(0, 1\)"):
             mean_T_geometric(TP_FAST, 1.0)
+        with pytest.raises(ValueError, match="n_restart must be >= 1"):
+            mean_T_sharp(TP_FAST, 0)
 
 
 class TestMeanSharpClosedForm:

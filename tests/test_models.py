@@ -1,10 +1,14 @@
 """Restart-time specs and the worked first-passage models."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import restartfp
+from restartfp import models
 from restartfp import (
     AT_INFINITY,
     TRUNCATION,
@@ -17,6 +21,7 @@ from restartfp import (
     SimConfig,
     TruncatedPMF,
     TwoPoint,
+    mean_T_generic,
     underlying_samples,
 )
 
@@ -113,8 +118,26 @@ class TestRestartSpecSurface:
         expected = [spec.survival(n) for n in range(12)]
         np.testing.assert_allclose(array, expected, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("residual", [0.0, 0.25], ids=["proper", "mass-at-infinity"])
+    @pytest.mark.parametrize("size", [0, 1, 3, 4, 12])
+    def test_explicit_survival_array_is_the_scalar_loop(self, residual, size):
+        kind = AT_INFINITY if residual else TRUNCATION
+        spec = ExplicitRestart(
+            TruncatedPMF.from_masses({1: 0.25, 3: 0.75 - residual}, residual=residual, residual_kind=kind)
+        )
+        assert spec.survival_array(size).tolist() == [spec.survival(n) for n in range(size)]
+
     def test_last_epoch(self):
         assert [spec.last_epoch() for spec in SPEC_FAMILIES] == [None, 4, 3]
+
+    def test_closed_form_means(self):
+        trap = CycleTrap(0.25, 7, 5)
+        assert SPEC_FAMILIES[2].closed_form_mean(trap) is None
+        geometric = GeometricRestart(0.2).closed_form_mean(trap)
+        assert geometric == pytest.approx(mean_T_generic(trap, GeometricRestart(0.2)), rel=1e-12)
+        assert SharpRestart(8).closed_form_mean(trap) == pytest.approx(31.0, rel=1e-12)
+        assert SharpRestart(7).closed_form_mean(trap) == math.inf
+        assert type(geometric) is float
 
     @pytest.mark.parametrize(
         "model",
@@ -209,6 +232,33 @@ class TestCycleTrap:
     def test_rejects_bad_params(self, args):
         with pytest.raises(ValueError):
             CycleTrap(*args)
+
+
+class TestExpansionPrefix:
+    """A shorter expansion of a model is the prefix of a longer one, bit for
+    bit.  fpur_pmf's residual tag relies on it: it sums N(1) over its own
+    expansion, where the renewal sums read a shorter one."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [CycleTrap(0.75, 2, 14), CycleTrap(0.25, 5, 10), CycleTrap(0.5, 3, 1),
+         CycleTrap(0.999, 1, 1), CycleTrap(0.01, 7, 2)],
+        ids=lambda m: m.describe(),
+    )
+    def test_cycle_trap(self, model):
+        longest = model.pmf(20000).coefficients
+        for horizon in [*range(model.L, 400), 4999, 19999]:
+            assert np.array_equal(model.pmf(horizon).coefficients, longest[: horizon + 1])
+
+    @pytest.mark.parametrize(
+        "model",
+        [BiasedWalk(0.55, 3), BiasedWalk(0.8, 3), BiasedWalk(0.5, 1), BiasedWalk(0.3, 2)],
+        ids=lambda m: m.describe(),
+    )
+    def test_biased_walk(self, model):
+        longest = model.pmf(8000).coefficients
+        for horizon in [*range(model.m, 300), 2999, 7999]:
+            assert np.array_equal(model.pmf(horizon).coefficients, longest[: horizon + 1])
 
 
 class TestBiasedWalk:
@@ -398,3 +448,74 @@ class TestStepHistograms:
                 continue
             se = math.sqrt(expected * (1 - expected) / trials)
             assert abs(counts[n] / trials - expected) <= 3 * se, f"atom at n={n}"
+
+
+RESTART_CLASSES = {
+    name for name, obj in vars(models).items() if isinstance(obj, type) and issubclass(obj, models.RestartSpec)
+}
+
+
+def _tests_restart_class(node) -> bool:
+    """Whether ``node`` is isinstance/issubclass against a restart class, or
+    compares type(...) with one."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id in ("isinstance", "issubclass") and len(node.args) == 2:
+            return bool(_names(node.args[1]) & RESTART_CLASSES)
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        calls_type = any(
+            isinstance(o, ast.Call) and isinstance(o.func, ast.Name) and o.func.id == "type" for o in operands
+        )
+        return calls_type and bool(set().union(*map(_names, operands)) & RESTART_CLASSES)
+    return False
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+class _RestartTypeTests(ast.NodeVisitor):
+    """Records the function around each test of a restart class, marking
+    those that only guard a ``raise TypeError``."""
+
+    def __init__(self, module):
+        self.scope, self.found = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_If(self, node):
+        guard = (
+            len(node.body) == 1
+            and isinstance(node.body[0], ast.Raise)
+            and "TypeError" in _names(node.body[0].exc)
+            and not node.orelse
+        )
+        for sub in ast.walk(node.test):
+            if _tests_restart_class(sub):
+                self.found.append((".".join(self.scope), "TypeError guard" if guard else "dispatch"))
+        for child in [*node.body, *node.orelse]:
+            self.visit(child)
+
+    def generic_visit(self, node):
+        if _tests_restart_class(node):
+            self.found.append((".".join(self.scope), "dispatch"))
+        super().generic_visit(node)
+
+
+def test_restart_classes_are_tested_only_in_models():
+    # Each restart family is handled on its class; elsewhere only
+    # sample_restart's guard against a non-spec argument tests the type.
+    assert RESTART_CLASSES >= {"RestartSpec", "GeometricRestart", "SharpRestart", "ExplicitRestart"}
+    found = []
+    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
+        if path.stem != "models":
+            visitor = _RestartTypeTests(path.stem)
+            visitor.visit(ast.parse(path.read_text()))
+            found += visitor.found
+    assert found == [("montecarlo.sample_restart", "TypeError guard")]

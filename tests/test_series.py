@@ -1,6 +1,7 @@
 """Truncated PMF container and formal power-series division."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,10 +178,12 @@ def plain_divide(num, den, t_max):
 
 @st.composite
 def restart_shaped_series(draw, max_size=12, max_t=80, sharp=False):
-    """A nonnegative numerator over 1 - (nonnegative terms), as fpur_pmf
+    """A nonnegative numerator over den[0] - (nonnegative terms), as fpur_pmf
     divides, each with trailing zeros and scaled far enough down that the
     quotient can underflow to exact zeros.  A sharp denominator keeps only
-    the last of its nonnegative terms, as sharp restart does."""
+    the last of its nonnegative terms, as sharp restart does.  The
+    subtracted terms sum to at most den[0], as in fpur_pmf (den[0] = 1 and
+    sum r(i) P(U >= i) <= 1), so the quotient never grows."""
     num = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=max_size)))
     num *= 2.0 ** -draw(st.integers(0, 1060))
     num = np.concatenate((num, np.zeros(draw(st.integers(0, max_size)))))
@@ -188,8 +191,27 @@ def restart_shaped_series(draw, max_size=12, max_t=80, sharp=False):
     tail *= 2.0 ** -draw(st.integers(0, 600))
     if sharp:
         tail[:-1] = 0.0
-    den = np.concatenate(([draw(st.floats(0.5, 1.0))], -tail, np.zeros(draw(st.integers(0, max_size)))))
+    lead = draw(st.floats(0.5, 1.0))
+    total = math.fsum(tail)
+    if total > lead:
+        # Shrunk a little more than lead / total, so rounding cannot push
+        # the sum back over den[0].
+        tail *= lead / total * (1.0 - 2.0**-50)
+    den = np.concatenate(([lead], -tail, np.zeros(draw(st.integers(0, max_size)))))
     return num, den, draw(st.integers(0, max_t))
+
+
+def exact_divide(num, den, t_max):
+    """The long-division recurrence in exact rational arithmetic."""
+    num = [Fraction(x) for x in num.tolist()]
+    den = [Fraction(x) for x in den.tolist()]
+    quot = []
+    for n in range(t_max + 1):
+        acc = num[n] if n < len(num) else Fraction(0)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[k] * quot[n - k]
+        quot.append(acc / den[0])
+    return quot
 
 
 class TestSeriesDivideEarlyStop:
@@ -227,6 +249,23 @@ class TestSeriesDivideBlocked:
             if not got[n - size : n].any():
                 assert not got[n:].any()
                 break
+
+    @pytest.mark.parametrize("t_max", [82, 700])
+    def test_subnormal_start_of_a_growing_quotient(self, t_max):
+        # Here the subtracted terms exceed den[0], so the quotient grows from
+        # a subnormal start.  Rounding that start costs both routes about
+        # 7e-8 relative, more than the 1e-13 the property test allows
+        # between them, so the property test keeps such terms <= den[0].
+        num, den = np.array([5.180654e-318]), np.array([0.5625, -1.0, -0.5])
+        exact = exact_divide(num, den, t_max)
+
+        def error(quot):
+            return float(max(abs(Fraction(x) - e) / e for x, e in zip(quot.tolist(), exact)))
+
+        blocked, plain = error(series_divide(num, den, t_max)), error(plain_divide(num, den, t_max))
+        # The start's rounding is at most 2**-1075 / q[0], about 2.7e-7.
+        assert plain < 1e-6
+        assert blocked <= plain * (1.0 + 1e-3)
 
     @pytest.mark.parametrize("t_max", [127, 128, 129, 255, 256, 1000])
     def test_block_edges(self, t_max):
