@@ -159,6 +159,18 @@ def cycle_trap_sharp_mean(p: float, L: int, M: int, n_restart: int) -> float:
     return L + (q_hi * n_restart + (q / p) * (M + 1) * bracket) / (1.0 - q_hi)
 
 
+def cycle_trap_sharp_drop(p: float, L: int, M: int, a: int) -> float:
+    """E[T](N) - E[T](N+1) for the cycle trap under sharp restart at the
+    support point N = L + a(M+1), a >= 1, where the passage through a
+    cycles starts to beat the epoch:
+    q^a [p L + q M (1 - q^a)] / ((1 - q^a)(1 - q^(a+1)))."""
+    q = CycleTrap(p, L, M).q  # parameter validation
+    if operator.index(a) < 1:
+        raise ValueError("a must be >= 1")
+    q_a = q**a
+    return q_a * (p * L + q * M * (1.0 - q_a)) / ((1.0 - q_a) * (1.0 - q_a * q))
+
+
 def derivative_criterion_D(model: ProcessModel) -> float:
     """(2 E[U]^2 - u~''(1)) / 2; negative values guarantee a beneficial
     low-rate geometric window.  Inapplicable to defective or infinite-moment

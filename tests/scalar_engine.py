@@ -1,5 +1,4 @@
-"""The per-step Monte Carlo loop the batched engine replaced, kept verbatim
-as the oracle that ``simulate_fpur`` and ``underlying_samples`` must match
+"""The original per-step Monte Carlo loop, kept verbatim as the oracle that ``simulate_fpur`` and ``underlying_samples`` must match
 bit for bit: one ``Generator(Philox(key=(seed << 64) + trial))`` per trial,
 and one ``step``/``is_terminal`` call per step."""
 

@@ -28,6 +28,7 @@ from restartfp import (
     brw_geometric_threshold_p,
     cycle_trap_geometric_threshold,
     cycle_trap_sharp_classify,
+    cycle_trap_sharp_drop,
     cycle_trap_sharp_mean,
     default_rho_grid,
     derivative_criterion_D,
@@ -504,6 +505,35 @@ class TestCycleTrapSharpMean:
             assert cycle_trap_sharp_mean(p, L, M, n_restart) == pytest.approx(
                 mean_T_sharp(trap, n_restart), rel=1e-10
             )
+
+
+class TestCycleTrapSharpDrop:
+    @pytest.mark.parametrize(
+        "a, drop", [(1, 21.428571428571427), (2, 10.077220077220078), (3, 5.962934362934363)]
+    )
+    def test_reference_values(self, a, drop):
+        assert cycle_trap_sharp_drop(0.25, 5, 10, a) == pytest.approx(drop, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.75, 0.99, 1.0])
+    def test_matches_direct_differences(self, p):
+        for L in range(1, 7):
+            for M in range(1, 7):
+                for a in range(1, 9):
+                    n = L + a * (M + 1)
+                    before = cycle_trap_sharp_mean(p, L, M, n)
+                    direct = before - cycle_trap_sharp_mean(p, L, M, n + 1)
+                    # The difference of two means loses their absolute rounding.
+                    assert cycle_trap_sharp_drop(p, L, M, a) == pytest.approx(
+                        direct, rel=1e-9, abs=1e-13 * before
+                    ), (p, L, M, a)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            cycle_trap_sharp_drop(0.25, 5, 10, 0)
+        with pytest.raises(TypeError):
+            cycle_trap_sharp_drop(0.25, 5, 10, 1.0)
+        with pytest.raises(ValueError):
+            cycle_trap_sharp_drop(0.0, 5, 10, 1)
 
 
 class TestDerivativeCriterion:

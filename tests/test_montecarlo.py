@@ -29,7 +29,7 @@ from restartfp import (
     simulate_underlying,
     underlying_samples,
 )
-from restartfp.montecarlo import _BATCH, _HEAD, _philox_heads, _trial_streams, _uniform_chunks
+from restartfp.montecarlo import _FIRST_CHUNK, _run_trials
 
 TP_FAST = TwoPoint(1, 0.75, 20)
 
@@ -53,6 +53,20 @@ class TestSimConfig:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["trials", "seed", "step_cap"])
+    @pytest.mark.parametrize("value", [50.0, 1.5, "50", None])
+    def test_rejects_non_integral_counts(self, field, value):
+        kwargs = {"trials": 10, "seed": 1, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["trials", "seed", "step_cap"])
+    def test_numpy_integers_become_ints(self, field):
+        kwargs = {"trials": 10, "seed": 1, field: np.uint64(7)}
+        value = getattr(SimConfig(**kwargs), field)
+        assert value == 7
+        assert type(value) is int
 
 
 class TestDeterminism:
@@ -233,55 +247,85 @@ def native_uniforms(seed, trial, n):
     return np.random.Generator(np.random.Philox(key=(seed << 64) + trial)).random(n)
 
 
-def read(chunks, n):
-    out = []
-    for chunk in chunks:
-        out += chunk
-        if len(out) >= n:
-            return np.array(out[:n])
+class RecordingModel(ProcessModel):
+    """Runs trial ``i`` for exactly ``lengths[i]`` steps and records the
+    uniforms the engine hands it, in the order it hands them."""
+
+    def __init__(self, lengths):
+        self._lengths = iter(lengths)
+        self.seen = []
+
+    def initial_state(self):
+        self.seen.append([])
+        return next(self._lengths)
+
+    def run_leg(self, state, u, start, steps):
+        taken = min(state, steps)
+        self.seen[-1] += u[start:start + taken]
+        return state - taken, taken, taken == state
 
 
-def batched_uniforms(seed, trial, n):
-    """The first ``n`` uniforms the engine reads for one trial."""
-    head = _philox_heads(seed, trial, 1)[0].tolist()
-    rng = np.random.Generator(np.random.Philox(key=0))
-    return read(_uniform_chunks(rng, seed, trial, head), n)
+def engine_uniforms(seed, first, lengths):
+    """The uniforms each trial of one run reads, trials numbered from
+    ``first``; a bare run reads no epoch uniforms, so the model sees all."""
+    model = RecordingModel(lengths)
+    samples, _, censored = _run_trials(model, None, SimConfig(trials=len(lengths), seed=seed), first)
+    assert censored == 0
+    assert samples == [float(n) for n in lengths]
+    return [np.array(seen) for seen in model.seen]
 
 
-# Lengths that end inside the head, on it, just past it, past the first
-# native draw, and past the point where native draws stop growing.
-SEAM_LENGTHS = [_HEAD - 1, _HEAD, _HEAD + 1, _HEAD + 256 + 1, 20_000]
+# Lengths that end inside the first chunk, on it, just past it, just past
+# the first doubling, and past the point where chunks stop growing.
+SEAM_LENGTHS = [_FIRST_CHUNK - 1, _FIRST_CHUNK, _FIRST_CHUNK + 1, 3 * _FIRST_CHUNK + 1, 20_000]
+KEYS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
 class TestStreamContract:
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    @pytest.mark.parametrize("trial", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("seed", KEYS)
+    @pytest.mark.parametrize("trial", KEYS)
     @pytest.mark.parametrize("n", SEAM_LENGTHS)
     def test_trial_stream_equals_native_philox(self, seed, trial, n):
-        assert np.array_equal(batched_uniforms(seed, trial, n), native_uniforms(seed, trial, n))
+        [got] = engine_uniforms(seed, trial, [n])
+        assert np.array_equal(got, native_uniforms(seed, trial, n))
 
     @given(seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**64 - 1),
            n=st.sampled_from(SEAM_LENGTHS))
     @settings(max_examples=40, deadline=None)
     def test_random_keys(self, seed, trial, n):
-        assert np.array_equal(batched_uniforms(seed, trial, n), native_uniforms(seed, trial, n))
+        [got] = engine_uniforms(seed, trial, [n])
+        assert np.array_equal(got, native_uniforms(seed, trial, n))
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_batched_heads_row_by_row(self, seed):
-        first = 2**32 - 3
-        heads = _philox_heads(seed, first, 7)
-        assert heads.shape == (7, _HEAD)
-        for row, trial in enumerate(range(first, first + 7)):
-            assert np.array_equal(heads[row], native_uniforms(seed, trial, _HEAD))
+    @pytest.mark.parametrize("seed", [11, 2**64 - 1])
+    def test_trials_in_sequence(self, seed):
+        # Consecutive trials share one re-keyed generator, numbered across
+        # 2**32; each earlier trial stops inside a chunk, most of them
+        # inside a 4-uniform Philox block too.
+        lengths = [37, 1, 5, _FIRST_CHUNK + 2, 3 * _FIRST_CHUNK + 3, 6, 9000, 2, _FIRST_CHUNK - 1]
+        first = 2**32 - 4
+        for offset, got in enumerate(engine_uniforms(seed, first, lengths)):
+            want = native_uniforms(seed, first + offset, lengths[offset])
+            assert np.array_equal(got, want), offset
 
-    def test_trial_streams_cross_batches(self):
-        # Trials in order, across the batch boundary and a partial last
-        # batch; consecutive trials share one re-keyed native generator.
-        trials = _BATCH + 5
-        streams = [read(chunks, _HEAD + 200) for chunks in _trial_streams(11, trials)]
-        assert len(streams) == trials
-        for trial in (0, 1, _BATCH - 1, _BATCH, trials - 1):
-            assert np.array_equal(streams[trial], native_uniforms(11, trial, _HEAD + 200))
+    def test_run_builds_one_generator(self, monkeypatch):
+        # Re-keying one generator per trial, not building one, is what keeps
+        # a short trial cheap: pin the count without timing anything.
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        for trials in (1, 255, 257, 600):
+            config = SimConfig(trials=trials, seed=3)
+            built.clear()
+            simulate_fpur(CycleTrap(0.25, 5, 10), SharpRestart(8), config)
+            assert len(built) == 1, trials
+            built.clear()
+            underlying_samples(BiasedWalk(0.6, 1), config)
+            assert len(built) == 1, trials
 
 
 @dataclass(frozen=True)
@@ -326,9 +370,9 @@ ORACLE_SPECS = [
     ExplicitRestart(TruncatedPMF.from_masses({3: 0.4, 40: 0.2}, residual=0.4,
                                              residual_kind="at_infinity")),
 ]
-# A cap inside the first leg, on the head's last uniform, past it, and one
-# long enough for most trials to finish.
-ORACLE_CAPS = [5, _HEAD - 1, _HEAD + 1, 700]
+# A cap inside the first leg, on the first chunk's last uniform, past it,
+# and one long enough for most trials to finish.
+ORACLE_CAPS = [5, _FIRST_CHUNK - 1, _FIRST_CHUNK + 1, 700]
 
 
 class TestEngineOracle:
@@ -342,7 +386,7 @@ class TestEngineOracle:
     @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: type(m).__name__)
     def test_underlying_samples_equal_scalar_loop(self, model):
         for cap in ORACLE_CAPS:
-            config = SimConfig(trials=_BATCH + 20, seed=22, step_cap=cap)
+            config = SimConfig(trials=276, seed=22, step_cap=cap)
             samples, censored = underlying_samples(model, config)
             want, want_censored = scalar_engine.underlying_samples(model, config)
             assert censored == want_censored
