@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -41,18 +42,6 @@ RHO_SWEEP_LO = 0.01
 RHO_SWEEP_HI = 0.841
 RHO_SWEEP_POINTS = 60
 
-_SWEEP_HEADER = (
-    "model",
-    "restart_family",
-    "baseline_mean_u",
-    "param",
-    "mean_t_analytic",
-    "mean_t_mc",
-    "ci_low",
-    "ci_high",
-    "beneficial",
-)
-
 
 class UsageError(ValueError):
     """Malformed command-line input."""
@@ -74,6 +63,10 @@ class SweepResult:
     restart_family: str
     baseline_mean_u: float
     rows: tuple[SweepRow, ...]
+
+
+# The sweep's columns, then one per SweepRow field in its order.
+_SWEEP_HEADER = ("model", "restart_family", "baseline_mean_u", *(f.name for f in dataclasses.fields(SweepRow)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +170,9 @@ def emit_sweep_csv(result: SweepResult) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SWEEP_HEADER)
     for row in result.rows:
-        writer.writerow(
-            [
-                result.model_descriptor,
-                result.restart_family,
-                _fmt(result.baseline_mean_u),
-                _fmt(row.param),
-                _fmt(row.mean_t_analytic),
-                _fmt(row.mean_t_mc),
-                _fmt(row.ci_low),
-                _fmt(row.ci_high),
-                _fmt(row.beneficial),
-            ]
-        )
+        values = (result.baseline_mean_u, row.param, row.mean_t_analytic, row.mean_t_mc,
+                  row.ci_low, row.ci_high, row.beneficial)
+        writer.writerow([result.model_descriptor, result.restart_family, *map(_fmt, values)])
     return buf.getvalue()
 
 
@@ -212,16 +195,7 @@ def parse_sweep_csv(text: str) -> SweepResult:
             baseline = _parse_real(record[2])
         elif (record[0], record[1]) != (descriptor, family):
             raise UsageError("CSV mixes multiple sweeps")
-        rows.append(
-            SweepRow(
-                param=_parse_real(record[3]),
-                mean_t_analytic=_parse_real(record[4]),
-                mean_t_mc=_parse_real(record[5]),
-                ci_low=_parse_real(record[6]),
-                ci_high=_parse_real(record[7]),
-                beneficial=record[8] == "true",
-            )
-        )
+        rows.append(SweepRow(*map(_parse_real, record[3:8]), beneficial=record[8] == "true"))
     if descriptor is None:
         raise UsageError("CSV has no data rows")
     return SweepResult(descriptor, family, baseline, tuple(rows))
@@ -331,23 +305,17 @@ def run_figure(
 ) -> list[str]:
     """Write the CSV files behind one preset figure; returns the paths."""
     paths: list[str] = []
-    if figure_id == "3-bound":
+    if figure_id in ("3-bound", "7"):
+        if figure_id == "3-bound":
+            name = "fig3-bound_cycle-trap_thresholds.csv"
+            rows = [("L", "M", "p_star")] + [(L, M, _fmt(fpur.cycle_trap_geometric_threshold(L, M)))
+                                            for L in range(1, 6) for M in range(1, 61)]
+        else:
+            name = "fig7_brw_thresholds.csv"
+            rows = [("m", "p_star")] + [(m, _fmt(fpur.brw_geometric_threshold_p(m))) for m in range(1, 21)]
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("L", "M", "p_star"))
-        for L in range(1, 6):
-            for M in range(1, 61):
-                writer.writerow((L, M, _fmt(fpur.cycle_trap_geometric_threshold(L, M))))
-        path = os.path.join(outdir, "fig3-bound_cycle-trap_thresholds.csv")
-        _write_file(path, buf.getvalue())
-        return [path]
-    if figure_id == "7":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("m", "p_star"))
-        for m in range(1, 21):
-            writer.writerow((m, _fmt(fpur.brw_geometric_threshold_p(m))))
-        path = os.path.join(outdir, "fig7_brw_thresholds.csv")
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        path = os.path.join(outdir, name)
         _write_file(path, buf.getvalue())
         return [path]
     if figure_id not in _FIGURE_SWEEPS:

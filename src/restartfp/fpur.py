@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, series_divide
-from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart
+from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart, _clamped_sqrt
 
 # Classification labels for sharp restart on the cycle trap.
 BENEFICIAL = "beneficial"
@@ -49,17 +49,13 @@ class FpurReport:
     preemptive: bool
 
 
-def _at_one(
-    model: ProcessModel, spec: RestartSpec, t_max: int | None = None, nu: float | None = None
-) -> tuple[float, float, float, float]:
+def _at_one(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> tuple[float, float, float, float]:
     """(P(T < infinity), P(R <= U), E[T], d = P(R > U)) from one renewal
-    call at z = 1, or from N(1) passed as ``nu`` (the mean is then nan).
-    E[T] = E[min(U, R)] / d when T surely hits, else infinity.  d adds N(1) = sum u(n) P(R > n) to the mass on which
+    call at z = 1.  E[T] = E[min(U, R)] / d when T surely hits, else
+    infinity.  d adds N(1) = sum u(n) P(R > n) to the mass on which
     neither clock ever fires, both nonnegative, so it is 0 exactly when R
     always fires first: the pair is preemptive and never hits."""
-    head = math.nan
-    if nu is None:
-        nu, _, head = spec.renewal(model, 1.0, t_max)
+    nu, _, head = spec.renewal(model, 1.0, t_max)
     d = (1.0 - model.hit_prob()) * (1.0 - spec.hit_prob()) + nu
     if d == 0.0:
         return 0.0, 1.0, math.inf, d
@@ -109,13 +105,10 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
     if np.any(quot < -1e-9):
         raise ArithmeticError("restarted PMF division produced negative mass")
     np.clip(quot, 0.0, None, out=quot)
-    residual = max(0.0, 1.0 - math.fsum(quot))
-    # A finite clock that has surely fired by t_max zeroes every renewal term
-    # from its last epoch on, so N(1) sums the numerator's head; U is not
-    # expanded again.  Geometric restart's renewal expands nothing anyway.
-    last = spec.last_epoch()
-    nu = math.fsum(num[:last]) if last is not None and spec.survival(t_max) == 0.0 else None
-    kind = AT_INFINITY if _at_one(model, spec, nu=nu)[0] < 1.0 else TRUNCATION
+    residual = max(0.0, 1.0 - math.fsum(quot.tolist()))
+    # The renewal sums read U from the masses the model already holds when
+    # the clock has surely fired by t_max; geometric restart reads none.
+    kind = AT_INFINITY if _at_one(model, spec)[0] < 1.0 else TRUNCATION
     return TruncatedPMF(quot, residual=residual, residual_kind=kind)
 
 
@@ -241,12 +234,7 @@ def brw_geometric_mean(p: float, m: int, rho: float) -> float:
         raise ValueError("rho must lie strictly inside (0, 1)")
     q = 1.0 - p
     x = 1.0 - rho
-    arg = 1.0 - 4.0 * p * q * x * x
-    if arg < 0.0:
-        if arg < -1e-15:
-            raise ArithmeticError(f"square-root argument {arg!r} below clamp range")
-        arg = 0.0
-    base = 1.0 - math.sqrt(arg)
+    base = 1.0 - _clamped_sqrt(1.0 - 4.0 * p * q * x * x)
     return ((2.0 * q * x) ** m - base**m) / (rho * base**m)
 
 

@@ -119,12 +119,9 @@ class RestartSpec:
         """
         last = self.last_epoch()
         floor = model.min_support() if t_max is None else max(model.min_support(), t_max)
-        if self.survival(last) == 0.0:
-            u = model.pmf(max(last - 1, floor))
-        else:
-            u = model.pmf(None if t_max is None else floor)
-            if u.t_max < last - 1:
-                u = model.pmf(last - 1)
+        if t_max is None and self.survival(last) > 0.0:
+            floor = model.pmf().t_max
+        u = model.pmf(max(last - 1, floor))
         size = u.t_max + 1
         zn = z ** np.arange(size + 1)
         surv_u = u.survival_array()
@@ -271,10 +268,10 @@ class SharpRestart(RestartSpec):
         horizon = n_restart - 1 if t_max is None else max(t_max, n_restart - 1)
         u = model.pmf(horizon)
         coeffs = u.coefficients[: n_restart]
-        mass_below = math.fsum(coeffs)
+        mass_below = math.fsum(coeffs.tolist())
         if mass_below <= 0.0:
             return math.inf
-        weighted = math.fsum(n * c for n, c in enumerate(coeffs))
+        weighted = math.fsum((np.arange(coeffs.size) * coeffs).tolist())
         return (weighted + n_restart * u.survival(n_restart - 1)) / mass_below
 
 
@@ -348,15 +345,55 @@ class ExplicitRestart(_ExplicitLaw, RestartSpec):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ProcessModel:
     """A process with integer states whose first passage to a terminal set is
-    the underlying time being restarted.  Subclasses are immutable."""
+    the underlying time being restarted.  Subclasses are immutable.
+
+    :meth:`pmf` holds u(0..h) for the longest horizon h asked, serves shorter
+    horizons as its prefix and extends it through ``_atoms`` for longer ones;
+    each mass depends only on its time, so every horizon has first-expansion bits."""
+
+    _held: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def pgf(self, z: float) -> float:
         raise NotImplementedError
 
+    # Each model class binds this pmf itself: the benchmark tracer wraps pmf
+    # only where a class defines it.
     def pmf(self, t_max: int | None = None) -> TruncatedPMF:
+        """U's law on 0..t_max (default: the model's own horizon)."""
+        if t_max is None:
+            t_max = self._default_horizon()
+        elif t_max < self.min_support():
+            raise ValueError(f"t_max={t_max} is below the smallest support point {self.min_support()}")
+        held = self._held
+        if held is None or held.size <= t_max:
+            held = self._extend(held, t_max + 1, *self._atoms(0 if held is None else held.size, t_max + 1))
+        head = held[: t_max + 1]
+        return TruncatedPMF(head, *self._tail(head))
+
+    def _extend(self, held: np.ndarray | None, stop: int, times, masses) -> np.ndarray:
+        """Hold and return u(0..stop-1): ``held``, then ``masses`` added at ``times``."""
+        out = np.zeros(stop)
+        if held is not None:
+            out[: held.size] = held
+        np.add.at(out, times, masses)
+        object.__setattr__(self, "_held", out)
+        return out
+
+    def _default_horizon(self) -> int:
         raise NotImplementedError
+
+    def _atoms(self, start: int, stop: int):
+        """Times in start..stop-1 with positive mass (may repeat), and the masses."""
+        raise NotImplementedError
+
+    def _tail(self, head: np.ndarray) -> tuple[float, str]:
+        """What the masses ``head`` leave of 1, as mass at infinity when U's
+        mean is infinite, so that the truncated law's mean is too."""
+        kind = AT_INFINITY if math.isinf(self.mean()) else TRUNCATION
+        return max(0.0, 1.0 - math.fsum(head.tolist())), kind
 
     def hit_prob(self) -> float:
         """P(U < infinity)."""
@@ -429,25 +466,21 @@ class CycleTrap(ProcessModel):
         _check_z(z)
         return self.p * z**self.L / (1.0 - self.q * z ** (self.M + 1))
 
-    def pmf(self, t_max: int | None = None) -> TruncatedPMF:
+    pmf = ProcessModel.pmf
+
+    def _default_horizon(self) -> int:
+        cycles = 0 if self.q == 0.0 else math.ceil(math.log(RESIDUAL_TARGET) / math.log(self.q))
+        return self.L + min(cycles, max(0, (MAX_TERMS - 1 - self.L) // (self.M + 1))) * (self.M + 1)
+
+    def _atoms(self, start: int, stop: int):
+        # p q^j at L + j(M+1).
         period = self.M + 1
-        if t_max is None:
-            if self.q == 0.0:
-                cycles = 0
-            else:
-                cycles = math.ceil(math.log(RESIDUAL_TARGET) / math.log(self.q))
-            cycles = min(cycles, max(0, (MAX_TERMS - 1 - self.L) // period))
-            t_max = self.L + cycles * period
-        elif t_max < self.L:
-            raise ValueError(f"t_max={t_max} is below the smallest support point {self.L}")
-        else:
-            cycles = (t_max - self.L) // period
-        coeffs = np.zeros(t_max + 1)
-        coeffs[self.L : self.L + cycles * period + 1 : period] = self.p * self.q ** np.arange(
-            cycles + 1
-        )
-        residual = self.q ** (cycles + 1)
-        return TruncatedPMF(coeffs, residual=residual, residual_kind=TRUNCATION)
+        j = np.arange(max(0, -(-(start - self.L) // period)), (stop - 1 - self.L) // period + 1)
+        return self.L + j * period, self.p * self.q**j
+
+    def _tail(self, head: np.ndarray) -> tuple[float, str]:
+        # q^(j+1) for the j + 1 cycles the head holds.
+        return self.q ** ((head.size - 1 - self.L) // (self.M + 1) + 1), TRUNCATION
 
     def hit_prob(self) -> float:
         return 1.0
@@ -536,9 +569,9 @@ class BiasedWalk(ProcessModel):
         root = _clamped_sqrt(1.0 - 4.0 * self.p * self.q * z * z)
         return (2.0 * self.p * z / (1.0 + root)) ** self.m
 
-    def _masses(self, k_cap: int, target: float = math.inf) -> list[float]:
-        """u(m+2k) for k = 0..k_cap, stopping early once their running sum
-        reaches ``target``.
+    def _masses(self, k_lo: int, k_hi: int, acc: float = 0.0, target: float = math.inf) -> list[float]:
+        """u(m+2k) for k = k_lo..k_hi, stopping early once ``acc`` plus their
+        running sum reaches ``target``.
 
         u(m+2k) = m p^m (pq)^k C(m+2k, k) / (m+2k), binomial in log space,
         its terms added left to right with the constant ones first.
@@ -548,8 +581,7 @@ class BiasedWalk(ProcessModel):
         log_pq = math.log(self.p * self.q)
         exp, lgamma, log = math.exp, math.lgamma, math.log
         masses = []
-        acc = 0.0
-        for k in range(k_cap + 1):
+        for k in range(k_lo, k_hi + 1):
             n = m + 2 * k
             masses.append(exp(
                 head
@@ -564,19 +596,29 @@ class BiasedWalk(ProcessModel):
                 break
         return masses
 
-    def pmf(self, t_max: int | None = None) -> TruncatedPMF:
-        if t_max is None:
-            masses = self._masses((MAX_TERMS - 1 - self.m) // 2, self.hit_prob() - RESIDUAL_TARGET)
-            t_max = self.m + 2 * (len(masses) - 1)
-        elif t_max < self.m:
-            raise ValueError(f"t_max={t_max} is below the smallest support point {self.m}")
-        else:
-            masses = self._masses((t_max - self.m) // 2)
-        coeffs = np.zeros(t_max + 1)
-        coeffs[self.m : self.m + 2 * len(masses) : 2] = masses
-        residual = max(0.0, 1.0 - math.fsum(masses))
-        kind = AT_INFINITY if self.p <= self.q else TRUNCATION
-        return TruncatedPMF(coeffs, residual=residual, residual_kind=kind)
+    def _atoms(self, start: int, stop: int):
+        k_lo = max(0, (start - self.m + 1) // 2)
+        masses = self._masses(k_lo, (stop - 1 - self.m) // 2)
+        return self.m + 2 * np.arange(k_lo, k_lo + len(masses)), masses
+
+    def _default_horizon(self) -> int:
+        """m + 2k for the first k at which the masses, added left to right,
+        reach hit_prob - RESIDUAL_TARGET; at most MAX_TERMS coefficients.  The
+        held masses are summed first (np.cumsum adds in the same order)."""
+        m, k_cap = self.m, (MAX_TERMS - 1 - self.m) // 2
+        target = self.hit_prob() - RESIDUAL_TARGET
+        held = self._held
+        sums = np.cumsum(np.zeros(0) if held is None else held[m::2][: k_cap + 1])
+        reached = np.flatnonzero(sums >= target)
+        if reached.size or sums.size > k_cap:
+            return m + 2 * int(reached[0] if reached.size else k_cap)
+        k_lo = sums.size
+        masses = self._masses(k_lo, k_cap, float(sums[-1]) if k_lo else 0.0, target)
+        times = m + 2 * np.arange(k_lo, k_lo + len(masses))
+        self._extend(held, int(times[-1]) + 1, times, masses)
+        return int(times[-1])
+
+    pmf = ProcessModel.pmf
 
     def hit_prob(self) -> float:
         if self.p >= self.q:
@@ -675,17 +717,20 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         _check_z(z)
         return self.w1 * z**self.t1 + (1.0 - self.w1) * z**self.t2
 
-    def pmf(self, t_max: int | None = None) -> TruncatedPMF:
-        top = max(self.t1, self.t2)
-        if t_max is None:
-            t_max = top
-        elif t_max < self.min_support():
-            raise ValueError(f"t_max={t_max} is below the smallest support point")
-        coeffs = np.zeros(max(t_max, top) + 1)
-        coeffs[self.t1] += self.w1
-        coeffs[self.t2] += 1.0 - self.w1
-        residual = math.fsum(coeffs[t_max + 1 :])
-        return TruncatedPMF(coeffs[: t_max + 1], residual=residual, residual_kind=TRUNCATION)
+    def _points(self) -> tuple[tuple[int, float], tuple[int, float]]:
+        return (self.t1, self.w1), (self.t2, 1.0 - self.w1)
+
+    pmf = ProcessModel.pmf
+
+    def _default_horizon(self) -> int:
+        return max(self.t1, self.t2)
+
+    def _atoms(self, start: int, stop: int):
+        inside = [(t, w) for t, w in self._points() if start <= t < stop]
+        return [t for t, _ in inside], [w for _, w in inside]
+
+    def _tail(self, head: np.ndarray) -> tuple[float, str]:
+        return math.fsum(w for t, w in self._points() if t >= head.size), TRUNCATION
 
     def hit_prob(self) -> float:
         return 1.0
@@ -697,7 +742,7 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         return self.w1 * self.t1 * (self.t1 - 1) + (1.0 - self.w1) * self.t2 * (self.t2 - 1)
 
     def min_support(self) -> int:
-        points = [t for t, w in ((self.t1, self.w1), (self.t2, 1.0 - self.w1)) if w > 0.0]
+        points = [t for t, w in self._points() if w > 0.0]
         return min(points) if points else self.t1
 
     def draw(self, u: float) -> int:
@@ -710,22 +755,21 @@ class TwoPoint(_CountdownMixin, ProcessModel):
 class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
     """Underlying process defined directly by an arbitrary hitting-time PMF."""
 
-    def pmf(self, t_max: int | None = None) -> TruncatedPMF:
-        if t_max is None or t_max == self.dist.t_max:
-            return self.dist
-        if t_max < self.min_support():
-            raise ValueError(f"t_max={t_max} is below the smallest support point")
-        if t_max > self.dist.t_max:
-            coeffs = np.zeros(t_max + 1)
-            coeffs[: self.dist.t_max + 1] = self.dist.coefficients
-            return TruncatedPMF(coeffs, residual=self.dist.residual,
-                                residual_kind=self.dist.residual_kind)
-        dropped = math.fsum(self.dist.coefficients[t_max + 1 :])
+    pmf = ProcessModel.pmf
+
+    def _default_horizon(self) -> int:
+        return self.dist.t_max
+
+    def _atoms(self, start: int, stop: int):
+        times = np.arange(start, min(stop, self.dist.t_max + 1))
+        return times, self.dist.coefficients[times]
+
+    def _tail(self, head: np.ndarray) -> tuple[float, str]:
+        dropped = math.fsum(self.dist.coefficients[head.size :].tolist())
         # Folding finite-time mass into the residual forces the truncation tag
         # unless everything dropped was already at infinity.
         kind = self.dist.residual_kind if dropped == 0.0 else TRUNCATION
-        return TruncatedPMF(self.dist.coefficients[: t_max + 1],
-                            residual=self.dist.residual + dropped, residual_kind=kind)
+        return self.dist.residual + dropped, kind
 
     def second_factorial_moment(self) -> float:
         return self.dist.second_factorial_moment()

@@ -54,7 +54,7 @@ class TruncatedPMF:
             raise ValueError("residual must be finite and nonnegative")
         if self.residual_kind not in (TRUNCATION, AT_INFINITY):
             raise ValueError(f"unknown residual kind {self.residual_kind!r}")
-        total = math.fsum(coeffs) + self.residual
+        total = math.fsum(coeffs.tolist()) + self.residual
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {total!r} differs from 1 by more than {MASS_TOL}")
         coeffs.setflags(write=False)

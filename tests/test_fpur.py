@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restartfp import (
     AT_INFINITY,
@@ -295,20 +297,20 @@ class TestRenewalHorizon:
 
 
     def test_fpur_pmf_expands_once(self, monkeypatch):
-        # The clock has surely fired by t_max, so the residual tag sums the
-        # numerator it already has instead of expanding U again.
+        # The clock has surely fired by t_max, so the residual tag's renewal
+        # sums read U as a prefix of the series' expansion.
         model, spec = BiasedWalk(0.55, 3), SharpRestart(3000)
-        tag = AT_INFINITY if hitting_prob_T(model, spec) < 1.0 else TRUNCATION
-        horizons = []
-        pmf = BiasedWalk.pmf
+        tag = AT_INFINITY if hitting_prob_T(BiasedWalk(0.55, 3), spec) < 1.0 else TRUNCATION
+        extensions = []
+        atoms = BiasedWalk._atoms
 
-        def record(self, t_max=None):
-            horizons.append(t_max)
-            return pmf(self, t_max)
+        def record(self, start, stop):
+            extensions.append((start, stop))
+            return atoms(self, start, stop)
 
-        monkeypatch.setattr(BiasedWalk, "pmf", record)
+        monkeypatch.setattr(BiasedWalk, "_atoms", record)
         law = fpur_pmf(model, spec, 3000)
-        assert horizons == [3000]
+        assert extensions == [(0, 3001)]
         assert law.residual_kind == tag
 
     @pytest.mark.parametrize("model", HORIZON_MODELS, ids=lambda m: m.describe())
@@ -324,7 +326,8 @@ class TestRenewalHorizon:
         ids=lambda s: s.describe(),
     )
     def test_spent_clock_numerator_sums_to_renewal_n(self, model, spec):
-        # What fpur_pmf sums for its tag once the clock has fired by t_max.
+        # fpur_pmf's numerator below the last epoch, once the clock has
+        # fired by t_max, is the renewal N(1).
         for t_max in (6, spec.last_epoch(), 100, 1000):
             if spec.survival(t_max) == 0.0:
                 num = model.pmf(t_max).coefficients * spec.survival_array(t_max + 1)
@@ -338,6 +341,22 @@ class TestRenewalHorizon:
         leaky = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=AT_INFINITY))
         for fn in (hitting_prob_T, p_restart_wins, mean_T_generic):
             assert fn(model, leaky, 18) == fn(model, leaky, 40)
+
+    def test_analyze_on_sharp_clock_extends_once(self, monkeypatch):
+        # The renewal sums and the closed form both read U to N - 1; the
+        # second read is served from the masses the first one held.
+        model, spec = BiasedWalk(0.55, 3), SharpRestart(3000)
+        extensions = []
+        atoms = BiasedWalk._atoms
+
+        def record(self, start, stop):
+            extensions.append((start, stop))
+            return atoms(self, start, stop)
+
+        monkeypatch.setattr(BiasedWalk, "_atoms", record)
+        report = analyze(model, spec)
+        assert extensions == [(0, 3000)]
+        assert report.mean_T == mean_T_sharp(BiasedWalk(0.55, 3), 3000)
 
     def test_analyze_expands_once(self, monkeypatch):
         # No closed form: the report's mean comes from the same renewal sums.
@@ -483,6 +502,45 @@ class TestMeanSharpClosedForm:
         walk = BiasedWalk(0.65, 3)
         closed = mean_T_sharp(walk, n_restart)
         assert mean_T_generic(walk, SharpRestart(n_restart)) == pytest.approx(closed, rel=1e-9)
+
+
+def generator_sharp_mean(model, n_restart):
+    """The sharp closed form with its weighted sum as a Python generator."""
+    u = model.pmf(n_restart - 1)
+    coeffs = u.coefficients[:n_restart]
+    weighted = math.fsum(n * c for n, c in enumerate(coeffs))
+    return (weighted + n_restart * u.survival(n_restart - 1)) / math.fsum(coeffs)
+
+
+# Small masses, subnormal ones among them.
+tiny_masses = st.lists(
+    st.one_of(st.floats(0.0, 1e-3), st.floats(0.0, 1e-300), st.sampled_from([5e-324, 2.2e-308, 1e-310])),
+    min_size=1, max_size=60,
+)
+
+
+class TestSharpWeightedSum:
+    """SharpRestart.closed_form_mean sums n u(n) as one array product read
+    into fsum.  Each product is the same correctly rounded double as n * c,
+    and fsum is exactly rounded in any order, so it equals the generator."""
+
+    @given(tiny_masses, st.integers(2, 70))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_generator_form(self, masses, n_restart):
+        coeffs = np.array([0.0, *masses, 1.0 - math.fsum(masses)])
+        model = ExplicitProcess(TruncatedPMF(coeffs))
+        if n_restart <= model.min_support():
+            return
+        assert SharpRestart(n_restart).closed_form_mean(model) == generator_sharp_mean(model, n_restart)
+        assert math.fsum((np.arange(coeffs.size) * coeffs).tolist()) == math.fsum(
+            n * c for n, c in enumerate(coeffs)
+        )
+
+    @pytest.mark.parametrize("model", [BiasedWalk(0.8, 3), BiasedWalk(0.54, 3), CycleTrap(0.25, 5, 10)],
+                             ids=lambda m: m.describe())
+    def test_equals_generator_form_on_sweeps(self, model):
+        for n_restart in range(model.min_support() + 1, 121):
+            assert mean_T_sharp(model, n_restart) == generator_sharp_mean(model, n_restart)
 
 
 class TestCycleTrapSharpMean:

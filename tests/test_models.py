@@ -2,6 +2,8 @@
 
 import ast
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -234,31 +236,114 @@ class TestCycleTrap:
             CycleTrap(*args)
 
 
+def law_fields(dist):
+    return dist.coefficients.tobytes(), dist.residual, dist.residual_kind
+
+
+# Models and the horizons asked of them.  None is the model's default
+# horizon; the critical walk's runs to MAX_TERMS, so it is left out there.
+PREFIX_CASES = [
+    *[(lambda a=a: CycleTrap(*a), [None, *range(a[1], a[1] + 60), 399, 4999, 19999])
+      for a in [(0.75, 2, 14), (0.25, 5, 10), (0.5, 3, 1), (0.999, 1, 1), (0.01, 7, 2), (1.0, 4, 2)]],
+    *[(lambda a=a: BiasedWalk(*a), [None, *range(a[1], a[1] + 60), 299, 2999, 7999])
+      for a in [(0.55, 3), (0.8, 3), (0.3, 2), (0.54, 3), (0.45, 4)]],
+    (lambda: BiasedWalk(0.5, 1), [*range(1, 61), 299, 2999, 7999]),
+    *[(lambda a=a: TwoPoint(*a), [None, *range(min(a[0], a[2]), 30)]) for a in [(1, 0.75, 20), (20, 0.1, 5), (7, 0.3, 7)]],
+    (lambda: ExplicitProcess(TruncatedPMF.from_masses({2: 0.25, 9: 0.5}, residual=0.25)), [None, *range(2, 20)]),
+    (lambda: ExplicitProcess(TruncatedPMF.from_masses({5: 0.2, 6: 0.3}, residual=0.5, residual_kind=AT_INFINITY)),
+     [None, *range(5, 12)]),
+]
+PREFIX_CASES = [pytest.param(make, horizons, id=make().describe()) for make, horizons in PREFIX_CASES]
+
+CALL_ORDERS = {
+    "ascending": lambda hs: sorted(h for h in hs if h is not None) + [None] * (None in hs),
+    "descending": lambda hs: sorted((h for h in hs if h is not None), reverse=True) + [None] * (None in hs),
+    "default_first": lambda hs: [None] * (None in hs) + sorted(h for h in hs if h is not None),
+    # The default horizon then continues the running sum of held masses.
+    "default_after_short": lambda hs: sorted(h for h in hs if h is not None and h < 300)
+    + [None] * (None in hs) + sorted(h for h in hs if h is not None and h >= 300),
+}
+
+
 class TestExpansionPrefix:
-    """A shorter expansion of a model is the prefix of a longer one, bit for
-    bit.  fpur_pmf's residual tag relies on it: it sums N(1) over its own
-    expansion, where the renewal sums read a shorter one."""
+    """A model keeps its longest expansion and serves shorter horizons as its
+    prefix.  Whatever the order of the calls, each horizon it serves has the
+    coefficient bytes, residual and kind of a fresh instance's first
+    expansion of that horizon.  fpur_pmf relies on it too: the renewal sums
+    behind its residual tag read U as a prefix of the series' expansion."""
+
+    @pytest.mark.parametrize("order", CALL_ORDERS)
+    @pytest.mark.parametrize("make, horizons", PREFIX_CASES)
+    def test_served_horizon_equals_first_expansion(self, make, horizons, order):
+        model = make()
+        served = []
+        for horizon in CALL_ORDERS[order](horizons):
+            dist = model.pmf(horizon)
+            assert law_fields(dist) == law_fields(make().pmf(horizon)), horizon
+            served.append(dist.t_max)
+        # One float64 array, never longer than the longest horizon asked.
+        assert model._held.dtype == np.float64
+        assert model._held.size == max(served) + 1
+
+    def test_threads_sharing_a_model(self):
+        # Each call reads the held array once, so threads racing to extend it
+        # still get first-expansion laws.  Every thread asks ever longer
+        # horizons of fresh shared models, so nearly every call extends.
+        horizons = range(3, 400, 3)
+        expected = {h: law_fields(BiasedWalk(0.55, 3).pmf(h)) for h in horizons}
+        wrong = []
+
+        def worker(models, offset):
+            for model in models:
+                for h in horizons[offset::4]:
+                    try:
+                        if law_fields(model.pmf(h)) != expected[h]:
+                            wrong.append(h)
+                    except Exception as exc:  # a thread's exception would not reach the test
+                        wrong.append(exc)
+
+        models = [BiasedWalk(0.55, 3) for _ in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(models, i % 4)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert all(model._held.size <= max(horizons) + 1 for model in models)
+
+    @pytest.mark.parametrize("q", [0.25, 0.75, 0.5, 0.001, 0.999, 0.0])
+    def test_power_prefix(self, q):
+        # The cycle trap extends p q^j from where it stopped: numpy's ** must
+        # give each power the same bits wherever it sits in the array.
+        longest = q ** np.arange(5000)
+        for lo in (0, 1, 7, 64):
+            for hi in range(lo, 400):
+                assert np.array_equal(q ** np.arange(lo, hi), longest[lo:hi])
+
+    def test_walk_masses_prefix(self):
+        walk = BiasedWalk(0.55, 3)
+        longest = walk._masses(0, 4000)
+        for lo in (0, 1, 17):
+            for hi in range(lo, 300, 7):
+                assert walk._masses(lo, hi) == longest[lo : hi + 1]
 
     @pytest.mark.parametrize(
-        "model",
-        [CycleTrap(0.75, 2, 14), CycleTrap(0.25, 5, 10), CycleTrap(0.5, 3, 1),
-         CycleTrap(0.999, 1, 1), CycleTrap(0.01, 7, 2)],
-        ids=lambda m: m.describe(),
+        "make", [lambda: CycleTrap(0.75, 2, 14), lambda: BiasedWalk(0.55, 3), lambda: TwoPoint(1, 0.75, 20)],
+        ids=["cycle-trap", "brw", "two-point"],
     )
-    def test_cycle_trap(self, model):
-        longest = model.pmf(20000).coefficients
-        for horizon in [*range(model.L, 400), 4999, 19999]:
-            assert np.array_equal(model.pmf(horizon).coefficients, longest[: horizon + 1])
-
-    @pytest.mark.parametrize(
-        "model",
-        [BiasedWalk(0.55, 3), BiasedWalk(0.8, 3), BiasedWalk(0.5, 1), BiasedWalk(0.3, 2)],
-        ids=lambda m: m.describe(),
-    )
-    def test_biased_walk(self, model):
-        longest = model.pmf(8000).coefficients
-        for horizon in [*range(model.m, 300), 2999, 7999]:
-            assert np.array_equal(model.pmf(horizon).coefficients, longest[: horizon + 1])
+    def test_warm_model_equals_cold(self, make):
+        warm, cold = make(), make()
+        warm.pmf(500)
+        warm.pmf()
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) and warm.describe() == cold.describe()
+        assert {warm: 1}[cold] == 1
 
 
 class TestBiasedWalk:
