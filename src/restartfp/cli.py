@@ -32,7 +32,7 @@ from .models import (
     SharpRestart,
     TwoPoint,
 )
-from .montecarlo import SimConfig, simulate_fpur
+from .montecarlo import DEFAULT_STEP_CAP, SimConfig, simulate_fpur
 
 DEFAULT_SEED = 1
 SEED_ENV_VAR = "RESTARTFP_SEED"
@@ -216,7 +216,7 @@ def run_sweep(
     grid,
     trials: int = 0,
     seed: int = DEFAULT_SEED,
-    step_cap: int = 10**7,
+    step_cap: int = DEFAULT_STEP_CAP,
 ) -> SweepResult:
     """Analytic (and optionally Monte Carlo) restarted means over a grid.
 
@@ -301,7 +301,7 @@ def run_figure(
     outdir: str = ".",
     trials: int | None = None,
     seed: int = DEFAULT_SEED,
-    step_cap: int = 10**7,
+    step_cap: int = DEFAULT_STEP_CAP,
 ) -> list[str]:
     """Write the CSV files behind one preset figure; returns the paths."""
     paths: list[str] = []
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-max", type=int, default=60)
     p_sweep.add_argument("--trials", type=int, default=0, help="Monte Carlo trials per row (0 = analytic only)")
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--step-cap", type=int, default=10**7)
+    p_sweep.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     p_sweep.add_argument("--output", default=None, help="CSV path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_figure.add_argument("--trials", type=int, default=None, help="override preset trial count")
     p_figure.add_argument("--no-mc", action="store_true", help="analytic columns only")
     p_figure.add_argument("--seed", type=int, default=None)
-    p_figure.add_argument("--step-cap", type=int, default=10**7)
+    p_figure.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     p_figure.set_defaults(func=cmd_figure)
     return parser
 

@@ -6,7 +6,8 @@ beneficial-restart criteria for the geometric and sharp families.
 
 Every renewal sum comes from the restart law's ``renewal`` method: closed
 forms on the model's PGF for geometric restart, exact finite sums for a
-clock with finite support.  The renewal denominator is accumulated from
+clock with finite support; the exact law divides the series of its
+``renewal_terms``.  The renewal denominator is accumulated from
 nonnegative terms rather than as "1 minus a sum", so it stays accurate even
 when the straightforward form would cancel catastrophically, and it is
 exactly 0 only for a preemptive pair.  Closed-form means come from the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, series_divide
+from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z, series_divide
 from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart, _clamped_sqrt
 
 # Classification labels for sharp restart on the cycle trap.
@@ -80,8 +81,7 @@ def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float, t_max: int | None
     Numerator: sum_n z^n u(n) P(R > n).  Denominator: 1 - sum_i z^i r(i)
     P(U >= i).  At z=1 this reduces to (and is answered by) hitting_prob_T.
     """
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"z={z!r} outside [0, 1]")
+    _check_z(z)
     if z == 1.0:
         return hitting_prob_T(model, spec, t_max)
     numerator, wins, _ = spec.renewal(model, z, t_max)
@@ -91,16 +91,16 @@ def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float, t_max: int | None
 def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF:
     """Mass function of the restarted hitting time on 0..t_max.
 
-    Formal power-series division of the numerator coefficients
-    u(n) P(R > n) by the denominator coefficients delta(n=0) - r(n) P(U >= n).
+    Formal power-series division of the numerator terms u(n) P(R > n) by
+    delta(n=0) - r(n) P(U >= n), both from ``spec.renewal_terms``; below
+    U's smallest support point the law is all zeros.
     """
-    u = model.pmf(t_max)
-    num = u.coefficients * spec.survival_array(t_max + 1)
-    surv_u_before = np.concatenate(([1.0], u.survival_array()[:t_max]))
-    den = -spec.pmf_array(t_max) * surv_u_before
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    num, wins, _ = spec.renewal_terms(model, t_max)
+    den = -wins[: t_max + 1]
     den[0] = 1.0
-
-    quot = series_divide(num, den, t_max)
+    quot = series_divide(num[: t_max + 1], den, t_max)
     # Division round-off can leave harmless negative dust.
     if np.any(quot < -1e-9):
         raise ArithmeticError("restarted PMF division produced negative mass")

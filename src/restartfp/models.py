@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import AT_INFINITY, TRUNCATION, TruncatedPMF
+from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z
 
 # Default PMF expansion policy: extend until the unrepresented finite-time
 # mass drops below RESIDUAL_TARGET, or the coefficient count hits MAX_TERMS,
@@ -39,11 +39,6 @@ def _clamped_sqrt(arg: float) -> float:
     return math.sqrt(arg)
 
 
-def _check_z(z: float) -> None:
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"z={z!r} outside [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # Restart-time specifications
 # ---------------------------------------------------------------------------
@@ -53,9 +48,8 @@ class RestartSpec:
     """When the restart clock fires.  Subclasses are immutable value objects.
 
     Each family also supplies what :mod:`restartfp.fpur` and the simulator
-    need: survival vector, inverse-CDF draw, last epoch, the renewal sums
-    and the closed-form mean where one exists.  The sums here assume finite
-    support; unbounded families override them.
+    need: survival vector, inverse-CDF draw, last epoch, the renewal terms
+    and sums, and the closed-form mean where one exists.
     """
 
     def pmf(self, n: int) -> float:
@@ -102,34 +96,39 @@ class RestartSpec:
         """E[T] by this family's closed form; None when it has none."""
         return None
 
+    def renewal_terms(
+        self, model: ProcessModel, t_max: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-time terms of :meth:`renewal`'s sums for the model's first
+        passage U against this clock R: (u(n) P(R > n) for n = 0..h,
+        r(i) P(U >= i) for i = 0..h+1, P(U > n) P(R > n) for n = 0..h).
+
+        h is at least ``t_max``, U's smallest support point and the last
+        epoch minus one; P(R > n) is 0 from that epoch on when the clock
+        keeps no mass past it, so the sums are exact.  A clock that does, or
+        has no last epoch (geometric), reads U over the model's default
+        expansion when no ``t_max`` is given.
+        """
+        last = self.last_epoch()
+        if t_max is None and (last is None or self.survival(last) > 0.0):
+            t_max = model._default_horizon()
+        u = model.pmf(max(t_max or 0, model.min_support(), -1 if last is None else last - 1))
+        surv_u = u.survival_array()
+        surv_r = self.survival_array(u.t_max + 1)
+        # P(U >= i) = P(U > i-1), one slot later.
+        w = self.pmf_array(u.t_max + 1) * np.concatenate(([1.0], surv_u))
+        return u.coefficients * surv_r, w, surv_u * surv_r
+
     def renewal(
         self, model: ProcessModel, z: float, t_max: int | None = None
     ) -> tuple[float, float, float]:
-        """Renewal sums of the model's first passage U against this clock R
-        at ``z`` in [0, 1]: (N, W, H) with N = sum_n z^n u(n) P(R > n),
-        W = sum_i z^i r(i) P(U >= i) and H = E[min(U, R)].
-
-        Here the law has finite support, so U's PMF is expanded only to the
-        last epoch minus one (at least to U's smallest support point, and to
-        ``t_max`` when that is larger); P(R > n) vanishes from the last
-        epoch on, so every sum is exact at that horizon.  A law that keeps
-        mass past its last epoch reads U over the model's default expansion
-        (or ``t_max``, raised to U's smallest support point), extended to
-        the last epoch minus one, and leaves out what lies beyond it.
-        """
-        last = self.last_epoch()
-        floor = model.min_support() if t_max is None else max(model.min_support(), t_max)
-        if t_max is None and self.survival(last) > 0.0:
-            floor = model.pmf().t_max
-        u = model.pmf(max(last - 1, floor))
-        size = u.t_max + 1
-        zn = z ** np.arange(size + 1)
-        surv_u = u.survival_array()
-        surv_r = self.survival_array(size)
-        n_sum = math.fsum(u.coefficients * zn[:size] * surv_r)
-        # P(U >= i) = P(U > i-1), one slot later; r(i) reaches i = size.
-        w_sum = math.fsum(zn * self.pmf_array(size) * np.concatenate(([1.0], surv_u)))
-        return n_sum, w_sum, math.fsum(surv_u * surv_r)
+        """Renewal sums at ``z`` in [0, 1]: (N, W, H) with
+        N = sum_n z^n u(n) P(R > n), W = sum_i z^i r(i) P(U >= i) and
+        H = E[min(U, R)], from :meth:`renewal_terms`; a clock with mass past
+        its last epoch leaves out what lies beyond the horizon."""
+        n_terms, w_terms, h_terms = self.renewal_terms(model, t_max)
+        zn = z ** np.arange(w_terms.size)
+        return math.fsum(n_terms * zn[:-1]), math.fsum(w_terms * zn), math.fsum(h_terms)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ from .models import ProcessModel, RestartSpec
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 4096
 
+# Steps a trial may take before it is censored.
+DEFAULT_STEP_CAP = 10**7
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -37,7 +40,7 @@ class SimConfig:
 
     trials: int
     seed: int
-    step_cap: int = 10**7
+    step_cap: int = DEFAULT_STEP_CAP
     ci_level: float = 0.99
 
     def __post_init__(self) -> None:
@@ -209,5 +212,4 @@ def underlying_samples(model: ProcessModel, config: SimConfig) -> tuple[np.ndarr
 
 def simulate_underlying(model: ProcessModel, config: SimConfig) -> SimEstimate:
     """Estimate E[U] for the bare process (no restart)."""
-    samples, censored = underlying_samples(model, config)
-    return _summarize(samples.tolist(), [0] * len(samples), censored, config)
+    return _summarize(*_run_trials(model, None, config), config)

@@ -8,7 +8,7 @@ the probability generating function on [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -23,6 +23,11 @@ AT_INFINITY = "at_infinity"
 
 # Coefficients per block of the blocked series division.
 _BLOCK = 128
+
+
+def _check_z(z: float) -> None:
+    if not 0.0 <= z <= 1.0:
+        raise ValueError(f"z={z!r} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +53,8 @@ class TruncatedPMF:
         coeffs = np.array(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(coeffs)) or np.any(coeffs < 0.0):
+        # A NaN makes the minimum NaN, which fails the comparison.
+        if not (coeffs.min() >= 0.0 and math.isfinite(coeffs.max())):
             raise ValueError("coefficients must be finite and nonnegative")
         if not (math.isfinite(self.residual) and self.residual >= 0.0):
             raise ValueError("residual must be finite and nonnegative")
@@ -59,14 +65,6 @@ class TruncatedPMF:
             raise ValueError(f"total mass {total!r} differs from 1 by more than {MASS_TOL}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        # Suffix sums: _suffix[n] = sum of coefficients[n:].  Used for stable
-        # survival queries without the cancellation of 1 - cdf(n).
-        suffix = np.zeros(coeffs.size + 1)
-        suffix[:-1] = np.cumsum(coeffs[::-1])[::-1]
-        suffix.setflags(write=False)
-        object.__setattr__(self, "_suffix", suffix)
-
-    _suffix: np.ndarray = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_masses(
@@ -97,8 +95,7 @@ class TruncatedPMF:
         The residual contributes nothing; callers needing P(X < infinity)
         must add their own tail model.
         """
-        if not 0.0 <= z <= 1.0:
-            raise ValueError(f"z={z!r} outside [0, 1]")
+        _check_z(z)
         terms = []
         zp = 1.0
         for c in self.coefficients:
@@ -125,16 +122,15 @@ class TruncatedPMF:
         return math.fsum(self.coefficients[: min(n, self.t_max) + 1])
 
     def survival(self, n: int) -> float:
-        """P(X > n) including the residual; computed from suffix sums."""
-        if n < 0:
-            return self.residual + float(self._suffix[0])
+        """P(X > n): the residual plus the masses past n, added from the far
+        end, so there is no cancellation as in 1 - cdf(n)."""
         if n >= self.t_max:
             return self.residual
-        return self.residual + float(self._suffix[n + 1])
+        return self.residual + float(np.cumsum(self.coefficients[max(n + 1, 0) :][::-1])[-1])
 
     def survival_array(self) -> np.ndarray:
         """P(X > n) for n = 0..t_max; entry n equals ``survival(n)``."""
-        return self._suffix[1:] + self.residual
+        return np.append(np.cumsum(self.coefficients[:0:-1])[::-1], 0.0) + self.residual
 
 
 def _substitute(num: np.ndarray, den: np.ndarray, width: int, spent: int) -> np.ndarray:

@@ -342,6 +342,51 @@ class TestRenewalHorizon:
         for fn in (hitting_prob_T, p_restart_wins, mean_T_generic):
             assert fn(model, leaky, 18) == fn(model, leaky, 40)
 
+    @pytest.mark.parametrize(
+        "spec, kind", [(SharpRestart(10), AT_INFINITY), (GeometricRestart(0.1), TRUNCATION)], ids=str
+    )
+    @pytest.mark.parametrize("t_max", [0, 5, 10, 39])
+    def test_law_below_support_is_zeros(self, spec, kind, t_max):
+        # Nothing hits before U's smallest support point, 40; the sharp
+        # pair is preemptive, so its residual is mass at infinity.
+        law = fpur_pmf(BiasedWalk(0.55, 40), spec, t_max)
+        assert law.coefficients.tolist() == [0.0] * (t_max + 1)
+        assert (law.residual, law.residual_kind) == (1.0, kind)
+
+    @pytest.mark.parametrize("spec", [SharpRestart(10), GeometricRestart(0.1)], ids=str)
+    def test_negative_law_horizon_is_rejected(self, spec):
+        with pytest.raises(ValueError, match="t_max must be nonnegative"):
+            fpur_pmf(BiasedWalk(0.55, 40), spec, -1)
+
+    @pytest.mark.parametrize(
+        "spec, t_max, horizon",
+        [
+            (SharpRestart(10), None, 40),
+            (SharpRestart(10), 5, 40),
+            (SharpRestart(60), 5, 59),
+            (SharpRestart(60), 100, 100),
+            (GeometricRestart(0.1), 5, 40),
+            (GeometricRestart(0.1), None, BiasedWalk(0.55, 40).pmf().t_max),
+            (ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75)), None,
+             BiasedWalk(0.55, 40).pmf().t_max),
+            (ExplicitRestart(TruncatedPMF.from_masses({60: 0.25}, residual=0.75)), 5, 59),
+        ],
+        ids=str,
+    )
+    def test_renewal_terms_horizon(self, spec, t_max, horizon):
+        # The one horizon rule: at least t_max, U's smallest support point
+        # and the last epoch minus one; the default expansion for a clock
+        # with mass past its last epoch, or none, when no t_max is given.
+        model = BiasedWalk(0.55, 40)
+        num, wins, heads = spec.renewal_terms(model, t_max)
+        assert (num.size, wins.size, heads.size) == (horizon + 1, horizon + 2, horizon + 1)
+        u = model.pmf(horizon)
+        assert num.tolist() == (u.coefficients * spec.survival_array(horizon + 1)).tolist()
+        if spec.last_epoch() is not None:  # geometric renewal is closed-form
+            assert spec.renewal(model, 0.9, t_max) == tuple(
+                math.fsum(terms * 0.9 ** np.arange(terms.size)) for terms in (num, wins)
+            ) + (math.fsum(heads),)
+
     def test_analyze_on_sharp_clock_extends_once(self, monkeypatch):
         # The renewal sums and the closed form both read U to N - 1; the
         # second read is served from the masses the first one held.

@@ -604,3 +604,17 @@ def test_restart_classes_are_tested_only_in_models():
             visitor.visit(ast.parse(path.read_text()))
             found += visitor.found
     assert found == [("montecarlo.sample_restart", "TypeError guard")]
+
+
+def test_clock_arrays_are_read_only_in_models_and_series():
+    # The restarted PGF's terms come from RestartSpec.renewal_terms, so no
+    # other module reads a clock's or a law's arrays on its own.
+    found = []
+    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
+        if path.stem not in ("models", "series"):
+            found += [
+                (path.stem, node.lineno)
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr in ("pmf_array", "survival_array")
+            ]
+    assert found == []

@@ -32,6 +32,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncatedPMF(np.array([0.5, -0.1, 0.6]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5e-324], ids=repr)
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_nonfinite_or_negative_mass(self, bad, at):
+        coeffs = [0.5, 0.0, 0.5]
+        coeffs[at] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite and nonnegative"):
+            TruncatedPMF(np.array(coeffs))
+
+    def test_accepts_negative_zero_mass(self):
+        dist = TruncatedPMF(np.array([-0.0, 1.0]))
+        assert dist.coefficients.tolist() == [0.0, 1.0]
+        assert dist.survival(-1) == 1.0
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             TruncatedPMF(np.array([0.5, 0.4]))  # mass 0.9, no residual
@@ -105,6 +118,27 @@ class TestMoments:
         assert sfm_fd == pytest.approx(dist.second_factorial_moment(), rel=1e-4, abs=1e-3)
 
 
+def suffix_survival(dist):
+    """Survival by the suffix sums TruncatedPMF once stored at construction:
+    suffix[n] = coefficients[n:] added from the far end; returns the scalar
+    survival function and the survival array."""
+    coeffs = dist.coefficients
+    suffix = np.zeros(coeffs.size + 1)
+    suffix[:-1] = np.cumsum(coeffs[::-1])[::-1]
+
+    def survival(n):
+        if n < 0:
+            return dist.residual + float(suffix[0])
+        if n >= dist.t_max:
+            return dist.residual
+        return dist.residual + float(suffix[n + 1])
+
+    return survival, suffix[1:] + dist.residual
+
+
+MASSES = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-300, 1e-10), st.floats(1e-6, 1.0))
+
+
 class TestTailSums:
     def test_cumulative_and_survival(self):
         dist = TruncatedPMF(np.array([0.0, 0.3, 0.2, 0.1]), residual=0.4, residual_kind=AT_INFINITY)
@@ -130,6 +164,22 @@ class TestTailSums:
         assert array.size == dist.t_max + 1
         for n in range(dist.t_max + 1):
             assert array[n] == dist.survival(n)
+
+    @given(
+        masses=st.lists(MASSES, min_size=1, max_size=60),
+        residual=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        kind=st.sampled_from([TRUNCATION, AT_INFINITY]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_suffix_formula(self, masses, residual, kind):
+        total = math.fsum(masses)
+        if total == 0.0:
+            total, residual = 1.0, 1.0
+        dist = TruncatedPMF(np.array(masses) / total * (1.0 - residual), residual=residual, residual_kind=kind)
+        survival, array = suffix_survival(dist)
+        for n in range(-1, dist.t_max + 2):
+            assert dist.survival(n) == survival(n)
+        assert dist.survival_array().tolist() == array.tolist()
 
 
 class TestSeriesDivide:
