@@ -157,12 +157,12 @@ def _fmt(value) -> str:
 
 
 def _parse_real(token: str):
-    if token == "":
-        return None
-    try:
-        return int(token)
-    except ValueError:
-        return float(token)
+    for kind in (int, float):
+        try:
+            return kind(token) if token else None
+        except ValueError:
+            pass
+    raise UsageError(f"unparseable number {token!r} in CSV")
 
 
 def emit_sweep_csv(result: SweepResult) -> str:
@@ -185,17 +185,18 @@ def parse_sweep_csv(text: str) -> SweepResult:
     if header != _SWEEP_HEADER:
         raise UsageError(f"unexpected CSV header {header!r}")
     rows = []
-    descriptor = family = None
-    baseline = None
+    descriptor = family = baseline = None
     for record in reader:
         if not record:
             continue
+        if len(record) != len(_SWEEP_HEADER) or record[8] not in ("true", "false"):
+            raise UsageError(f"malformed CSV row {record!r}")
+        values = list(map(_parse_real, record[2:8]))
         if descriptor is None:
-            descriptor, family = record[0], record[1]
-            baseline = _parse_real(record[2])
+            descriptor, family, baseline = record[0], record[1], values[0]
         elif (record[0], record[1]) != (descriptor, family):
             raise UsageError("CSV mixes multiple sweeps")
-        rows.append(SweepRow(*map(_parse_real, record[3:8]), beneficial=record[8] == "true"))
+        rows.append(SweepRow(*values[1:], beneficial=record[8] == "true"))
     if descriptor is None:
         raise UsageError("CSV has no data rows")
     return SweepResult(descriptor, family, baseline, tuple(rows))
@@ -383,10 +384,7 @@ def cmd_sweep(args) -> int:
     if args.restart_family == "geometric":
         if not args.points >= 1:
             raise UsageError("--points must be >= 1")
-        if args.points == 1:
-            grid = [args.rho_min]
-        else:
-            grid = [float(r) for r in np.linspace(args.rho_min, args.rho_max, args.points)]
+        grid = [float(r) for r in np.linspace(args.rho_min, args.rho_max, args.points)]
     else:
         if args.n_max < args.n_min:
             raise UsageError("--n-max must be >= --n-min")

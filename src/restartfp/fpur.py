@@ -5,13 +5,13 @@ the restarted hitting time's PGF, hitting probability, mean, and the
 beneficial-restart criteria for the geometric and sharp families.
 
 Every renewal sum comes from the restart law's ``renewal`` method: closed
-forms on the model's PGF for geometric restart, exact finite sums for a
-clock with finite support; the exact law divides the series of its
-``renewal_terms``.  The renewal denominator is accumulated from
-nonnegative terms rather than as "1 minus a sum", so it stays accurate even
-when the straightforward form would cancel catastrophically, and it is
-exactly 0 only for a preemptive pair.  Closed-form means come from the
-restart law's ``closed_form_mean``.
+forms on the model's PGF for geometric restart, else finite sums up to the
+clock's last epoch, whose flat tail of residual mass, if any, closes on the
+model's PGF and mean; the exact law divides the series of ``renewal_terms``.
+The renewal denominator is accumulated from nonnegative terms rather than
+as "1 minus a sum", so it stays accurate even when the straightforward form
+would cancel catastrophically, and it is exactly 0 only for a preemptive
+pair.  Closed-form means come from the restart law's ``closed_form_mean``.
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
         raise ArithmeticError("restarted PMF division produced negative mass")
     np.clip(quot, 0.0, None, out=quot)
     residual = max(0.0, 1.0 - math.fsum(quot.tolist()))
-    # The renewal sums read U from the masses the model already holds when
-    # the clock has surely fired by t_max; geometric restart reads none.
+    # The tag's renewal sums read a prefix of the U masses held for the law.
     kind = AT_INFINITY if _at_one(model, spec)[0] < 1.0 else TRUNCATION
     return TruncatedPMF(quot, residual=residual, residual_kind=kind)
 

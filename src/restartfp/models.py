@@ -103,15 +103,12 @@ class RestartSpec:
         passage U against this clock R: (u(n) P(R > n) for n = 0..h,
         r(i) P(U >= i) for i = 0..h+1, P(U > n) P(R > n) for n = 0..h).
 
-        h is at least ``t_max``, U's smallest support point and the last
-        epoch minus one; P(R > n) is 0 from that epoch on when the clock
-        keeps no mass past it, so the sums are exact.  A clock that does, or
-        has no last epoch (geometric), reads U over the model's default
-        expansion when no ``t_max`` is given.
+        One horizon rule for every clock: h is the largest of ``t_max``, U's
+        smallest support point and the last epoch minus one.  From that
+        epoch on P(R > n) is the clock's residual, so past h only N and H
+        have terms, which :meth:`renewal` closes (geometric: its own forms).
         """
         last = self.last_epoch()
-        if t_max is None and (last is None or self.survival(last) > 0.0):
-            t_max = model._default_horizon()
         u = model.pmf(max(t_max or 0, model.min_support(), -1 if last is None else last - 1))
         surv_u = u.survival_array()
         surv_r = self.survival_array(u.t_max + 1)
@@ -124,11 +121,19 @@ class RestartSpec:
     ) -> tuple[float, float, float]:
         """Renewal sums at ``z`` in [0, 1]: (N, W, H) with
         N = sum_n z^n u(n) P(R > n), W = sum_i z^i r(i) P(U >= i) and
-        H = E[min(U, R)], from :meth:`renewal_terms`; a clock with mass past
-        its last epoch leaves out what lies beyond the horizon."""
+        H = E[min(U, R)], from :meth:`renewal_terms`.  Past its horizon h
+        P(R > n) is the residual s and r(n) is 0, so for s > 0 N gains
+        s (u~(z) - sum_{n<=h} z^n u(n)) and H gains s (E[U] - sum_{n<=h}
+        P(U > n)), each at least 0: U's PGF and mean close the flat tail."""
         n_terms, w_terms, h_terms = self.renewal_terms(model, t_max)
         zn = z ** np.arange(w_terms.size)
-        return math.fsum(n_terms * zn[:-1]), math.fsum(w_terms * zn), math.fsum(h_terms)
+        n_sum, h_sum = math.fsum(n_terms * zn[:-1]), math.fsum(h_terms)
+        s = self.survival(n_terms.size)
+        if s > 0.0:
+            u = model.pmf(n_terms.size - 1)
+            n_sum += s * max(0.0, model.pgf(z) - math.fsum(u.coefficients * zn[:-1]))
+            h_sum += s * max(0.0, model.mean() - math.fsum(u.survival_array()))
+        return n_sum, math.fsum(w_terms * zn), h_sum
 
 
 @dataclass(frozen=True)

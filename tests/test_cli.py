@@ -167,6 +167,39 @@ class TestSweep:
         with pytest.raises(UsageError):
             parse_sweep_csv("")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row[:8],
+            lambda row: row[:3],
+            lambda row: row + ["1"],
+            lambda row: row[:8] + ["maybe"],
+            lambda row: row[:8] + ["True"],
+            lambda row: row[:8] + [""],
+            lambda row: row[:3] + ["x"] + row[4:],
+            lambda row: row[:2] + ["1.5.2"] + row[3:],
+            lambda row: row[:5] + ["--1"] + row[6:],
+        ],
+        ids=["short", "descriptor-only", "extra-field", "maybe", "capitalised", "empty-verdict",
+             "param", "baseline", "ci"],
+    )
+    def test_malformed_rows_rejected(self, edit):
+        text = emit_sweep_csv(run_sweep(parse_model(TP_FAST_TEXT), "geometric", [0.1, 0.3], trials=20, seed=3))
+        header, first, second = csv.reader(io.StringIO(text))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, first, edit(second)])
+        assert parse_sweep_csv(text).rows[1].mean_t_mc is not None
+        with pytest.raises(UsageError):
+            parse_sweep_csv(buf.getvalue())
+
+    def test_round_trip_with_empty_and_infinite_fields(self):
+        # Rows 2..5 are preemptive (infinite mean, no Monte Carlo columns).
+        result = run_sweep(CycleTrap(0.25, 5, 10), "sharp", range(2, 9), trials=30, seed=1)
+        text = emit_sweep_csv(result)
+        assert ",inf,,,,false" in text
+        assert parse_sweep_csv(text) == result
+        assert emit_sweep_csv(parse_sweep_csv(text)) == text
+
     def test_mixed_sweeps_rejected(self):
         a = emit_sweep_csv(run_sweep(parse_model(TP_FAST_TEXT), "geometric", [0.1]))
         b = emit_sweep_csv(run_sweep(CycleTrap(0.5, 2, 4), "geometric", [0.1]))

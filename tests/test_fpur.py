@@ -21,6 +21,7 @@ from restartfp import (
     ExplicitRestart,
     GeometricRestart,
     SharpRestart,
+    SimConfig,
     TruncatedPMF,
     TwoPoint,
     analyze,
@@ -42,6 +43,7 @@ from restartfp import (
     mean_T_geometric,
     mean_T_sharp,
     p_restart_wins,
+    simulate_fpur,
 )
 from conftest import random_explicit_pair
 
@@ -254,6 +256,14 @@ class TestSharpAsExplicitClock:
         assert (a.residual, a.residual_kind) == (b.residual, b.residual_kind)
 
 
+LEAKY_MODELS = [CycleTrap(0.5, 2, 4), CycleTrap(0.75, 2, 14), TwoPoint(3, 0.4, 9), BiasedWalk(0.8, 3),
+                BiasedWalk(0.5, 1), BiasedWalk(0.3, 2)]
+LEAKY_CLOCKS = [
+    ExplicitRestart(TruncatedPMF.from_masses(masses, residual=residual, residual_kind=kind))
+    for masses, residual in (({6: 0.25}, 0.75), ({3: 0.4, 40: 0.2}, 0.4), ({1: 0.25, 3: 0.5}, 0.25))
+    for kind in (AT_INFINITY, TRUNCATION)
+]
+
 HORIZON_MODELS = [CycleTrap(0.25, 5, 10), BiasedWalk(0.5, 1), BiasedWalk(0.3, 2), TwoPoint(3, 0.4, 9)]
 
 
@@ -366,26 +376,116 @@ class TestRenewalHorizon:
             (SharpRestart(60), 5, 59),
             (SharpRestart(60), 100, 100),
             (GeometricRestart(0.1), 5, 40),
-            (GeometricRestart(0.1), None, BiasedWalk(0.55, 40).pmf().t_max),
-            (ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75)), None,
-             BiasedWalk(0.55, 40).pmf().t_max),
+            (GeometricRestart(0.1), None, 40),
+            (ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75)), None, 40),
             (ExplicitRestart(TruncatedPMF.from_masses({60: 0.25}, residual=0.75)), 5, 59),
         ],
         ids=str,
     )
     def test_renewal_terms_horizon(self, spec, t_max, horizon):
-        # The one horizon rule: at least t_max, U's smallest support point
-        # and the last epoch minus one; the default expansion for a clock
-        # with mass past its last epoch, or none, when no t_max is given.
+        # The one horizon rule for every clock: the largest of t_max, U's
+        # smallest support point and the last epoch minus one.
         model = BiasedWalk(0.55, 40)
         num, wins, heads = spec.renewal_terms(model, t_max)
         assert (num.size, wins.size, heads.size) == (horizon + 1, horizon + 2, horizon + 1)
         u = model.pmf(horizon)
         assert num.tolist() == (u.coefficients * spec.survival_array(horizon + 1)).tolist()
-        if spec.last_epoch() is not None:  # geometric renewal is closed-form
-            assert spec.renewal(model, 0.9, t_max) == tuple(
-                math.fsum(terms * 0.9 ** np.arange(terms.size)) for terms in (num, wins)
-            ) + (math.fsum(heads),)
+        if spec.last_epoch() is None:  # geometric renewal is closed-form
+            return
+        zn = 0.9 ** np.arange(horizon + 2)
+        sums = [math.fsum(num * zn[:-1]), math.fsum(wins * zn), math.fsum(heads)]
+        s = spec.survival(horizon + 1)
+        if s > 0.0:
+            # Past h the clock keeps its residual s: N and H add U's rest.
+            sums[0] += s * max(0.0, model.pgf(0.9) - math.fsum(u.coefficients * zn[:-1]))
+            sums[2] += s * max(0.0, model.mean() - math.fsum(u.survival_array()))
+        assert spec.renewal(model, 0.9, t_max) == tuple(sums)
+
+    @pytest.mark.parametrize("model", LEAKY_MODELS, ids=lambda m: m.describe())
+    @pytest.mark.parametrize("spec", LEAKY_CLOCKS, ids=lambda s: s.describe() + ":" + s.dist.residual_kind)
+    def test_leaky_z_one_ignores_horizon(self, model, spec):
+        # The flat tail past the horizon closes on U's PGF and mean, so how
+        # far U is read does not move a z = 1 result.
+        def values(t_max):
+            report = analyze(model, spec, t_max)
+            return [fn(model, spec, t_max) for fn in (hitting_prob_T, p_restart_wins, mean_T_generic, mean_T)] + [
+                fpur_pgf(model, spec, 1.0, t_max), report.hit_prob, report.mean_T, report.p_restart_wins,
+                report.expected_restarts,
+            ]
+
+        # p_restart_wins is 1 - d, so d's rounding (a few ulps: the walk's
+        # masses come from log space) reaches it, and the expected restart
+        # count, as an absolute error.
+        expected = values(None)
+        for t_max in (0, 5, 50, 500):
+            assert values(t_max) == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", [AT_INFINITY, TRUNCATION])
+    def test_leaky_two_point_example(self, kind):
+        # U = 3 w.p. 0.4, else 9; R = 6 w.p. 0.25, else never.
+        # P(R <= U) = 0.25 * 0.6, E[min(U, R)] = 1.2 + 0.6 * (1.5 + 6.75).
+        model = TwoPoint(3, 0.4, 9)
+        spec = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=kind))
+        for t_max in (None, 0, 5, 8, 9, 50):
+            assert p_restart_wins(model, spec, t_max) == pytest.approx(0.15, rel=1e-15)
+            assert mean_T(model, spec, t_max) == pytest.approx(6.15 / 0.85, rel=1e-15)
+        assert mean_T(model, spec) == pytest.approx(7.2352941176470588, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", [AT_INFINITY, TRUNCATION])
+    def test_leaky_critical_walk(self, kind):
+        # E[U] is infinite and R never fires w.p. 0.75, so E[T] is too;
+        # P(R <= U) = 0.25 P(U > 5) = 0.25 (1 - 1/2 - 1/8 - 1/16).
+        model = BiasedWalk(0.5, 1)
+        spec = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=kind))
+        report = analyze(model, spec)
+        assert report.mean_T == mean_T_generic(model, spec, 50) == math.inf
+        assert report.hit_prob == 1.0
+        assert report.p_restart_wins == p_restart_wins(model, spec, 50) == 0.078125
+
+    def test_truncated_explicit_process_mean_is_a_horizon_lower_bound(self):
+        # The process keeps a TRUNCATION residual of 0.25 past time 4, left
+        # out of its mean(); the H rest past h is clamped at 0, so E[T]
+        # counts the residual's time only up to h and grows with it.
+        model = ExplicitProcess(TruncatedPMF.from_masses({2: 0.5, 4: 0.25}, residual=0.25))
+        spec = ExplicitRestart(TruncatedPMF.from_masses({3: 0.5}, residual=0.5, residual_kind=AT_INFINITY))
+        assert model.mean() == 2.0
+        means = [mean_T_generic(model, spec, t_max) for t_max in (None, 4, 10, 100)]
+        # H = 2.5 at h = 2, 2.5 + 0.5 (0.5 + 0.25 (h - 3)) from h = 4 on; N(1) = 0.625.
+        assert means == pytest.approx([4.0, 4.6, 5.8, 23.8], rel=1e-15)
+        for t_max in (None, 4, 10, 100):
+            assert hitting_prob_T(model, spec, t_max) == 1.0
+            assert p_restart_wins(model, spec, t_max) == 0.375
+
+    def test_leaky_mean_inside_monte_carlo_interval(self):
+        model = CycleTrap(0.5, 2, 4)
+        spec = ExplicitRestart(
+            TruncatedPMF.from_masses({3: 0.4, 40: 0.2}, residual=0.4, residual_kind=AT_INFINITY)
+        )
+        estimate = simulate_fpur(model, spec, SimConfig(trials=20_000, seed=5))
+        assert estimate.censored == 0
+        assert estimate.ci_low <= mean_T(model, spec) <= estimate.ci_high
+
+    @pytest.mark.parametrize("kind", [AT_INFINITY, TRUNCATION])
+    def test_leaky_clock_reads_only_the_law_prefix(self, kind, monkeypatch):
+        # The residual tag and the report read U no further than the law,
+        # or than the clock's last epoch minus one.
+        spec = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=kind))
+        extensions = []
+        atoms = BiasedWalk._atoms
+
+        def record(self, start, stop):
+            extensions.append((start, stop))
+            return atoms(self, start, stop)
+
+        monkeypatch.setattr(BiasedWalk, "_atoms", record)
+        model = BiasedWalk(0.5, 1)
+        law = fpur_pmf(model, spec, 10)
+        assert extensions == [(0, 11)]
+        assert model._held.size == 11
+        assert law.residual_kind == TRUNCATION
+        extensions.clear()
+        assert analyze(BiasedWalk(0.5, 1), spec).mean_T == math.inf
+        assert extensions == [(0, 6)]
 
     def test_analyze_on_sharp_clock_extends_once(self, monkeypatch):
         # The renewal sums and the closed form both read U to N - 1; the

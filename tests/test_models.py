@@ -103,6 +103,8 @@ class TestExplicitRestart:
         assert spec.draw(0.76) == math.inf
 
 
+LEAKY_MODELS = [CycleTrap(0.5, 2, 4), CycleTrap(0.75, 2, 14), TwoPoint(3, 0.4, 9), BiasedWalk(0.8, 3)]
+
 SPEC_FAMILIES = [
     GeometricRestart(0.3),
     SharpRestart(4),
@@ -165,14 +167,28 @@ class TestRestartSpecSurface:
         assert geo.renewal(trap, 0.9, 7) == geo.renewal(trap, 0.9)
 
     def test_residual_law_reads_full_expansion(self):
-        # Mass past the last epoch: the sums need U beyond it.
+        # Mass past the last epoch: the flat tail beyond U's prefix closes
+        # on U's PGF, so N(1) is the sum over U's full expansion.
         trap = CycleTrap(0.5, 2, 4)
         spec = SPEC_FAMILIES[2]
         u = trap.pmf()
         nu = math.fsum(u.coefficients * spec.survival_array(u.t_max + 1))
-        assert spec.renewal(trap, 1.0)[0] == nu
+        assert spec.renewal(trap, 1.0)[0] == pytest.approx(nu, rel=1e-9)
         # u(2) P(R > 2) plus P(U > 2) times the mass at infinity.
-        assert nu == pytest.approx(0.5 * 0.75 + 0.5 * 0.25, rel=1e-9)
+        assert spec.renewal(trap, 1.0)[0] == pytest.approx(0.5 * 0.75 + 0.5 * 0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("model", LEAKY_MODELS, ids=lambda m: m.describe())
+    @pytest.mark.parametrize("kind", [AT_INFINITY, TRUNCATION])
+    @pytest.mark.parametrize("masses", [{6: 0.25}, {3: 0.4, 40: 0.2}, {1: 0.25, 3: 0.5}], ids=str)
+    def test_leaky_renewal_matches_far_epoch(self, model, kind, masses):
+        # The residual placed at epoch 2000 makes a clock with finite
+        # support whose exact finite sums differ from the flat-tail closure
+        # only by U's mass past 2000.
+        residual = 1.0 - math.fsum(masses.values())
+        leaky = ExplicitRestart(TruncatedPMF.from_masses(masses, residual=residual, residual_kind=kind))
+        far = ExplicitRestart(TruncatedPMF.from_masses({**masses, 2000: residual}))
+        for z in (0.0, 0.3, 0.9, 0.999, 1.0):
+            np.testing.assert_allclose(leaky.renewal(model, z), far.renewal(model, z), rtol=1e-12, atol=0)
 
 
 class TestCycleTrap:
@@ -618,3 +634,31 @@ def test_clock_arrays_are_read_only_in_models_and_series():
                 if isinstance(node, ast.Attribute) and node.attr in ("pmf_array", "survival_array")
             ]
     assert found == []
+
+
+def _attribute_calls(tree, attr):
+    """(enclosing class or None, line) of each call of ``<expr>.attr``."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == attr:
+                found.append((cls, child.lineno))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_default_horizon_is_called_only_by_process_models():
+    # The default expansion is ProcessModel.pmf's own policy: no restart
+    # clock, fpur or cli code reads U over it.
+    calls, stray = [], []
+    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
+        for cls, line in _attribute_calls(ast.parse(path.read_text()), "_default_horizon"):
+            calls.append(line)
+            owner = getattr(models, cls, None) if path.stem == "models" and cls else None
+            if not (isinstance(owner, type) and issubclass(owner, models.ProcessModel)):
+                stray.append((path.stem, cls, line))
+    assert calls
+    assert stray == []
