@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z
+from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_z
 
 # Default PMF expansion policy: extend until the unrepresented finite-time
 # mass drops below RESIDUAL_TARGET, or the coefficient count hits MAX_TERMS,
@@ -56,10 +56,10 @@ class RestartSpec:
         raise NotImplementedError
 
     def cdf(self, n: int) -> float:
-        raise NotImplementedError
+        return 1.0 - self.survival(n)
 
     def survival(self, n: int) -> float:
-        """P(R > n); stable, never computed as 1 - cdf when a direct form exists."""
+        """P(R > n), n = infinity included; ``cdf`` and ``hit_prob`` complement it."""
         raise NotImplementedError
 
     def pgf(self, z: float) -> float:
@@ -70,7 +70,7 @@ class RestartSpec:
 
     def hit_prob(self) -> float:
         """P(R < infinity)."""
-        raise NotImplementedError
+        return 1.0 - self.survival(math.inf)
 
     def pmf_array(self, t_max: int) -> np.ndarray:
         """Masses r(0..t_max) as a dense vector."""
@@ -154,11 +154,6 @@ class GeometricRestart(RestartSpec):
             return 0.0
         return self.rho * (1.0 - self.rho) ** (n - 1)
 
-    def cdf(self, n: int) -> float:
-        if n < 0:
-            return 0.0
-        return 1.0 - (1.0 - self.rho) ** n
-
     def survival(self, n: int) -> float:
         if n < 0:
             return 1.0
@@ -170,9 +165,6 @@ class GeometricRestart(RestartSpec):
 
     def mean(self) -> float:
         return 1.0 / self.rho
-
-    def hit_prob(self) -> float:
-        return 1.0
 
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
@@ -227,9 +219,6 @@ class SharpRestart(RestartSpec):
     def pmf(self, n: int) -> float:
         return 1.0 if n == self.n_restart else 0.0
 
-    def cdf(self, n: int) -> float:
-        return 1.0 if n >= self.n_restart else 0.0
-
     def survival(self, n: int) -> float:
         return 1.0 if n < self.n_restart else 0.0
 
@@ -239,9 +228,6 @@ class SharpRestart(RestartSpec):
 
     def mean(self) -> float:
         return float(self.n_restart)
-
-    def hit_prob(self) -> float:
-        return 1.0
 
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
@@ -307,11 +293,6 @@ class _ExplicitLaw:
     def mean(self) -> float:
         return self.dist.mean()
 
-    def hit_prob(self) -> float:
-        if self.dist.residual_kind == AT_INFINITY:
-            return 1.0 - self.dist.residual
-        return 1.0
-
 
 class ExplicitRestart(_ExplicitLaw, RestartSpec):
     """Restart clock with an arbitrary user-supplied PMF on positive integers."""
@@ -375,7 +356,7 @@ class ProcessModel:
         if held is None or held.size <= t_max:
             held = self._extend(held, t_max + 1, *self._atoms(0 if held is None else held.size, t_max + 1))
         head = held[: t_max + 1]
-        return TruncatedPMF(head, *self._tail(head))
+        return TruncatedPMF(head, self._tail(head), AT_INFINITY if math.isinf(self.mean()) else TRUNCATION)
 
     def _extend(self, held: np.ndarray | None, stop: int, times, masses) -> np.ndarray:
         """Hold and return u(0..stop-1): ``held``, then ``masses`` added at ``times``."""
@@ -393,11 +374,9 @@ class ProcessModel:
         """Times in start..stop-1 with positive mass (may repeat), and the masses."""
         raise NotImplementedError
 
-    def _tail(self, head: np.ndarray) -> tuple[float, str]:
-        """What the masses ``head`` leave of 1, as mass at infinity when U's
-        mean is infinite, so that the truncated law's mean is too."""
-        kind = AT_INFINITY if math.isinf(self.mean()) else TRUNCATION
-        return max(0.0, 1.0 - math.fsum(head.tolist())), kind
+    def _tail(self, head: np.ndarray) -> float:
+        """What the masses ``head`` leave of 1."""
+        return max(0.0, 1.0 - math.fsum(head.tolist()))
 
     def hit_prob(self) -> float:
         """P(U < infinity)."""
@@ -428,8 +407,8 @@ class ProcessModel:
         step k reading ``u[start + k]``, and stop at the first terminal
         state.  Returns (state, steps taken, whether it is terminal).
 
-        Equal to repeated :meth:`step` calls; subclasses override it with a
-        faster loop."""
+        Equal to repeated :meth:`step` calls.  All four models override it with
+        a faster loop; it stays as the path for user subclasses."""
         step, is_terminal = self.step, self.is_terminal
         for i in range(start, start + steps):
             state = step(state, u[i])
@@ -482,9 +461,9 @@ class CycleTrap(ProcessModel):
         j = np.arange(max(0, -(-(start - self.L) // period)), (stop - 1 - self.L) // period + 1)
         return self.L + j * period, self.p * self.q**j
 
-    def _tail(self, head: np.ndarray) -> tuple[float, str]:
+    def _tail(self, head: np.ndarray) -> float:
         # q^(j+1) for the j + 1 cycles the head holds.
-        return self.q ** ((head.size - 1 - self.L) // (self.M + 1) + 1), TRUNCATION
+        return self.q ** ((head.size - 1 - self.L) // (self.M + 1) + 1)
 
     def hit_prob(self) -> float:
         return 1.0
@@ -733,8 +712,8 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         inside = [(t, w) for t, w in self._points() if start <= t < stop]
         return [t for t, _ in inside], [w for _, w in inside]
 
-    def _tail(self, head: np.ndarray) -> tuple[float, str]:
-        return math.fsum(w for t, w in self._points() if t >= head.size), TRUNCATION
+    def _tail(self, head: np.ndarray) -> float:
+        return math.fsum(w for t, w in self._points() if t >= head.size)
 
     def hit_prob(self) -> float:
         return 1.0
@@ -757,7 +736,13 @@ class TwoPoint(_CountdownMixin, ProcessModel):
 
 
 class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
-    """Underlying process defined directly by an arbitrary hitting-time PMF."""
+    """Underlying process defined directly by an arbitrary hitting-time PMF.
+    Its residual never hits, so beyond ``MASS_TOL`` it must be ``AT_INFINITY``."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.dist.residual_kind == TRUNCATION and self.dist.residual > MASS_TOL:
+            raise ValueError(f"truncation residual {self.dist.residual!r} exceeds {MASS_TOL}; tag it AT_INFINITY")
 
     pmf = ProcessModel.pmf
 
@@ -768,12 +753,11 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
         times = np.arange(start, min(stop, self.dist.t_max + 1))
         return times, self.dist.coefficients[times]
 
-    def _tail(self, head: np.ndarray) -> tuple[float, str]:
-        dropped = math.fsum(self.dist.coefficients[head.size :].tolist())
-        # Folding finite-time mass into the residual forces the truncation tag
-        # unless everything dropped was already at infinity.
-        kind = self.dist.residual_kind if dropped == 0.0 else TRUNCATION
-        return self.dist.residual + dropped, kind
+    def _tail(self, head: np.ndarray) -> float:
+        return self.dist.residual + math.fsum(self.dist.coefficients[head.size :].tolist())
+
+    def hit_prob(self) -> float:
+        return 1.0 - self.dist.residual if self.dist.residual_kind == AT_INFINITY else 1.0
 
     def second_factorial_moment(self) -> float:
         return self.dist.second_factorial_moment()

@@ -442,19 +442,36 @@ class TestRenewalHorizon:
         assert report.hit_prob == 1.0
         assert report.p_restart_wins == p_restart_wins(model, spec, 50) == 0.078125
 
-    def test_truncated_explicit_process_mean_is_a_horizon_lower_bound(self):
-        # The process keeps a TRUNCATION residual of 0.25 past time 4, left
-        # out of its mean(); the H rest past h is clamped at 0, so E[T]
-        # counts the residual's time only up to h and grows with it.
-        model = ExplicitProcess(TruncatedPMF.from_masses({2: 0.5, 4: 0.25}, residual=0.25))
-        spec = ExplicitRestart(TruncatedPMF.from_masses({3: 0.5}, residual=0.5, residual_kind=AT_INFINITY))
-        assert model.mean() == 2.0
-        means = [mean_T_generic(model, spec, t_max) for t_max in (None, 4, 10, 100)]
-        # H = 2.5 at h = 2, 2.5 + 0.5 (0.5 + 0.25 (h - 3)) from h = 4 on; N(1) = 0.625.
-        assert means == pytest.approx([4.0, 4.6, 5.8, 23.8], rel=1e-15)
-        for t_max in (None, 4, 10, 100):
-            assert hitting_prob_T(model, spec, t_max) == 1.0
-            assert p_restart_wins(model, spec, t_max) == 0.375
+    @pytest.mark.parametrize("model", [BiasedWalk(0.3, 1), BiasedWalk(0.3, 2)], ids=lambda m: m.describe())
+    @pytest.mark.parametrize(
+        "at_infinity, truncation",
+        [pytest.param(a, t, id=a.describe()) for a, t in zip(LEAKY_CLOCKS[::2], LEAKY_CLOCKS[1::2])],
+    )
+    def test_leaky_clock_tag_is_immaterial_on_a_defective_walk(self, model, at_infinity, truncation):
+        # A clock never fires on its residual, whatever its tag, so on a
+        # defective U some mass is left on which neither clock fires.
+        assert analyze(model, truncation) == analyze(model, at_infinity)
+        laws = [fpur_pmf(model, spec, 60) for spec in (truncation, at_infinity)]
+        assert laws[0].residual_kind == laws[1].residual_kind == AT_INFINITY
+        assert laws[0].coefficients.tobytes() == laws[1].coefficients.tobytes()
+
+    def test_truncation_tagged_leaky_clock_example(self):
+        # U hits w.p. 3/7 with u(1) = 0.3; R = 3 w.p. 0.5, else never.
+        # N(1) = 0.3 + 0.5 (3/7 - 0.3), d = (4/7) 0.5 + N(1) = 0.65, so
+        # P(T < inf) = N(1)/d = 51/91 and P(R <= U) = 1 - d = 0.35.
+        spec = ExplicitRestart(TruncatedPMF.from_masses({3: 0.5}, residual=0.5, residual_kind=TRUNCATION))
+        report = analyze(BiasedWalk(0.3, 1), spec)
+        assert (report.hit_prob, report.p_restart_wins) == (0.5604395604395604, 0.35)
+        assert report.mean_T == math.inf
+
+    def test_explicit_process_rejects_a_truncation_residual(self):
+        # Mass at unknown finite times has no mean, so E[T] under a leaky
+        # clock would be a lower bound that grows with t_max.  Float dust
+        # may keep the TRUNCATION tag; mass that never hits is AT_INFINITY.
+        with pytest.raises(ValueError, match="AT_INFINITY"):
+            ExplicitProcess(TruncatedPMF.from_masses({2: 0.5, 4: 0.25}, residual=0.25))
+        dust = ExplicitProcess(TruncatedPMF.from_masses({2: 0.5, 4: 0.5 - 1e-12}, residual=1e-12))
+        assert (dust.hit_prob(), dust.pmf().residual_kind) == (1.0, TRUNCATION)
 
     def test_leaky_mean_inside_monte_carlo_interval(self):
         model = CycleTrap(0.5, 2, 4)

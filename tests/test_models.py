@@ -4,6 +4,7 @@ import ast
 import math
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -265,7 +266,8 @@ PREFIX_CASES = [
       for a in [(0.55, 3), (0.8, 3), (0.3, 2), (0.54, 3), (0.45, 4)]],
     (lambda: BiasedWalk(0.5, 1), [*range(1, 61), 299, 2999, 7999]),
     *[(lambda a=a: TwoPoint(*a), [None, *range(min(a[0], a[2]), 30)]) for a in [(1, 0.75, 20), (20, 0.1, 5), (7, 0.3, 7)]],
-    (lambda: ExplicitProcess(TruncatedPMF.from_masses({2: 0.25, 9: 0.5}, residual=0.25)), [None, *range(2, 20)]),
+    (lambda: ExplicitProcess(TruncatedPMF.from_masses({2: 0.25, 9: 0.5}, residual=0.25, residual_kind=AT_INFINITY)),
+     [None, *range(2, 20)]),
     (lambda: ExplicitProcess(TruncatedPMF.from_masses({5: 0.2, 6: 0.3}, residual=0.5, residual_kind=AT_INFINITY)),
      [None, *range(5, 12)]),
 ]
@@ -500,6 +502,15 @@ class TestExplicitProcess:
         assert longer.t_max == 8
         assert longer.cumulative(8) == pytest.approx(1.0)
 
+    def test_defective_prefix_has_the_infinite_mean(self):
+        # The masses folded in past n = 6 join the mass at infinity, and the
+        # prefix's mean stays infinite, like the model's.
+        dist = TruncatedPMF.from_masses({5: 0.2, 9: 0.3}, residual=0.5, residual_kind=AT_INFINITY)
+        short = ExplicitProcess(dist).pmf(6)
+        assert short.residual_kind == AT_INFINITY
+        assert short.residual == pytest.approx(0.8)
+        assert short.mean() == ExplicitProcess(dist).mean() == math.inf
+
     def test_hit_prob_from_residual(self):
         dist = TruncatedPMF.from_masses({1: 0.7}, residual=0.3, residual_kind=AT_INFINITY)
         assert ExplicitProcess(dist).hit_prob() == pytest.approx(0.7)
@@ -662,3 +673,50 @@ def test_default_horizon_is_called_only_by_process_models():
                 stray.append((path.stem, cls, line))
     assert calls
     assert stray == []
+
+
+def _class_bodies():
+    """Each class in src/ by name: the names its own body defines."""
+    own = {}
+    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                own[node.name] = {child.name for child in node.body if isinstance(child, ast.FunctionDef)} | {
+                    target.id for child in node.body if isinstance(child, ast.Assign)
+                    for target in child.targets if isinstance(target, ast.Name)
+                }
+    return own
+
+
+def test_clock_cdf_and_hit_prob_come_from_survival():
+    # RestartSpec defines both as complements of survival; only the explicit
+    # clock keeps its own cdf, its law's cumulative sum.
+    own = _class_bodies()
+    found = sorted(
+        (name, base.__name__, method)
+        for name in RESTART_CLASSES
+        for base in getattr(models, name).__mro__ if base is not models.RestartSpec
+        for method in own.get(base.__name__, set()) & {"cdf", "hit_prob"}
+    )
+    assert found == [("ExplicitRestart", "ExplicitRestart", "cdf")]
+
+
+def test_tails_return_only_the_residual():
+    # ProcessModel.pmf tags the residual once, from the model's mean.
+    returns = [
+        node.value
+        for path in sorted(Path(restartfp.__file__).parent.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef) and fn.name == "_tail"
+        for node in ast.walk(fn) if isinstance(node, ast.Return)
+    ]
+    assert len(returns) == 4
+    assert not any(isinstance(value, ast.Tuple) for value in returns)
+
+
+def test_all_is_every_public_name():
+    public = {
+        name for name, value in vars(restartfp).items()
+        if not (name.startswith("_") or isinstance(value, types.ModuleType))
+    }
+    assert sorted(restartfp.__all__) == sorted(public | {"__version__"})
+    assert not any(isinstance(getattr(restartfp, name), types.ModuleType) for name in restartfp.__all__)
