@@ -47,25 +47,18 @@ def _clamped_sqrt(arg: float) -> float:
 class RestartSpec:
     """When the restart clock fires.  Subclasses are immutable value objects.
 
-    Each family also supplies what :mod:`restartfp.fpur` and the simulator
-    need: survival vector, inverse-CDF draw, last epoch, the renewal terms
-    and sums, and the closed-form mean where one exists.
+    A clock supplies exactly what :mod:`restartfp.fpur` and the simulator
+    read: ``survival`` (with ``cdf`` and ``hit_prob`` as its complements),
+    the ``survival_array`` and ``pmf_array`` vectors, the inverse-CDF
+    ``draw``, ``last_epoch``, ``describe``, the closed-form mean where one
+    exists, and the renewal terms and sums.
     """
-
-    def pmf(self, n: int) -> float:
-        raise NotImplementedError
 
     def cdf(self, n: int) -> float:
         return 1.0 - self.survival(n)
 
     def survival(self, n: int) -> float:
         """P(R > n), n = infinity included; ``cdf`` and ``hit_prob`` complement it."""
-        raise NotImplementedError
-
-    def pgf(self, z: float) -> float:
-        raise NotImplementedError
-
-    def mean(self) -> float:
         raise NotImplementedError
 
     def hit_prob(self) -> float:
@@ -149,22 +142,10 @@ class GeometricRestart(RestartSpec):
             raise ValueError("rho must lie strictly inside (0, 1)")
         object.__setattr__(self, "_log_x", math.log1p(-self.rho))
 
-    def pmf(self, n: int) -> float:
-        if n < 1:
-            return 0.0
-        return self.rho * (1.0 - self.rho) ** (n - 1)
-
     def survival(self, n: int) -> float:
         if n < 0:
             return 1.0
         return (1.0 - self.rho) ** n
-
-    def pgf(self, z: float) -> float:
-        _check_z(z)
-        return self.rho * z / (1.0 - (1.0 - self.rho) * z)
-
-    def mean(self) -> float:
-        return 1.0 / self.rho
 
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
@@ -216,18 +197,8 @@ class SharpRestart(RestartSpec):
         if not isinstance(self.n_restart, int) or self.n_restart < 1:
             raise ValueError("n_restart must be an integer >= 1")
 
-    def pmf(self, n: int) -> float:
-        return 1.0 if n == self.n_restart else 0.0
-
     def survival(self, n: int) -> float:
         return 1.0 if n < self.n_restart else 0.0
-
-    def pgf(self, z: float) -> float:
-        _check_z(z)
-        return z**self.n_restart
-
-    def mean(self) -> float:
-        return float(self.n_restart)
 
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
@@ -268,7 +239,8 @@ class SharpRestart(RestartSpec):
 @dataclass(frozen=True, eq=False)
 class _ExplicitLaw:
     """A law given directly as a PMF on the positive integers; the common
-    part of the explicit restart clock and the explicit process."""
+    part of the explicit restart clock and the explicit process: the PMF,
+    the check that it places no mass at 0, and the inverse-CDF draw."""
 
     dist: TruncatedPMF
     _cdf: np.ndarray = field(init=False, repr=False)
@@ -287,20 +259,9 @@ class _ExplicitLaw:
             return math.inf
         return idx
 
-    def pgf(self, z: float) -> float:
-        return self.dist.evaluate(z)
-
-    def mean(self) -> float:
-        return self.dist.mean()
-
 
 class ExplicitRestart(_ExplicitLaw, RestartSpec):
     """Restart clock with an arbitrary user-supplied PMF on positive integers."""
-
-    def pmf(self, n: int) -> float:
-        if 0 <= n <= self.dist.t_max:
-            return float(self.dist.coefficients[n])
-        return 0.0
 
     def cdf(self, n: int) -> float:
         return self.dist.cumulative(n)
@@ -725,8 +686,7 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         return self.w1 * self.t1 * (self.t1 - 1) + (1.0 - self.w1) * self.t2 * (self.t2 - 1)
 
     def min_support(self) -> int:
-        points = [t for t, w in self._points() if w > 0.0]
-        return min(points) if points else self.t1
+        return min(t for t, w in self._points() if w > 0.0)
 
     def draw(self, u: float) -> int:
         return self.t1 if u < self.w1 else self.t2
@@ -744,6 +704,9 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
         if self.dist.residual_kind == TRUNCATION and self.dist.residual > MASS_TOL:
             raise ValueError(f"truncation residual {self.dist.residual!r} exceeds {MASS_TOL}; tag it AT_INFINITY")
 
+    def pgf(self, z: float) -> float:
+        return self.dist.evaluate(z)
+
     pmf = ProcessModel.pmf
 
     def _default_horizon(self) -> int:
@@ -758,6 +721,9 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
 
     def hit_prob(self) -> float:
         return 1.0 - self.dist.residual if self.dist.residual_kind == AT_INFINITY else 1.0
+
+    def mean(self) -> float:
+        return self.dist.mean()
 
     def second_factorial_moment(self) -> float:
         return self.dist.second_factorial_moment()

@@ -104,13 +104,16 @@ class TruncatedPMF:
         return math.fsum(terms)
 
     def mean(self) -> float:
-        """E[X], or +infinity when the residual is tagged as mass at infinity."""
+        """Sum n * coefficients[n]: E[X] when the residual is 0, a lower bound
+        on it under ``TRUNCATION`` (that mass lies past t_max, uncounted),
+        +infinity when the residual is tagged as mass at infinity."""
         if self.residual_kind == AT_INFINITY and self.residual > 0.0:
             return math.inf
         return math.fsum(n * c for n, c in enumerate(self.coefficients))
 
     def second_factorial_moment(self) -> float:
-        """Sum n(n-1) * coefficients[n], the second PGF derivative at 1."""
+        """Sum n(n-1) * coefficients[n]: the second PGF derivative at 1 when
+        the residual is 0, a lower bound on it under ``TRUNCATION``."""
         if self.residual_kind == AT_INFINITY and self.residual > 0.0:
             return math.inf
         return math.fsum(n * (n - 1) * c for n, c in enumerate(self.coefficients))

@@ -33,30 +33,21 @@ class TestGeometricRestart:
     def test_cdf_example(self):
         assert GeometricRestart(0.5).cdf(2) == 0.75
 
-    def test_mean_example(self):
-        assert GeometricRestart(0.2).mean() == 5.0
-
     def test_pmf_support_starts_at_one(self):
-        spec = GeometricRestart(0.3)
-        assert spec.pmf(0) == 0.0
-        assert spec.pmf(1) == 0.3
-        assert spec.pmf(3) == pytest.approx(0.3 * 0.7**2)
+        array = GeometricRestart(0.3).pmf_array(3)
+        assert array[0] == 0.0
+        assert array[1] == 0.3
+        assert array[3] == pytest.approx(0.3 * 0.7**2)
 
     def test_survival_matches_cdf(self):
         spec = GeometricRestart(0.4)
         for n in range(-1, 10):
             assert spec.cdf(n) + spec.survival(n) == pytest.approx(1.0)
 
-    def test_pgf_closed_form(self):
-        spec = GeometricRestart(0.25)
-        z = 0.8
-        assert spec.pgf(z) == pytest.approx(0.25 * z / (1 - 0.75 * z), rel=1e-14)
-        assert spec.pgf(1.0) == pytest.approx(1.0)
-
-    def test_pmf_array_matches_scalar(self):
-        spec = GeometricRestart(0.35)
-        array = spec.pmf_array(8)
-        assert np.allclose(array, [spec.pmf(n) for n in range(9)], rtol=1e-13, atol=0)
+    def test_pmf_array_matches_formula(self):
+        array = GeometricRestart(0.35).pmf_array(8)
+        expected = [0.0] + [0.35 * 0.65 ** (n - 1) for n in range(1, 9)]
+        assert np.allclose(array, expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_bad_rate(self, rho):
@@ -65,13 +56,9 @@ class TestGeometricRestart:
 
 
 class TestSharpRestart:
-    def test_pgf_example(self):
-        assert SharpRestart(3).pgf(0.5) == 0.125
-
     def test_step_functions(self):
         spec = SharpRestart(4)
-        assert spec.mean() == 4.0
-        assert [spec.pmf(n) for n in range(6)] == [0, 0, 0, 0, 1.0, 0]
+        assert spec.pmf_array(5).tolist() == [0, 0, 0, 0, 1.0, 0]
         assert [spec.cdf(n) for n in range(6)] == [0, 0, 0, 0, 1.0, 1.0]
         assert [spec.survival(n) for n in range(6)] == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
 
@@ -89,11 +76,10 @@ class TestExplicitRestart:
     def test_delegation(self):
         dist = TruncatedPMF.from_masses({2: 0.5}, residual=0.5, residual_kind=AT_INFINITY)
         spec = ExplicitRestart(dist)
-        assert spec.pmf(2) == 0.5
+        assert spec.pmf_array(3)[2] == 0.5
         assert spec.hit_prob() == 0.5
         assert spec.survival(1) == pytest.approx(1.0)
         assert spec.survival(2) == pytest.approx(0.5)
-        assert spec.pgf(0.5) == pytest.approx(0.125)
 
     def test_draw_inverse_cdf(self):
         dist = TruncatedPMF.from_masses({1: 0.25, 3: 0.5}, residual=0.25, residual_kind=AT_INFINITY)
@@ -485,6 +471,7 @@ class TestTwoPoint:
     def test_min_support_skips_zero_weight(self):
         assert TwoPoint(1, 0.0, 20).min_support() == 20
         assert TwoPoint(1, 0.75, 20).min_support() == 1
+        assert TwoPoint(1, 1.0, 20).min_support() == 1
 
 
 class TestExplicitProcess:
@@ -690,7 +677,8 @@ def _class_bodies():
 
 def test_clock_cdf_and_hit_prob_come_from_survival():
     # RestartSpec defines both as complements of survival; only the explicit
-    # clock keeps its own cdf, its law's cumulative sum.
+    # clock keeps its own cdf, its law's cumulative sum.  No clock has a
+    # per-point pmf, pgf or mean: fpur and the simulator read none of them.
     own = _class_bodies()
     found = sorted(
         (name, base.__name__, method)
@@ -699,6 +687,14 @@ def test_clock_cdf_and_hit_prob_come_from_survival():
         for method in own.get(base.__name__, set()) & {"cdf", "hit_prob"}
     )
     assert found == [("ExplicitRestart", "ExplicitRestart", "cdf")]
+    per_point = sorted(
+        (base.__name__, method)
+        for name in RESTART_CLASSES
+        for base in getattr(models, name).__mro__ if base is not object
+        for method in own.get(base.__name__, set()) & {"pmf", "pgf", "mean"}
+    )
+    assert per_point == []
+    assert {"pgf", "mean"} <= own["ExplicitProcess"]
 
 
 def test_tails_return_only_the_residual():
