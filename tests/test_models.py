@@ -33,6 +33,12 @@ class TestGeometricRestart:
     def test_cdf_example(self):
         assert GeometricRestart(0.5).cdf(2) == 0.75
 
+    def test_mean_example(self):
+        # The clock's mean is the sum of its survival, 1/rho.
+        assert math.fsum(GeometricRestart(0.2).survival_array(400).tolist()) == pytest.approx(
+            5.0, rel=1e-14
+        )
+
     def test_pmf_support_starts_at_one(self):
         array = GeometricRestart(0.3).pmf_array(3)
         assert array[0] == 0.0
@@ -43,6 +49,14 @@ class TestGeometricRestart:
         spec = GeometricRestart(0.4)
         for n in range(-1, 10):
             assert spec.cdf(n) + spec.survival(n) == pytest.approx(1.0)
+
+    def test_pgf_closed_form(self):
+        # The series of the clock's pmf_array sums to rho z / (1 - (1 - rho) z).
+        masses = GeometricRestart(0.25).pmf_array(300)
+        z = 0.8
+        pgf = math.fsum((masses * z ** np.arange(301)).tolist())
+        assert pgf == pytest.approx(0.25 * z / (1 - 0.75 * z), rel=1e-14)
+        assert math.fsum(masses.tolist()) == pytest.approx(1.0)
 
     def test_pmf_array_matches_formula(self):
         array = GeometricRestart(0.35).pmf_array(8)
@@ -56,6 +70,10 @@ class TestGeometricRestart:
 
 
 class TestSharpRestart:
+    def test_pgf_example(self):
+        masses = SharpRestart(3).pmf_array(6)
+        assert math.fsum((masses * 0.5 ** np.arange(7)).tolist()) == 0.125
+
     def test_step_functions(self):
         spec = SharpRestart(4)
         assert spec.pmf_array(5).tolist() == [0, 0, 0, 0, 1.0, 0]
