@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import io
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -65,8 +66,10 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-# The sweep's columns, then one per SweepRow field in its order.
-_SWEEP_HEADER = ("model", "restart_family", "baseline_mean_u", *(f.name for f in dataclasses.fields(SweepRow)))
+# The sweep's columns, then one per SweepRow field in its order, for header and rows alike.
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+_SWEEP_HEADER = ("model", "restart_family", "baseline_mean_u", *_ROW_FIELDS)
+_row_values = operator.attrgetter(*_ROW_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +173,7 @@ def emit_sweep_csv(result: SweepResult) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SWEEP_HEADER)
     for row in result.rows:
-        values = (result.baseline_mean_u, row.param, row.mean_t_analytic, row.mean_t_mc,
-                  row.ci_low, row.ci_high, row.beneficial)
+        values = (result.baseline_mean_u, *_row_values(row))
         writer.writerow([result.model_descriptor, result.restart_family, *map(_fmt, values)])
     return buf.getvalue()
 

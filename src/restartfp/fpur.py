@@ -50,13 +50,13 @@ class FpurReport:
     preemptive: bool
 
 
-def _at_one(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> tuple[float, float, float, float]:
+def _at_one(model: ProcessModel, spec: RestartSpec) -> tuple[float, float, float, float]:
     """(P(T < infinity), P(R <= U), E[T], d = P(R > U)) from one renewal
     call at z = 1.  E[T] = E[min(U, R)] / d when T surely hits, else
     infinity.  d adds N(1) = sum u(n) P(R > n) to the mass on which
     neither clock ever fires, both nonnegative, so it is 0 exactly when R
     always fires first: the pair is preemptive and never hits."""
-    nu, _, head = spec.renewal(model, 1.0, t_max)
+    nu, _, head = spec.renewal(model, 1.0)
     d = (1.0 - model.hit_prob()) * (1.0 - spec.hit_prob()) + nu
     if d == 0.0:
         return 0.0, 1.0, math.inf, d
@@ -64,18 +64,18 @@ def _at_one(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) ->
     return hit, max(0.0, 1.0 - d), head / d if hit == 1.0 else math.inf, d
 
 
-def p_restart_wins(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
+def p_restart_wins(model: ProcessModel, spec: RestartSpec) -> float:
     """P(R <= U), the probability a restart epoch arrives no later than the
     underlying first passage; 1 minus this is the renewal denominator."""
-    return _at_one(model, spec, t_max)[1]
+    return _at_one(model, spec)[1]
 
 
-def hitting_prob_T(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
+def hitting_prob_T(model: ProcessModel, spec: RestartSpec) -> float:
     """P(T < infinity) for the restarted process; 0 for preemptive pairs."""
-    return _at_one(model, spec, t_max)[0]
+    return _at_one(model, spec)[0]
 
 
-def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float, t_max: int | None = None) -> float:
+def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float) -> float:
     """PGF of the restarted hitting time from the restart law's renewal sums.
 
     Numerator: sum_n z^n u(n) P(R > n).  Denominator: 1 - sum_i z^i r(i)
@@ -83,8 +83,8 @@ def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float, t_max: int | None
     """
     _check_z(z)
     if z == 1.0:
-        return hitting_prob_T(model, spec, t_max)
-    numerator, wins, _ = spec.renewal(model, z, t_max)
+        return hitting_prob_T(model, spec)
+    numerator, wins, _ = spec.renewal(model, z)
     return numerator / (1.0 - wins)
 
 
@@ -114,16 +114,16 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
 def mean_T_generic(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
     """E[T] by the renewal identity E[min(U, R)] / P(R > U), both from the
     restart law's renewal sums.  Returns infinity for preemptive pairs and
-    whenever the restarted process is defective.
+    whenever the restarted process is defective.  ``t_max`` is ignored.
     """
-    return _at_one(model, spec, t_max)[2]
+    return _at_one(model, spec)[2]
 
 
-def mean_T(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:
+def mean_T(model: ProcessModel, spec: RestartSpec) -> float:
     """E[T] by the family's closed form where one exists (geometric,
     sharp), else by the renewal identity of :func:`mean_T_generic`."""
-    closed = spec.closed_form_mean(model, t_max)
-    return mean_T_generic(model, spec, t_max) if closed is None else closed
+    closed = spec.closed_form_mean(model)
+    return mean_T_generic(model, spec) if closed is None else closed
 
 
 def mean_T_geometric(model: ProcessModel, rho: float) -> float:
@@ -131,12 +131,12 @@ def mean_T_geometric(model: ProcessModel, rho: float) -> float:
     return GeometricRestart(rho).closed_form_mean(model)
 
 
-def mean_T_sharp(model: ProcessModel, n_restart: int, t_max: int | None = None) -> float:
+def mean_T_sharp(model: ProcessModel, n_restart: int) -> float:
     """E[T] under sharp restart at N via partial sums:
     (sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1); infinity if preemptive."""
     if n_restart < 1:
         raise ValueError("n_restart must be >= 1")
-    return SharpRestart(operator.index(n_restart)).closed_form_mean(model, t_max)
+    return SharpRestart(operator.index(n_restart)).closed_form_mean(model)
 
 
 def cycle_trap_sharp_mean(p: float, L: int, M: int, n_restart: int) -> float:
@@ -254,11 +254,11 @@ def best_geometric_rho(model: ProcessModel, grid=None) -> tuple[float, float]:
     return best
 
 
-def analyze(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> FpurReport:
+def analyze(model: ProcessModel, spec: RestartSpec) -> FpurReport:
     """Full report for one (process, restart) pair; its mean is the one
     :func:`mean_T` picks."""
-    hit, wins, mean, d = _at_one(model, spec, t_max)
-    closed = spec.closed_form_mean(model, t_max)
+    hit, wins, mean, d = _at_one(model, spec)
+    closed = spec.closed_form_mean(model)
     return FpurReport(
         hit_prob=hit,
         mean_T=mean if closed is None else closed,

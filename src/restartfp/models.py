@@ -85,7 +85,7 @@ class RestartSpec:
         """P(R > n) for n = 0..size-1."""
         raise NotImplementedError
 
-    def closed_form_mean(self, model: ProcessModel, t_max: int | None = None) -> float | None:
+    def closed_form_mean(self, model: ProcessModel) -> float | None:
         """E[T] by this family's closed form; None when it has none."""
         return None
 
@@ -96,10 +96,11 @@ class RestartSpec:
         passage U against this clock R: (u(n) P(R > n) for n = 0..h,
         r(i) P(U >= i) for i = 0..h+1, P(U > n) P(R > n) for n = 0..h).
 
-        One horizon rule for every clock: h is the largest of ``t_max``, U's
-        smallest support point and the last epoch minus one.  From that
-        epoch on P(R > n) is the clock's residual, so past h only N and H
-        have terms, which :meth:`renewal` closes (geometric: its own forms).
+        One horizon rule for every clock: h is the largest of U's smallest
+        support point, the last epoch minus one and, for a law on
+        0..t_max, ``t_max``.  From the last epoch on P(R > n) is the
+        clock's residual, so past h only N and H have terms, which
+        :meth:`renewal` closes (geometric: its own forms).
         """
         last = self.last_epoch()
         u = model.pmf(max(t_max or 0, model.min_support(), -1 if last is None else last - 1))
@@ -109,16 +110,15 @@ class RestartSpec:
         w = self.pmf_array(u.t_max + 1) * np.concatenate(([1.0], surv_u))
         return u.coefficients * surv_r, w, surv_u * surv_r
 
-    def renewal(
-        self, model: ProcessModel, z: float, t_max: int | None = None
-    ) -> tuple[float, float, float]:
+    def renewal(self, model: ProcessModel, z: float) -> tuple[float, float, float]:
         """Renewal sums at ``z`` in [0, 1]: (N, W, H) with
         N = sum_n z^n u(n) P(R > n), W = sum_i z^i r(i) P(U >= i) and
-        H = E[min(U, R)], from :meth:`renewal_terms`.  Past its horizon h
-        P(R > n) is the residual s and r(n) is 0, so for s > 0 N gains
-        s (u~(z) - sum_{n<=h} z^n u(n)) and H gains s (E[U] - sum_{n<=h}
-        P(U > n)), each at least 0: U's PGF and mean close the flat tail."""
-        n_terms, w_terms, h_terms = self.renewal_terms(model, t_max)
+        H = E[min(U, R)], from :meth:`renewal_terms` at the horizon h the
+        clock and U fix.  Past h P(R > n) is the residual s and r(n) is 0,
+        so for s > 0 N gains s (u~(z) - sum_{n<=h} z^n u(n)) and H gains
+        s (E[U] - sum_{n<=h} P(U > n)), each at least 0: U's PGF and mean
+        close the flat tail."""
+        n_terms, w_terms, h_terms = self.renewal_terms(model)
         zn = z ** np.arange(w_terms.size)
         n_sum, h_sum = math.fsum(n_terms * zn[:-1]), math.fsum(h_terms)
         s = self.survival(n_terms.size)
@@ -167,20 +167,16 @@ class GeometricRestart(RestartSpec):
     def survival_array(self, size: int) -> np.ndarray:
         return (1.0 - self.rho) ** np.arange(size)
 
-    def renewal(
-        self, model: ProcessModel, z: float, t_max: int | None = None
-    ) -> tuple[float, float, float]:
+    def renewal(self, model: ProcessModel, z: float) -> tuple[float, float, float]:
         """Closed forms on the model's PGF, with x = 1 - rho:
-        N = u~(xz), W = rho z (1 - u~(xz)) / (1 - xz), H = (1 - u~(x)) / rho.
-        No PMF is expanded, so ``t_max`` is ignored."""
+        N = u~(xz), W = rho z (1 - u~(xz)) / (1 - xz), H = (1 - u~(x)) / rho."""
         x = 1.0 - self.rho
         n_sum = model.pgf(x * z)
         w_sum = self.rho * z * (1.0 - n_sum) / (1.0 - x * z)
         return n_sum, w_sum, (1.0 - model.pgf(x)) / self.rho
 
-    def closed_form_mean(self, model: ProcessModel, t_max: int | None = None) -> float:
-        """(1 - u~(1-rho)) / (rho u~(1-rho)), infinity when u~(1-rho) is 0.
-        No PMF is expanded, so ``t_max`` is ignored."""
+    def closed_form_mean(self, model: ProcessModel) -> float:
+        """(1 - u~(1-rho)) / (rho u~(1-rho)), infinity when u~(1-rho) is 0."""
         value = model.pgf(1.0 - self.rho)
         if value <= 0.0:
             return math.inf
@@ -220,15 +216,14 @@ class SharpRestart(RestartSpec):
         out[: self.n_restart] = 1.0
         return out
 
-    def closed_form_mean(self, model: ProcessModel, t_max: int | None = None) -> float:
+    def closed_form_mean(self, model: ProcessModel) -> float:
         """(sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1), with U expanded
-        to N-1 (or ``t_max`` when larger); infinity if preemptive."""
+        to N-1; infinity if preemptive."""
         n_restart = self.n_restart
         if n_restart <= model.min_support():
             return math.inf
-        horizon = n_restart - 1 if t_max is None else max(t_max, n_restart - 1)
-        u = model.pmf(horizon)
-        coeffs = u.coefficients[: n_restart]
+        u = model.pmf(n_restart - 1)
+        coeffs = u.coefficients
         mass_below = math.fsum(coeffs.tolist())
         if mass_below <= 0.0:
             return math.inf

@@ -548,7 +548,7 @@ class TestExitCodes:
         assert calls == []
 
     def test_numerical_failure_is_one(self, capsys, monkeypatch):
-        def fail(model, spec, t_max=None):
+        def fail(model, spec):
             raise ArithmeticError("series did not converge")
 
         monkeypatch.setattr(cli.fpur, "mean_T", fail)

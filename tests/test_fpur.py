@@ -1,6 +1,7 @@
 """Restart composition analytics: renewal identities, closed forms,
 beneficial-restart criteria."""
 
+import inspect
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from restartfp import (
     ExplicitProcess,
     ExplicitRestart,
     GeometricRestart,
+    ProcessModel,
+    RestartSpec,
     SharpRestart,
     SimConfig,
     TruncatedPMF,
@@ -35,6 +38,7 @@ from restartfp import (
     cycle_trap_sharp_mean,
     default_rho_grid,
     derivative_criterion_D,
+    fpur,
     fpur_pgf,
     fpur_pmf,
     hitting_prob_T,
@@ -300,11 +304,6 @@ class TestRenewalHorizon:
             fn(model, spec)
         fpur_pgf(model, spec, 0.9)
         assert horizons == [max(n_restart - 1, model.min_support())] * 4
-        for t_max in (10, 100):
-            horizons.clear()
-            hitting_prob_T(model, spec, t_max)
-            assert horizons == [max(n_restart - 1, t_max)]
-
 
     def test_fpur_pmf_expands_once(self, monkeypatch):
         # The clock has surely fired by t_max, so the residual tag's renewal
@@ -342,15 +341,6 @@ class TestRenewalHorizon:
             if spec.survival(t_max) == 0.0:
                 num = model.pmf(t_max).coefficients * spec.survival_array(t_max + 1)
                 assert math.fsum(num[: spec.last_epoch()]) == spec.renewal(model, 1.0)[0]
-
-    def test_horizon_below_support_is_raised(self):
-        model, spec = BiasedWalk(0.55, 40), SharpRestart(10)
-        for fn in (hitting_prob_T, p_restart_wins, mean_T_generic):
-            assert fn(model, spec, 18) == fn(model, spec)
-        # A clock with mass past its last epoch reads U from the raised horizon.
-        leaky = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=AT_INFINITY))
-        for fn in (hitting_prob_T, p_restart_wins, mean_T_generic):
-            assert fn(model, leaky, 18) == fn(model, leaky, 40)
 
     @pytest.mark.parametrize(
         "spec, kind", [(SharpRestart(10), AT_INFINITY), (GeometricRestart(0.1), TRUNCATION)], ids=str
@@ -390,7 +380,8 @@ class TestRenewalHorizon:
         assert (num.size, wins.size, heads.size) == (horizon + 1, horizon + 2, horizon + 1)
         u = model.pmf(horizon)
         assert num.tolist() == (u.coefficients * spec.survival_array(horizon + 1)).tolist()
-        if spec.last_epoch() is None:  # geometric renewal is closed-form
+        # renewal reads U at the clock's own horizon; geometric is closed-form.
+        if t_max is not None or spec.last_epoch() is None:
             return
         zn = 0.9 ** np.arange(horizon + 2)
         sums = [math.fsum(num * zn[:-1]), math.fsum(wins * zn), math.fsum(heads)]
@@ -399,26 +390,34 @@ class TestRenewalHorizon:
             # Past h the clock keeps its residual s: N and H add U's rest.
             sums[0] += s * max(0.0, model.pgf(0.9) - math.fsum(u.coefficients * zn[:-1]))
             sums[2] += s * max(0.0, model.mean() - math.fsum(u.survival_array()))
-        assert spec.renewal(model, 0.9, t_max) == tuple(sums)
+        assert spec.renewal(model, 0.9) == tuple(sums)
+
+    def test_z_evaluations_take_no_horizon(self):
+        # Only a law has a length; a z-evaluation reads U as far as the
+        # clock fixes.  mean_T_generic's third parameter is accepted and
+        # ignored, so a caller that still passes a horizon gets the same value.
+        evaluations = [
+            RestartSpec.renewal, GeometricRestart.renewal, RestartSpec.closed_form_mean,
+            GeometricRestart.closed_form_mean, SharpRestart.closed_form_mean, fpur._at_one, p_restart_wins,
+            hitting_prob_T, fpur_pgf, mean_T, mean_T_sharp, analyze,
+        ]
+        assert [fn.__qualname__ for fn in evaluations if "t_max" in inspect.signature(fn).parameters] == []
+        for fn in (fpur_pmf, RestartSpec.renewal_terms, ProcessModel.pmf):
+            assert "t_max" in inspect.signature(fn).parameters
+        model = BiasedWalk(0.8, 3)
+        for n in (2, 3, 60, 120):
+            spec = SharpRestart(n)
+            assert mean_T_generic(model, spec, max(n, model.min_support())) == mean_T_generic(model, spec)
 
     @pytest.mark.parametrize("model", LEAKY_MODELS, ids=lambda m: m.describe())
     @pytest.mark.parametrize("spec", LEAKY_CLOCKS, ids=lambda s: s.describe() + ":" + s.dist.residual_kind)
-    def test_leaky_z_one_ignores_horizon(self, model, spec):
-        # The flat tail past the horizon closes on U's PGF and mean, so how
-        # far U is read does not move a z = 1 result.
-        def values(t_max):
-            report = analyze(model, spec, t_max)
-            return [fn(model, spec, t_max) for fn in (hitting_prob_T, p_restart_wins, mean_T_generic, mean_T)] + [
-                fpur_pgf(model, spec, 1.0, t_max), report.hit_prob, report.mean_T, report.p_restart_wins,
-                report.expected_restarts,
-            ]
-
-        # p_restart_wins is 1 - d, so d's rounding (a few ulps: the walk's
-        # masses come from log space) reaches it, and the expected restart
-        # count, as an absolute error.
-        expected = values(None)
-        for t_max in (0, 5, 50, 500):
-            assert values(t_max) == pytest.approx(expected, rel=1e-15, abs=1e-15)
+    def test_leaky_z_one_report_matches_functions(self, model, spec):
+        # Every z = 1 result reads the same renewal sums at the clock's own
+        # horizon, whose flat tail closes on U's PGF and mean.
+        report = analyze(model, spec)
+        assert report.hit_prob == hitting_prob_T(model, spec) == fpur_pgf(model, spec, 1.0)
+        assert report.p_restart_wins == p_restart_wins(model, spec)
+        assert report.mean_T == mean_T(model, spec) == mean_T_generic(model, spec)
 
     @pytest.mark.parametrize("kind", [AT_INFINITY, TRUNCATION])
     def test_leaky_two_point_example(self, kind):
@@ -426,9 +425,8 @@ class TestRenewalHorizon:
         # P(R <= U) = 0.25 * 0.6, E[min(U, R)] = 1.2 + 0.6 * (1.5 + 6.75).
         model = TwoPoint(3, 0.4, 9)
         spec = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=kind))
-        for t_max in (None, 0, 5, 8, 9, 50):
-            assert p_restart_wins(model, spec, t_max) == pytest.approx(0.15, rel=1e-15)
-            assert mean_T(model, spec, t_max) == pytest.approx(6.15 / 0.85, rel=1e-15)
+        assert p_restart_wins(model, spec) == pytest.approx(0.15, rel=1e-15)
+        assert mean_T(model, spec) == pytest.approx(6.15 / 0.85, rel=1e-15)
         assert mean_T(model, spec) == pytest.approx(7.2352941176470588, rel=1e-15)
 
     @pytest.mark.parametrize("kind", [AT_INFINITY, TRUNCATION])
@@ -438,9 +436,9 @@ class TestRenewalHorizon:
         model = BiasedWalk(0.5, 1)
         spec = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=kind))
         report = analyze(model, spec)
-        assert report.mean_T == mean_T_generic(model, spec, 50) == math.inf
+        assert report.mean_T == mean_T_generic(model, spec) == math.inf
         assert report.hit_prob == 1.0
-        assert report.p_restart_wins == p_restart_wins(model, spec, 50) == 0.078125
+        assert report.p_restart_wins == p_restart_wins(model, spec) == 0.078125
 
     @pytest.mark.parametrize("model", [BiasedWalk(0.3, 1), BiasedWalk(0.3, 2)], ids=lambda m: m.describe())
     @pytest.mark.parametrize(
@@ -547,7 +545,6 @@ class TestMeanT:
         trap = CycleTrap(0.25, 7, 5)
         assert mean_T(trap, GeometricRestart(0.2)) == mean_T_geometric(trap, 0.2)
         assert mean_T(trap, SharpRestart(9)) == mean_T_sharp(trap, 9)
-        assert mean_T(trap, SharpRestart(9), 50) == mean_T_sharp(trap, 9, 50)
         explicit = ExplicitRestart(TruncatedPMF.from_masses({3: 0.5, 9: 0.5}))
         assert mean_T(trap, explicit) == mean_T_generic(trap, explicit)
 

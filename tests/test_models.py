@@ -167,10 +167,6 @@ class TestRestartSpecSurface:
                 geo.renewal(model, z), cut.renewal(model, z), rtol=1e-12, atol=1e-15
             )
 
-    def test_geometric_renewal_ignores_horizon(self):
-        geo, trap = GeometricRestart(0.3), CycleTrap(0.5, 2, 4)
-        assert geo.renewal(trap, 0.9, 7) == geo.renewal(trap, 0.9)
-
     def test_residual_law_reads_full_expansion(self):
         # Mass past the last epoch: the flat tail beyond U's prefix closes
         # on U's PGF, so N(1) is the sum over U's full expansion.
