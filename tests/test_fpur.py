@@ -342,6 +342,18 @@ class TestRenewalHorizon:
                 num = model.pmf(t_max).coefficients * spec.survival_array(t_max + 1)
                 assert math.fsum(num[: spec.last_epoch()]) == spec.renewal(model, 1.0)[0]
 
+    def test_horizon_below_support_is_raised(self):
+        # A law horizon below U's smallest support point, 40, reads U to 40,
+        # the horizon the clock alone fixes; also for a clock with mass past
+        # its last epoch.
+        model = BiasedWalk(0.55, 40)
+        leaky = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=AT_INFINITY))
+        for spec in (SharpRestart(10), leaky):
+            expected = [terms.tolist() for terms in spec.renewal_terms(model)]
+            assert len(expected[0]) == 41
+            for t_max in (0, 18, 39):
+                assert [terms.tolist() for terms in spec.renewal_terms(model, t_max)] == expected
+
     @pytest.mark.parametrize(
         "spec, kind", [(SharpRestart(10), AT_INFINITY), (GeometricRestart(0.1), TRUNCATION)], ids=str
     )
