@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_z
+from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z
 
 # Default PMF expansion policy: extend until the unrepresented finite-time
 # mass drops below RESIDUAL_TARGET, or the coefficient count hits MAX_TERMS,
@@ -149,9 +149,7 @@ class GeometricRestart(RestartSpec):
 
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
-        if t_max >= 1:
-            n = np.arange(1, t_max + 1)
-            out[1:] = self.rho * (1.0 - self.rho) ** (n - 1)
+        out[1:] = self.rho * self.survival_array(t_max)
         return out
 
     def describe(self) -> str:
@@ -165,7 +163,13 @@ class GeometricRestart(RestartSpec):
         return None
 
     def survival_array(self, size: int) -> np.ndarray:
-        return (1.0 - self.rho) ** np.arange(size)
+        """(1 - rho)**n for n = 0..size-1.  Past the index where the powers
+        fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
+        rather than sent through libm's slow underflow path."""
+        out = np.zeros(size)
+        live = int(min(size, 3 + 1100 * math.log(2.0) / -self._log_x))
+        out[:live] = (1.0 - self.rho) ** np.arange(live)
+        return out
 
     def renewal(self, model: ProcessModel, z: float) -> tuple[float, float, float]:
         """Closed forms on the model's PGF, with x = 1 - rho:
@@ -222,13 +226,13 @@ class SharpRestart(RestartSpec):
         n_restart = self.n_restart
         if n_restart <= model.min_support():
             return math.inf
-        u = model.pmf(n_restart - 1)
-        coeffs = u.coefficients
-        mass_below = math.fsum(coeffs.tolist())
+        head = model._prefix(n_restart - 1)
+        mass_below, tail = math.fsum(head.tolist()), model._tail(head)
+        _check_mass(mass_below + tail)
         if mass_below <= 0.0:
             return math.inf
-        weighted = math.fsum((np.arange(coeffs.size) * coeffs).tolist())
-        return (weighted + n_restart * u.survival(n_restart - 1)) / mass_below
+        weighted = math.fsum((np.arange(head.size) * head).tolist())
+        return (weighted + n_restart * tail) / mass_below
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +297,9 @@ class ProcessModel:
 
     :meth:`pmf` holds u(0..h) for the longest horizon h asked, serves shorter
     horizons as its prefix and extends it through ``_atoms`` for longer ones;
-    each mass depends only on its time, so every horizon has first-expansion bits."""
+    each mass depends only on its time, so every horizon has first-expansion bits.
+    Only ``ProcessModel``'s own methods touch the held masses; everything else
+    reads them through :meth:`_prefix`."""
 
     _held: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -308,18 +314,29 @@ class ProcessModel:
             t_max = self._default_horizon()
         elif t_max < self.min_support():
             raise ValueError(f"t_max={t_max} is below the smallest support point {self.min_support()}")
-        held = self._held
-        if held is None or held.size <= t_max:
-            held = self._extend(held, t_max + 1, *self._atoms(0 if held is None else held.size, t_max + 1))
-        head = held[: t_max + 1]
+        head = self._prefix(t_max)
         return TruncatedPMF(head, self._tail(head), AT_INFINITY if math.isinf(self.mean()) else TRUNCATION)
 
-    def _extend(self, held: np.ndarray | None, stop: int, times, masses) -> np.ndarray:
-        """Hold and return u(0..stop-1): ``held``, then ``masses`` added at ``times``."""
+    def _prefix(self, t_max: int | None = None) -> np.ndarray:
+        """u(0..t_max) from the held masses, extended through ``_atoms`` when
+        they are too short; with no ``t_max``, the masses held so far."""
+        held = np.zeros(0) if self._held is None else self._held
+        if t_max is None:
+            return held
+        if held.size <= t_max:
+            held = self._extend(held, t_max + 1, *self._atoms(held.size, t_max + 1))
+        return held[: t_max + 1]
+
+    def _extend(self, held: np.ndarray, stop: int, times, masses) -> np.ndarray:
+        """Hold and return u(0..stop-1): ``held``, then ``masses`` added at
+        ``times``; each new mass must be finite and nonnegative."""
         out = np.zeros(stop)
-        if held is not None:
-            out[: held.size] = held
+        out[: held.size] = held
         np.add.at(out, times, masses)
+        new = out[held.size :]
+        # A NaN makes the minimum NaN, which fails the comparison.
+        if not 0.0 <= new.min() <= new.max() < math.inf:
+            raise ValueError("masses must be finite and nonnegative")
         object.__setattr__(self, "_held", out)
         return out
 
@@ -546,8 +563,8 @@ class BiasedWalk(ProcessModel):
         held masses are summed first (np.cumsum adds in the same order)."""
         m, k_cap = self.m, (MAX_TERMS - 1 - self.m) // 2
         target = self.hit_prob() - RESIDUAL_TARGET
-        held = self._held
-        sums = np.cumsum(np.zeros(0) if held is None else held[m::2][: k_cap + 1])
+        held = self._prefix()
+        sums = np.cumsum(held[m::2][: k_cap + 1])
         reached = np.flatnonzero(sums >= target)
         if reached.size or sums.size > k_cap:
             return m + 2 * int(reached[0] if reached.size else k_cap)

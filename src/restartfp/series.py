@@ -23,11 +23,20 @@ AT_INFINITY = "at_infinity"
 
 # Coefficients per block of the blocked series division.
 _BLOCK = 128
+# Bits the scale of the scaled division may fall short of the largest its
+# sums allow before the live window is rescaled.
+_SLACK = 256
 
 
 def _check_z(z: float) -> None:
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"z={z!r} outside [0, 1]")
+
+
+def _check_mass(total: float) -> None:
+    """The total-mass identity: masses plus residual within MASS_TOL of 1."""
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"total mass {total!r} differs from 1 by more than {MASS_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +69,7 @@ class TruncatedPMF:
             raise ValueError("residual must be finite and nonnegative")
         if self.residual_kind not in (TRUNCATION, AT_INFINITY):
             raise ValueError(f"unknown residual kind {self.residual_kind!r}")
-        total = math.fsum(coeffs.tolist()) + self.residual
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {total!r} differs from 1 by more than {MASS_TOL}")
+        _check_mass(math.fsum(coeffs.tolist()) + self.residual)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -155,6 +162,11 @@ def _substitute(num: np.ndarray, den: np.ndarray, width: int, spent: int) -> np.
     return quot
 
 
+def _exponent(x: float) -> float:
+    """The least integer e with |x| < 2**e; -inf for 0."""
+    return math.frexp(x)[1] if x else -math.inf
+
+
 def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     """First t_max+1 coefficients of the formal power-series quotient.
 
@@ -168,9 +180,24 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     numerator is nonnegative and the denominator is den[0] > 0 minus
     nonnegative terms, as for a restarted law, every product and sum is
     nonnegative, so nothing cancels; the last bits may differ from the
-    one-coefficient-at-a-time loop.  Once the numerator is spent and the
-    quotient has been exactly 0 for the denominator's length (checked per
-    block), every later coefficient is exactly 0 and the division stops.
+    one-coefficient-at-a-time loop.
+
+    The denominator contracts when sum_{k>=1} |den[k]| <= |den[0]|; then
+    no coefficient exceeds (n + 1) max|num| / |den[0]|, and the blocks run
+    on copies scaled by powers of two, which round as the unscaled values
+    do wherever those stay normal.  den[1:] is lifted by 2**S so that its
+    smallest nonzero term is normal.  The quotient history is held times
+    2**E, E >= 0 kept within ``_SLACK`` bits of the largest scale the sums
+    allow (the live window is rescaled as the quotient decays), so the
+    blocks stay out of the subnormal range unless the quotient falls by
+    some 1900 bits across one window and block.  Coefficients are written
+    back times 2**-E, so a subnormal one is rounded once.
+
+    Once the numerator is spent, each coefficient is a combination of the
+    last len(den) - 1, none larger under contraction.  So the division
+    stops, leaving zeros, once their largest magnitude is below 2**-1076
+    (every later coefficient rounds to 0) for a contracting denominator,
+    and once they are exactly 0 otherwise.
     """
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
@@ -190,15 +217,59 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     # Lower-triangular Toeplitz matrix of g: row i is g[i], ..., g[0], 0, ...
     padded = np.concatenate((np.zeros(_BLOCK - 1), g))
     inverse = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, _BLOCK)[:, ::-1])
+    lags = max(den.size - 1, 1)
+    sizes = np.abs(den[1:])
+    lead = abs(float(den[0]))
+    # Decided as fsum would: numpy's sum is within size * 2**-52 of the
+    # exact sum, so only a sum that close to |den[0]| needs fsum.
+    contracts = bool(sizes.sum() <= lead * (1.0 - sizes.size * 2.0**-52)) or math.fsum(sizes.tolist()) <= lead
+    smallest = _exponent(float(np.min(sizes, where=sizes > 0.0, initial=math.inf)))
+    shift = max(0, -1021 - smallest) if contracts else 0
     # Zero-padded so each block's correlation window has its full length.
-    den_pad = np.concatenate((den, np.zeros(_BLOCK)))
+    den_pad = np.ldexp(np.concatenate((den, np.zeros(_BLOCK))), shift)
+    floor = -math.inf
+    if contracts:
+        floor = -1076
+        # Scales keep the scaled window, and the bound on every coefficient
+        # while the numerator lasts (ahead), below 2**high, so that no sum
+        # exceeds about 2**970.
+        high = 960 - shift - max(0, _exponent(lead))
+        ahead = _exponent(float(np.abs(top[:spent]).max(initial=0.0))) + _exponent(t_max + 1) + 1 - _exponent(lead)
+    # A restarted law's coefficients are all >= 0 (see above).
+    signed = not (den[0] > 0.0 and top[:spent].min(initial=0.0) >= 0.0 and den[1:].max(initial=0.0) <= 0.0)
+    # quot holds the finished coefficients below ``done``; work holds the
+    # history times 2**scale up to ``end``, and top the numerator still to
+    # come times 2**(scale + shift).
+    scale, work, done, end = 0, quot, 0, t_max + 1
+    top[_BLOCK:spent] = np.ldexp(top[_BLOCK:spent], shift)
+    spare = np.empty(_BLOCK)
+    # peaks[j]: exponent bounding block j's magnitudes, unscaled.
+    peaks = [_exponent(np.abs(quot[:_BLOCK], out=spare).max())]
     for b in range(_BLOCK, t_max + 1, _BLOCK):
-        if b >= max(spent, den.size) and not quot[b - den.size : b].any():
+        window = max(peaks[max(0, b - lags) // _BLOCK :])
+        if b >= spent and window <= floor:
+            end = b
             break
+        if contracts:
+            cap = max(0, high - (max(window, ahead) if b < spent else window))
+            if not cap - _SLACK <= scale <= cap:
+                if work is not quot:
+                    quot[done:b] = np.ldexp(work[done:b], -scale)
+                live, done = max(0, b - lags), b
+                source, work = work, (np.zeros(t_max + 1) if work is quot else work)
+                work[live:b] = np.ldexp(source[live:b], cap - scale)
+                top[b:spent] = np.ldexp(top[b:spent], cap - scale)
+                scale = cap
         e = min(b + _BLOCK, t_max + 1)
         # At least one lag (den_pad[1] is 0 for a constant denominator),
         # so the correlation is never empty.
-        k = max(min(b, den.size - 1), 1)
-        rhs = top[b:e] - np.correlate(den_pad[1 : k + e - b], quot[b - k : b][::-1], "valid")
-        quot[b:e] = inverse[: e - b, : e - b] @ rhs
+        k = min(b, lags)
+        rhs = top[b:e] - np.correlate(den_pad[1 : k + e - b], work[b - k : b][::-1], "valid")
+        if shift:
+            np.ldexp(rhs, -shift, out=rhs)
+        block = work[b:e]
+        np.matmul(inverse[: e - b, : e - b], rhs, out=block)
+        peaks.append(_exponent((np.abs(block, out=spare[: e - b]) if signed else block).max()) - scale)
+    if work is not quot:
+        quot[done:end] = np.ldexp(work[done:end], -scale)
     return quot

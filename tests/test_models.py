@@ -68,8 +68,71 @@ class TestGeometricRestart:
         with pytest.raises(ValueError):
             GeometricRestart(rho)
 
+    @pytest.mark.parametrize("size", [0, 1, 2, 3000, 20000])
+    def test_vectors_equal_pow_past_underflow(self, size):
+        # Powers left 0 past the underflow index are the 0 pow returns there,
+        # and the rest are pow's own bits.
+        for rho in [5e-324, 1e-300, *np.geomspace(1e-4, 1 - 1e-4, 40).tolist()]:
+            spec, n = GeometricRestart(rho), np.arange(1, size)
+            assert spec.survival_array(size).tobytes() == ((1.0 - rho) ** np.arange(size)).tobytes()
+            assert spec.pmf_array(max(size - 1, 0))[1:].tobytes() == (rho * (1.0 - rho) ** (n - 1)).tobytes()
+
+
+def sharp_mean_from_law(model, n_restart):
+    """The sharp closed form read from U's law on 0..N-1 as a TruncatedPMF."""
+    if n_restart <= model.min_support():
+        return math.inf
+    u = model.pmf(n_restart - 1)
+    coeffs = u.coefficients
+    mass_below = math.fsum(coeffs.tolist())
+    if mass_below <= 0.0:
+        return math.inf
+    weighted = math.fsum((np.arange(coeffs.size) * coeffs).tolist())
+    return (weighted + n_restart * u.survival(n_restart - 1)) / mass_below
+
+
+SHARP_MEAN_MODELS = [
+    lambda: CycleTrap(0.75, 2, 14),
+    lambda: CycleTrap(0.25, 5, 10),
+    lambda: BiasedWalk(0.55, 3),
+    lambda: BiasedWalk(0.3, 2),
+    lambda: TwoPoint(3, 0.4, 17),
+    lambda: ExplicitProcess(TruncatedPMF.from_masses({2: 0.5, 7: 0.25, 40: 0.125}, residual=0.125, residual_kind=AT_INFINITY)),
+]
+
+
+def _scaled_walk(factor):
+    """A biased walk whose masses are multiplied by ``factor``."""
+
+    class Walk(BiasedWalk):
+        def _atoms(self, start, stop):
+            times, masses = super()._atoms(start, stop)
+            return times, [factor * w for w in masses]
+
+    return Walk(0.8, 3)
+
 
 class TestSharpRestart:
+    @pytest.mark.parametrize("make", SHARP_MEAN_MODELS, ids=lambda make: make().describe())
+    def test_mean_equals_the_law_formula(self, make):
+        # Bit for bit, on cold instances and on a warm one asked every N in
+        # turn, which extends its held masses at each step.
+        warm = make()
+        warm.pmf(30)
+        for n in range(1, 120):
+            expected = sharp_mean_from_law(make(), n)
+            assert SharpRestart(n).closed_form_mean(make()) == expected
+            assert SharpRestart(n).closed_form_mean(warm) == expected
+
+    @pytest.mark.parametrize("factor", [-1.0, 2.0, math.nan, math.inf])
+    def test_mean_rejects_a_bad_law(self, factor):
+        # A negative or non-finite mass, or masses summing past 1, fail the
+        # checks TruncatedPMF makes.
+        with pytest.raises(ValueError):
+            _scaled_walk(factor).pmf(9)
+        with pytest.raises(ValueError):
+            SharpRestart(10).closed_form_mean(_scaled_walk(factor))
+
     def test_pgf_example(self):
         masses = SharpRestart(3).pmf_array(6)
         assert math.fsum((masses * 0.5 ** np.arange(7)).tolist()) == 0.125
@@ -674,6 +737,26 @@ def test_default_horizon_is_called_only_by_process_models():
                 stray.append((path.stem, cls, line))
     assert calls
     assert stray == []
+
+
+def test_held_masses_are_touched_only_by_process_model():
+    # Every other reader of U's held masses goes through ProcessModel._prefix.
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "_held" or (
+                isinstance(child, ast.Constant) and child.value == "_held"
+            ):
+                found.append(scope)
+            inner = (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            visit(child, inner)
+
+    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    assert found
+    assert {scope[:2] for scope in found} == {("models", "ProcessModel")}
+    assert all(len(scope) == 3 for scope in found)
 
 
 def _class_bodies():

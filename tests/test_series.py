@@ -1,5 +1,6 @@
 """Truncated PMF container and formal power-series division."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -330,3 +331,51 @@ class TestSeriesDivideBlocked:
     def test_constant_denominator(self):
         num = np.arange(1.0, 301.0)
         assert series_divide(num, np.array([2.0]), 299).tolist() == (num / 2.0).tolist()
+
+
+def decimal_divide(num, den, t_max, digits=40):
+    """The long-division recurrence in decimal arithmetic to ``digits``
+    significant digits, with an exponent range wide enough that nothing
+    underflows: a close oracle where Fractions grow too long, as with a
+    subnormal denominator term."""
+    ctx = decimal.Context(prec=digits, Emin=-(10**6), Emax=10**6)
+    num = [ctx.create_decimal_from_float(x) for x in num.tolist()]
+    den = [ctx.create_decimal_from_float(x) for x in den.tolist()]
+    quot = []
+    for n in range(t_max + 1):
+        acc = num[n] if n < len(num) else ctx.create_decimal(0)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            acc = ctx.subtract(acc, ctx.multiply(den[k], quot[n - k]))
+        quot.append(ctx.divide(acc, den[0]))
+    return quot
+
+
+class TestSeriesDivideSubnormal:
+    """Quotients that cross into the subnormal range inside the blocked part
+    (n > 128) and fall below 2**-1075 before t_max: each coefficient is the
+    exact one rounded once, to 1e-13 relative plus half the smallest
+    subnormal."""
+
+    @staticmethod
+    def check(got, exact):
+        tiny, gone = Fraction(1, 2**1022), Fraction(1, 2**1075)
+        crossed = [n for n, e in enumerate(exact) if e < tiny]
+        assert crossed[0] > 128 and exact[-1] < gone
+        errors = [abs(Fraction(g) - e) - Fraction(1e-13) * e - gone for g, e in zip(got.tolist(), exact)]
+        assert max(errors) <= 0
+
+    def test_short_denominator_against_exact(self):
+        # A restarted-law shape: a decaying numerator that lasts past the
+        # first block over 1 minus a few terms summing to at most 1.
+        num = 0.5 * 0.3 ** np.arange(150)
+        den = np.array([1.0, -0.05, -0.002, -1e-4])
+        self.check(series_divide(num, den, 400), exact_divide(num, den, 400))
+
+    def test_denominator_with_subnormal_terms(self):
+        # A geometric clock's denominator ends in subnormal terms, which the
+        # division lifts by a power of two.
+        num = 0.4 * 0.2 ** np.arange(100)
+        den = np.concatenate(([1.0], -0.05 * 0.1 ** np.arange(330)))
+        den = den[: np.flatnonzero(den)[-1] + 1]
+        assert np.any(np.abs(den) < 2.0**-1022)
+        self.check(series_divide(num, den, 450), [Fraction(e) for e in decimal_divide(num, den, 450)])
