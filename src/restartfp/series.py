@@ -143,25 +143,6 @@ class TruncatedPMF:
         return np.append(np.cumsum(self.coefficients[:0:-1])[::-1], 0.0) + self.residual
 
 
-def _substitute(num: np.ndarray, den: np.ndarray, width: int, spent: int) -> np.ndarray:
-    """First ``width`` quotient coefficients, one at a time:
-    q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0].  Stops, leaving
-    zeros, once n >= spent and the quotient has been exactly 0 for the
-    denominator's length: every later coefficient is exactly 0 as well."""
-    quot = np.zeros(width)
-    zeros = 0
-    for n in range(width):
-        if n >= spent and zeros >= den.size:
-            break
-        acc = num[n] if n < spent else 0.0
-        kmax = min(n, den.size - 1)
-        if kmax >= 1:
-            acc -= float(np.dot(den[1 : kmax + 1], quot[n - kmax : n][::-1]))
-        quot[n] = acc / den[0]
-        zeros = zeros + 1 if quot[n] == 0.0 else 0
-    return quot
-
-
 def _exponent(x: float) -> float:
     """The least integer e with |x| < 2**e; -inf for 0."""
     return math.frexp(x)[1] if x else -math.inf
@@ -170,20 +151,21 @@ def _exponent(x: float) -> float:
 def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     """First t_max+1 coefficients of the formal power-series quotient.
 
-    Blocked forward substitution.  The first ``_BLOCK`` coefficients come
-    from the long-division recurrence
-    q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0],
-    which also gives g = 1/den to ``_BLOCK`` terms.  Each later block
-    subtracts the earlier blocks' contribution (one correlation) from the
-    numerator and multiplies by the lower-triangular Toeplitz matrix of g.
-    Sums run up to the denominator's last nonzero coefficient.  When the
-    numerator is nonnegative and the denominator is den[0] > 0 minus
-    nonnegative terms, as for a restarted law, every product and sum is
-    nonnegative, so nothing cancels; the last bits may differ from the
-    one-coefficient-at-a-time loop.
+    Blocked forward substitution, every block alike.  g = 1/den is built
+    to ``_BLOCK`` terms by doubling (Newton's iteration, as in Brent and
+    Kung), g[s:2s] = -(g[:s] * (den g[:s])[s:2s])[:s], in numpy's longdouble.
+    Each block of ``_BLOCK`` coefficients, the first included, subtracts the
+    earlier blocks' contribution (one correlation) from the numerator and
+    multiplies by the lower-triangular Toeplitz matrix of g.  Sums run up to
+    the denominator's last nonzero coefficient.  When the numerator is
+    nonnegative and the denominator is den[0] > 0 minus nonnegative terms,
+    as for a restarted law, every product and sum (those building g
+    included; den[0] never enters them) is nonnegative, so nothing cancels;
+    the last bits may differ from the one-coefficient-at-a-time loop
+    q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0].
 
     The denominator contracts when sum_{k>=1} |den[k]| <= |den[0]|; then
-    no coefficient exceeds (n + 1) max|num| / |den[0]|, and the blocks run
+    no coefficient exceeds (n + 1) max|num| / |den[0]|, and every block runs
     on copies scaled by powers of two, which round as the unscaled values
     do wherever those stay normal.  den[1:] is lifted by 2**S so that its
     smallest nonzero term is normal.  The quotient history is held times
@@ -199,23 +181,30 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     (every later coefficient rounds to 0) for a contracting denominator,
     and once they are exactly 0 otherwise.
     """
-    num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
     if den.size == 0 or den[0] == 0.0:
         raise ZeroDivisionError("denominator constant term is zero; quotient series undefined")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    num = np.asarray(numerator, dtype=float)[: t_max + 1]
     den = den[: np.flatnonzero(den)[-1] + 1]
-    spent = min(np.flatnonzero(num)[-1] + 1 if np.any(num) else 0, t_max + 1)
+    spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
     top = np.zeros(t_max + 1)
     top[:spent] = num[:spent]
-    quot = np.zeros(t_max + 1)
-    quot[:_BLOCK] = _substitute(top, den, min(_BLOCK, t_max + 1), spent)
-    if t_max < _BLOCK:
-        return quot
-    g = _substitute(np.ones(1), den, _BLOCK, 1)
+    # Zero-padded so that g's doubling steps and each block's correlation
+    # window have their full length.
+    den_pad = np.concatenate((den, np.zeros(_BLOCK)))
+    # g is built in extended precision (where numpy has it) and rounded
+    # once: each doubling step adds the error of g[:s] to every new term,
+    # so a term's error grows with its index, and every block reuses g.
+    g = np.zeros(_BLOCK, dtype=np.longdouble)
+    g[0] = 1 / np.longdouble(den[0])
+    s = 1
+    while s < _BLOCK:
+        g[s : 2 * s] = -np.convolve(g[:s], np.convolve(den_pad[: 2 * s], g[:s])[s : 2 * s])[:s]
+        s *= 2
     # Lower-triangular Toeplitz matrix of g: row i is g[i], ..., g[0], 0, ...
-    padded = np.concatenate((np.zeros(_BLOCK - 1), g))
+    padded = np.concatenate((np.zeros(_BLOCK - 1), g.astype(float)))
     inverse = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, _BLOCK)[:, ::-1])
     lags = max(den.size - 1, 1)
     sizes = np.abs(den[1:])
@@ -225,8 +214,7 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     contracts = bool(sizes.sum() <= lead * (1.0 - sizes.size * 2.0**-52)) or math.fsum(sizes.tolist()) <= lead
     smallest = _exponent(float(np.min(sizes, where=sizes > 0.0, initial=math.inf)))
     shift = max(0, -1021 - smallest) if contracts else 0
-    # Zero-padded so each block's correlation window has its full length.
-    den_pad = np.ldexp(np.concatenate((den, np.zeros(_BLOCK))), shift)
+    np.ldexp(den_pad, shift, out=den_pad)
     floor = -math.inf
     if contracts:
         floor = -1076
@@ -240,36 +228,35 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     # quot holds the finished coefficients below ``done``; work holds the
     # history times 2**scale up to ``end``, and top the numerator still to
     # come times 2**(scale + shift).
-    scale, work, done, end = 0, quot, 0, t_max + 1
-    top[_BLOCK:spent] = np.ldexp(top[_BLOCK:spent], shift)
+    quot, work = np.zeros(t_max + 1), np.zeros(t_max + 1)
+    scale, done, end = 0, 0, t_max + 1
+    top[:spent] = np.ldexp(top[:spent], shift)
     spare = np.empty(_BLOCK)
     # peaks[j]: exponent bounding block j's magnitudes, unscaled.
-    peaks = [_exponent(np.abs(quot[:_BLOCK], out=spare).max())]
-    for b in range(_BLOCK, t_max + 1, _BLOCK):
-        window = max(peaks[max(0, b - lags) // _BLOCK :])
+    peaks = []
+    for b in range(0, t_max + 1, _BLOCK):
+        window = max(peaks[max(0, b - lags) // _BLOCK :], default=-math.inf)
         if b >= spent and window <= floor:
             end = b
             break
         if contracts:
             cap = max(0, high - (max(window, ahead) if b < spent else window))
             if not cap - _SLACK <= scale <= cap:
-                if work is not quot:
-                    quot[done:b] = np.ldexp(work[done:b], -scale)
+                quot[done:b] = np.ldexp(work[done:b], -scale)
                 live, done = max(0, b - lags), b
-                source, work = work, (np.zeros(t_max + 1) if work is quot else work)
-                work[live:b] = np.ldexp(source[live:b], cap - scale)
+                work[live:b] = np.ldexp(work[live:b], cap - scale)
                 top[b:spent] = np.ldexp(top[b:spent], cap - scale)
                 scale = cap
         e = min(b + _BLOCK, t_max + 1)
-        # At least one lag (den_pad[1] is 0 for a constant denominator),
-        # so the correlation is never empty.
+        # The first block has no history.  Later ones have at least one lag
+        # (den_pad[1] is 0 for a constant denominator), so the correlation
+        # is never empty.
         k = min(b, lags)
-        rhs = top[b:e] - np.correlate(den_pad[1 : k + e - b], work[b - k : b][::-1], "valid")
+        rhs = top[b:e] - (np.correlate(den_pad[1 : k + e - b], work[b - k : b][::-1], "valid") if b else 0.0)
         if shift:
             np.ldexp(rhs, -shift, out=rhs)
         block = work[b:e]
         np.matmul(inverse[: e - b, : e - b], rhs, out=block)
         peaks.append(_exponent((np.abs(block, out=spare[: e - b]) if signed else block).max()) - scale)
-    if work is not quot:
-        quot[done:end] = np.ldexp(work[done:end], -scale)
+    quot[done:end] = np.ldexp(work[done:end], -scale)
     return quot

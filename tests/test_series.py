@@ -214,6 +214,12 @@ class TestSeriesDivide:
         assert quotient[:8].tolist() == [0.0, 0.5, 0.0, 0.0, 5e-201, 0.0, 0.0, 0.0]
         assert np.all(quotient[8:] == 0.0)
 
+    def test_numerator_past_the_horizon_is_ignored(self):
+        # Only num[:t_max + 1] enters the quotient, even when it is all zero.
+        quotient = series_divide(np.r_[np.zeros(500), 1.0], np.array([1.0, -0.5]), 300)
+        assert quotient.tolist() == [0.0] * 301
+        assert series_divide(np.array([0.0, 1.0]), np.array([1.0]), 0).tolist() == [0.0]
+
 
 def plain_divide(num, den, t_max):
     """The dense long-division loop over every coefficient: the oracle."""
@@ -265,41 +271,37 @@ def exact_divide(num, den, t_max):
     return quot
 
 
-class TestSeriesDivideEarlyStop:
-    @given(restart_shaped_series())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_plain_loop(self, series):
-        num, den, t_max = series
-        got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
-        assert np.array_equal(got == 0.0, want == 0.0)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-
-
 # Below 2**-1000 the quotient is near or in the subnormal range, where a
 # reordered sum keeps fewer significant bits.
 SUBNORMAL_ATOL = 2.0**-1000
 
 
 class TestSeriesDivideBlocked:
-    """Quotients long enough to span several blocks of the division."""
+    """The blocked division against the one-coefficient-at-a-time loop,
+    from a single coefficient to many blocks."""
 
-    @given(st.one_of(
-        restart_shaped_series(max_size=300, max_t=700),
-        restart_shaped_series(max_size=300, max_t=700, sharp=True),
-    ))
+    @given(
+        restart_shaped_series(),
+        st.one_of(
+            restart_shaped_series(max_size=300, max_t=700),
+            restart_shaped_series(max_size=300, max_t=700, sharp=True),
+        ),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_matches_plain_loop(self, series):
-        num, den, t_max = series
-        got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=SUBNORMAL_ATOL)
-        # Once the numerator is spent and the quotient has been exactly 0
-        # for the denominator's length, it stays exactly 0.
-        size = np.flatnonzero(den)[-1] + 1
-        spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
-        for n in range(max(spent, size), t_max + 1):
-            if not got[n - size : n].any():
-                assert not got[n:].any()
-                break
+    def test_matches_plain_loop(self, short, long):
+        # Each example checks a short series, which mostly fits in the
+        # first block, and one that may span many.
+        for num, den, t_max in (short, long):
+            got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=SUBNORMAL_ATOL)
+            # Once the numerator is spent and the quotient has been exactly
+            # 0 for the denominator's length, it stays exactly 0.
+            size = np.flatnonzero(den)[-1] + 1
+            spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
+            for n in range(max(spent, size), t_max + 1):
+                if not got[n - size : n].any():
+                    assert not got[n:].any()
+                    break
 
     @pytest.mark.parametrize("t_max", [82, 700])
     def test_subnormal_start_of_a_growing_quotient(self, t_max):
@@ -318,7 +320,7 @@ class TestSeriesDivideBlocked:
         assert plain < 1e-6
         assert blocked <= plain * (1.0 + 1e-3)
 
-    @pytest.mark.parametrize("t_max", [127, 128, 129, 255, 256, 1000])
+    @pytest.mark.parametrize("t_max", [0, 1, 63, 64, 127, 128, 129, 255, 256, 1000])
     def test_block_edges(self, t_max):
         # 1 / (1 - x/2 - x**2/4) has positive Fibonacci-like coefficients.
         den = np.array([1.0, -0.5, -0.25])
@@ -351,7 +353,7 @@ def decimal_divide(num, den, t_max, digits=40):
 
 
 class TestSeriesDivideSubnormal:
-    """Quotients that cross into the subnormal range inside the blocked part
+    """Quotients that cross into the subnormal range past the first block
     (n > 128) and fall below 2**-1075 before t_max: each coefficient is the
     exact one rounded once, to 1e-13 relative plus half the smallest
     subnormal."""
