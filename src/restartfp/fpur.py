@@ -7,7 +7,8 @@ beneficial-restart criteria for the geometric and sharp families.
 Every renewal sum comes from the restart law's ``renewal`` method: closed
 forms on the model's PGF for geometric restart, else finite sums up to the
 clock's last epoch, whose flat tail of residual mass, if any, closes on the
-model's PGF and mean; the exact law divides the series of ``renewal_terms``.
+model's PGF and mean; the exact law is the clock's ``closed_form_law`` (sharp)
+or else divides the series of ``renewal_terms``.
 The renewal denominator is accumulated from nonnegative terms rather than
 as "1 minus a sum", so it stays accurate even when the straightforward form
 would cancel catastrophically, and it is exactly 0 only for a preemptive
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z, series_divide
+from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z, _fsum, series_divide
 from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart, _clamped_sqrt
 
 # Classification labels for sharp restart on the cycle trap.
@@ -91,24 +92,27 @@ def fpur_pgf(model: ProcessModel, spec: RestartSpec, z: float) -> float:
 def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF:
     """Mass function of the restarted hitting time on 0..t_max.
 
-    Formal power-series division of the numerator terms u(n) P(R > n) by
-    delta(n=0) - r(n) P(U >= n), both from ``spec.renewal_terms``; below
+    The restart law's ``closed_form_law`` where it has one (sharp), else
+    the formal power-series division of the numerator terms u(n) P(R > n)
+    by delta(n=0) - r(n) P(U >= n), both from ``spec.renewal_terms``; below
     U's smallest support point the law is all zeros.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    num, wins, _ = spec.renewal_terms(model, t_max)
-    den = -wins[: t_max + 1]
-    den[0] = 1.0
-    quot = series_divide(num[: t_max + 1], den, t_max)
-    # Division round-off can leave harmless negative dust.
-    if np.any(quot < -1e-9):
-        raise ArithmeticError("restarted PMF division produced negative mass")
-    np.clip(quot, 0.0, None, out=quot)
-    residual = max(0.0, 1.0 - math.fsum(quot.tolist()))
+    law = spec.closed_form_law(model, t_max)
+    if law is None:
+        num, wins, _ = spec.renewal_terms(model, t_max)
+        den = -wins[: t_max + 1]
+        den[0] = 1.0
+        quot = series_divide(num[: t_max + 1], den, t_max)
+        # Division round-off can leave harmless negative dust.
+        if np.any(quot < -1e-9):
+            raise ArithmeticError("restarted PMF division produced negative mass")
+        np.clip(quot, 0.0, None, out=quot)
+        law = quot, max(0.0, 1.0 - _fsum(quot))
     # The tag's renewal sums read a prefix of the U masses held for the law.
     kind = AT_INFINITY if _at_one(model, spec)[0] < 1.0 else TRUNCATION
-    return TruncatedPMF(quot, residual=residual, residual_kind=kind)
+    return TruncatedPMF(*law, residual_kind=kind)
 
 
 def mean_T_generic(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:

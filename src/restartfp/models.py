@@ -44,14 +44,26 @@ def _clamped_sqrt(arg: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _powers(x: float, size: int) -> np.ndarray:
+    """x**n for n = 0..size-1, x in [0, 1].  Past the index where the powers
+    fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
+    rather than sent through libm's slow underflow path."""
+    live = size if x >= 1.0 else min(size, 1)
+    if 0.0 < x < 1.0:
+        live = int(min(size, 3 + 1100 * math.log(2.0) / -math.log(x)))
+    out = np.zeros(size)
+    out[:live] = x ** np.arange(live)
+    return out
+
+
 class RestartSpec:
     """When the restart clock fires.  Subclasses are immutable value objects.
 
     A clock supplies exactly what :mod:`restartfp.fpur` and the simulator
     read: ``survival`` (with ``cdf`` and ``hit_prob`` as its complements),
     the ``survival_array`` and ``pmf_array`` vectors, the inverse-CDF
-    ``draw``, ``last_epoch``, ``describe``, the closed-form mean where one
-    exists, and the renewal terms and sums.
+    ``draw``, ``last_epoch``, ``describe``, the closed-form mean and law
+    where they exist, and the renewal terms and sums.
     """
 
     def cdf(self, n: int) -> float:
@@ -87,6 +99,11 @@ class RestartSpec:
 
     def closed_form_mean(self, model: ProcessModel) -> float | None:
         """E[T] by this family's closed form; None when it has none."""
+        return None
+
+    def closed_form_law(self, model: ProcessModel, t_max: int) -> tuple[np.ndarray, float] | None:
+        """T's masses on 0..t_max and P(T > t_max) by this family's closed
+        form; None when it has none, and the law divides the renewal series."""
         return None
 
     def renewal_terms(
@@ -163,13 +180,8 @@ class GeometricRestart(RestartSpec):
         return None
 
     def survival_array(self, size: int) -> np.ndarray:
-        """(1 - rho)**n for n = 0..size-1.  Past the index where the powers
-        fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
-        rather than sent through libm's slow underflow path."""
-        out = np.zeros(size)
-        live = int(min(size, 3 + 1100 * math.log(2.0) / -self._log_x))
-        out[:live] = (1.0 - self.rho) ** np.arange(live)
-        return out
+        """(1 - rho)**n for n = 0..size-1."""
+        return _powers(1.0 - self.rho, size)
 
     def renewal(self, model: ProcessModel, z: float) -> tuple[float, float, float]:
         """Closed forms on the model's PGF, with x = 1 - rho:
@@ -220,19 +232,39 @@ class SharpRestart(RestartSpec):
         out[: self.n_restart] = 1.0
         return out
 
-    def closed_form_mean(self, model: ProcessModel) -> float:
-        """(sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1), with U expanded
-        to N-1; infinity if preemptive."""
-        n_restart = self.n_restart
-        if n_restart <= model.min_support():
-            return math.inf
-        head = model._prefix(n_restart - 1)
+    def _cycle(self, model: ProcessModel) -> tuple[np.ndarray, float, float] | None:
+        """(u(0..N-1), P(U <= N-1), s = P(U >= N)) for one cycle, with U
+        expanded to N-1; None if preemptive (no mass below N)."""
+        if self.n_restart <= model.min_support():
+            return None
+        head = model._prefix(self.n_restart - 1)
         mass_below, tail = math.fsum(head.tolist()), model._tail(head)
         _check_mass(mass_below + tail)
-        if mass_below <= 0.0:
+        return None if mass_below <= 0.0 else (head, mass_below, tail)
+
+    def closed_form_mean(self, model: ProcessModel) -> float:
+        """(sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1); infinity if
+        preemptive."""
+        cycle = self._cycle(model)
+        if cycle is None:
             return math.inf
+        head, mass_below, tail = cycle
         weighted = math.fsum((np.arange(head.size) * head).tolist())
-        return (weighted + n_restart * tail) / mass_below
+        return (weighted + self.n_restart * tail) / mass_below
+
+    def closed_form_law(self, model: ProcessModel, t_max: int) -> tuple[np.ndarray, float]:
+        """Each cycle hits at U <= N-1 or restarts with probability s, so
+        P(T = kN + j) = s^k u(j) for j < N, and P(T > t_max) = s^k P(U > j)
+        at t_max = kN + j; all zeros, residual 1, if preemptive."""
+        cycle = self._cycle(model)
+        if cycle is None:
+            return np.zeros(t_max + 1), 1.0
+        head, _, s = cycle
+        k, j = divmod(t_max, self.n_restart)
+        powers = _powers(s, k + 1)
+        # P(U > j) is s plus the masses past j, not 1 minus those up to j.
+        residual = float(powers[k]) * math.fsum([s, *head[j + 1 :].tolist()])
+        return np.outer(powers, head).ravel()[: t_max + 1], residual
 
 
 @dataclass(frozen=True, eq=False)

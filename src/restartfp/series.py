@@ -39,6 +39,13 @@ def _check_mass(total: float) -> None:
         raise ValueError(f"total mass {total!r} differs from 1 by more than {MASS_TOL}")
 
 
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum`` of ``values`` read up to their last nonzero entry: fsum
+    is exact, so the zeros past it would move no bit, only cost time."""
+    stop = values.size - int(np.argmax(values[::-1] != 0.0))
+    return math.fsum(values[:stop].tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedPMF:
     """Mass sequence on 0..t_max with an explicit, tagged residual.
@@ -69,7 +76,7 @@ class TruncatedPMF:
             raise ValueError("residual must be finite and nonnegative")
         if self.residual_kind not in (TRUNCATION, AT_INFINITY):
             raise ValueError(f"unknown residual kind {self.residual_kind!r}")
-        _check_mass(math.fsum(coeffs.tolist()) + self.residual)
+        _check_mass(_fsum(coeffs) + self.residual)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 

@@ -3,6 +3,7 @@ beneficial-restart criteria."""
 
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,9 +239,35 @@ class TestMeanGeneric:
             assert mean_T_generic(model, spec) == pytest.approx(decomposition, rel=1e-9)
 
 
+# The sharp law's closed form against the same clock's division: over the
+# normal coefficients |closed - division| <= r (k + 1) 2**-53 |division| at
+# t = kN + j, and the residuals within an absolute budget, since the
+# division's is 1 - fsum.  Measured worst on TestSharpLaw's pairs: r 1.998
+# (BiasedWalk(0.5, 1), N = 2, t = 2000) and 1.1e-15 for the residual
+# (BiasedWalk(0.3, 2), N = 3, t = 2000: 4.8e-28 against 1.1e-15).
+DIVISION_R, DIVISION_RESIDUAL = 4.0, 4e-15
+
+
+def assert_division_agrees(model, n_restart, t_max):
+    """The sharp law against ExplicitRestart({N: 1}), which still divides:
+    the same zero pattern and tag, the mass identity, and the budget above."""
+    a = fpur_pmf(model, SharpRestart(n_restart), t_max)
+    b = fpur_pmf(model, ExplicitRestart(TruncatedPMF.from_masses({n_restart: 1.0})), t_max)
+    assert np.array_equal(a.coefficients != 0.0, b.coefficients != 0.0)
+    assert a.residual_kind == b.residual_kind
+    assert abs(math.fsum(a.coefficients) + a.residual - 1.0) <= 1e-15
+    normal = b.coefficients >= 2.0**-1022
+    budget = DIVISION_R * (np.arange(t_max + 1) // n_restart + 1) * 2.0**-53 * b.coefficients
+    assert np.all(np.abs(a.coefficients - b.coefficients)[normal] <= budget[normal])
+    assert abs(a.residual - b.residual) <= DIVISION_RESIDUAL
+    return a
+
+
 class TestSharpAsExplicitClock:
     """Sharp restart and the explicit clock with all mass at N run the same
-    finite-support formulas, so every value agrees exactly."""
+    finite-support formulas, so every z-evaluation agrees exactly.  The
+    sharp law is closed-form and the explicit one divides, so the laws agree
+    within :func:`assert_division_agrees`' budget."""
 
     @pytest.mark.parametrize(
         "model",
@@ -255,9 +282,7 @@ class TestSharpAsExplicitClock:
             assert fn(model, sharp) == fn(model, explicit), fn.__name__
         for z in (0.0, 0.4, 0.9, 0.99, 1.0):
             assert fpur_pgf(model, sharp, z) == fpur_pgf(model, explicit, z)
-        a, b = fpur_pmf(model, sharp, 80), fpur_pmf(model, explicit, 80)
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert (a.residual, a.residual_kind) == (b.residual, b.residual_kind)
+        assert_division_agrees(model, n_restart, 80)
 
 
 LEAKY_MODELS = [CycleTrap(0.5, 2, 4), CycleTrap(0.75, 2, 14), TwoPoint(3, 0.4, 9), BiasedWalk(0.8, 3),
@@ -306,10 +331,8 @@ class TestRenewalHorizon:
         assert horizons == [max(n_restart - 1, model.min_support())] * 4
 
     def test_fpur_pmf_expands_once(self, monkeypatch):
-        # The clock has surely fired by t_max, so the residual tag's renewal
-        # sums read U as a prefix of the series' expansion.
-        model, spec = BiasedWalk(0.55, 3), SharpRestart(3000)
-        tag = AT_INFINITY if hitting_prob_T(BiasedWalk(0.55, 3), spec) < 1.0 else TRUNCATION
+        # The sharp law reads U only to N - 1, however long the law, and the
+        # residual tag's renewal sums read the same prefix.
         extensions = []
         atoms = BiasedWalk._atoms
 
@@ -317,10 +340,15 @@ class TestRenewalHorizon:
             extensions.append((start, stop))
             return atoms(self, start, stop)
 
-        monkeypatch.setattr(BiasedWalk, "_atoms", record)
-        law = fpur_pmf(model, spec, 3000)
-        assert extensions == [(0, 3001)]
-        assert law.residual_kind == tag
+        for n_restart, t_max in ((3000, 3000), (8, 16000)):
+            model, spec = BiasedWalk(0.55, 3), SharpRestart(n_restart)
+            tag = AT_INFINITY if hitting_prob_T(BiasedWalk(0.55, 3), spec) < 1.0 else TRUNCATION
+            extensions.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(BiasedWalk, "_atoms", record)
+                law = fpur_pmf(model, spec, t_max)
+            assert extensions == [(0, n_restart)]
+            assert law.residual_kind == tag
 
     @pytest.mark.parametrize("model", HORIZON_MODELS, ids=lambda m: m.describe())
     @pytest.mark.parametrize(
@@ -550,6 +578,137 @@ class TestRenewalHorizon:
         assert report.p_restart_wins == wins
         assert report.expected_restarts == pytest.approx(wins / (1.0 - wins), rel=1e-15)
         assert not report.preemptive
+
+
+def exact_sharp_law(model, n_restart, t_max):
+    """The sharp law in exact arithmetic over the doubles the library holds:
+    s = 1 - sum_{j<N} u(j), then s^k u(j) for t = kN + j <= t_max and the
+    residual s^k P(U > j) at t_max = kN + j.  Each value is an integer pair
+    (numerator, denominator) with k; every double is a dyadic rational, so
+    no Fraction (and no gcd) is formed past s."""
+    head = model.pmf(n_restart - 1).coefficients.tolist()
+    s = 1 - sum(map(Fraction, head))
+    masses = [u.as_integer_ratio() for u in head]
+    k_top, j_top = divmod(t_max, n_restart)
+    values, num, den = [], 1, 1
+    for k in range(k_top + 1):
+        values += [(num * m, den * d, k) for m, d in masses[: n_restart if k < k_top else j_top + 1]]
+        if k < k_top:
+            num, den = num * s.numerator, den * s.denominator
+    tail = s + sum(map(Fraction, head[j_top + 1 :]))
+    return values, (num * tail.numerator, den * tail.denominator, k_top)
+
+
+def worst_oracle_ratio(got, exact) -> float:
+    """Largest (|got - exact| - 2**-1074) / ((k + 1) 2**-53 |exact|), in
+    integers scaled by 2**1074 so that no part of it underflows."""
+    worst = 0.0
+    for value, (num, den, k) in zip(got, exact):
+        if num == 0:
+            assert value == 0.0
+            continue
+        v_num, v_den = float(value).as_integer_ratio()
+        err = abs(v_num * den - num * v_den) << 1074
+        worst = max(worst, (err - v_den * den) / ((k + 1) * num * v_den << 1021))
+    return worst
+
+
+# |err| <= 2**-1074 + ORACLE_R (k + 1) 2**-53 |exact| for the closed form.
+# s carries the rounding of 1 - fsum (walks) or of q^c (traps), which s^k
+# multiplies by k, so r grows as s shrinks.  Measured worst 3.01, on
+# BiasedWalk(0.8, 3) with N = 9, t = 3000 (1.1e-13 relative; the division
+# is 1.3e-12 off there, r 35).  On BiasedWalk(0.55, 3) with N = 39,
+# t = 8000 the closed form is 3.5e-14 off and the division 2.3e-14.
+ORACLE_R = 4.0
+
+
+class TestSharpLaw:
+    """Sharp restart's closed-form law P(T = kN + j) = s^k u(j), s = P(U >= N),
+    against the division route and an exact oracle."""
+
+    @pytest.mark.parametrize(
+        "model", HORIZON_MODELS + [TRAP, WALK], ids=lambda m: m.describe()
+    )
+    def test_matches_division(self, model):
+        low = model.min_support()
+        for n_restart in (low, low + 1, 8, 39):
+            for t_max in (0, n_restart - 1, n_restart, 2000):
+                assert_division_agrees(model, n_restart, t_max)
+
+    @pytest.mark.parametrize(
+        "model, n_restart, t_max",
+        [
+            *[(m, n, 2000) for m in HORIZON_MODELS + [TRAP, WALK] for n in (m.min_support() + 1, 8, 39)],
+            (BiasedWalk(0.8, 3), 9, 3000),
+            (WALK, 39, 8000),
+        ],
+        ids=str,
+    )
+    def test_matches_exact_oracle(self, model, n_restart, t_max):
+        law = fpur_pmf(model, SharpRestart(n_restart), t_max)
+        exact, residual = exact_sharp_law(model, n_restart, t_max)
+        assert worst_oracle_ratio(law.coefficients.tolist(), exact) <= ORACLE_R
+        assert worst_oracle_ratio([law.residual], [residual]) <= ORACLE_R
+
+    def test_preemptive_pair(self):
+        # N at U's smallest support point: nothing hits before the restart.
+        law = fpur_pmf(CycleTrap(0.25, 7, 5), SharpRestart(7), 16000)
+        assert not law.coefficients.any()
+        assert (law.residual, law.residual_kind) == (1.0, AT_INFINITY)
+
+    @pytest.mark.parametrize("t_max", [0, 3, 8])
+    def test_law_shorter_than_the_epoch_is_u(self, t_max):
+        # Before N the clock has not fired: T's law is U's, its residual U's
+        # survival summed from the far end.
+        model = BiasedWalk(0.55, 3)
+        law, u = fpur_pmf(model, SharpRestart(9), t_max), model.pmf(8)
+        assert law.coefficients.tolist() == u.coefficients[: t_max + 1].tolist()
+        assert law.residual == math.fsum([u.residual, *u.coefficients[t_max + 1 :]])
+        assert law.residual_kind == TRUNCATION
+
+    def test_epoch_that_rarely_fails(self):
+        # u(3) = 1e-18, so s = 1 - 1e-18 rounds to 1.0, yet the pair is not
+        # preemptive: every cycle hits at 3 with the same mass.
+        model, spec = BiasedWalk(1e-6, 3), SharpRestart(4)
+        assert model.pmf(3).residual == 1.0
+        law = fpur_pmf(model, spec, 4000)
+        assert law.coefficients[3::4].tolist() == [model.pmf(3).coefficients[3]] * 1000
+        assert np.count_nonzero(law.coefficients) == 1000
+        assert (law.residual, law.residual_kind) == (1.0, TRUNCATION)
+        assert not analyze(model, spec).preemptive
+
+    @pytest.mark.parametrize("t_max", [38, 39, 1000])
+    def test_small_residual_does_not_cancel(self, t_max):
+        # A cycle fails w.p. s = q^10 = 1e-10 (support points 2, 6, ..., 38
+        # below N = 40), so P(T > kN + j) = q^(10k + c), c the support
+        # points up to j; as 1 minus the masses it would carry 1e-16 / s.
+        model = CycleTrap(0.9, 2, 3)
+        k, j = divmod(t_max, 40)
+        law = fpur_pmf(model, SharpRestart(40), t_max)
+        assert law.residual == pytest.approx(model.q ** (10 * k + (j - 2) // 4 + 1), rel=1e-13, abs=0.0)
+
+    def test_epoch_past_all_mass(self):
+        # s = 0: U surely hits before N = 13, so the law is U's.
+        model = TwoPoint(3, 0.4, 9)
+        law = fpur_pmf(model, SharpRestart(13), 100)
+        assert law.coefficients.tolist() == model.pmf(100).coefficients.tolist()
+        assert (law.residual, law.residual_kind) == (0.0, TRUNCATION)
+
+    def test_defective_walk(self):
+        # U never hits w.p. 4/7, which a restart at 5 turns into another cycle.
+        law = assert_division_agrees(BiasedWalk(0.3, 1), 5, 2000)
+        assert law.residual_kind == TRUNCATION
+        assert law.mean() == pytest.approx(mean_T_sharp(BiasedWalk(0.3, 1), 5), rel=1e-12)
+
+    def test_tiny_denominator(self):
+        # u(3) = 1e-15: the cycle fails w.p. s = 1 - 1e-15, so after 2000
+        # steps nearly all mass is still to come.
+        model = BiasedWalk(1e-5, 3)
+        law = assert_division_agrees(model, 4, 2000)
+        assert law.residual_kind == TRUNCATION
+        exact, residual = exact_sharp_law(model, 4, 2000)
+        assert worst_oracle_ratio(law.coefficients.tolist(), exact) <= ORACLE_R
+        assert worst_oracle_ratio([law.residual], [residual]) <= ORACLE_R
 
 
 class TestMeanT:
