@@ -282,6 +282,10 @@ class TestSharpAsExplicitClock:
             assert fn(model, sharp) == fn(model, explicit), fn.__name__
         for z in (0.0, 0.4, 0.9, 0.99, 1.0):
             assert fpur_pgf(model, sharp, z) == fpur_pgf(model, explicit, z)
+        # Both clocks feed the same renewal series to a law on 0..80; the
+        # sharp law closes in form on them, the explicit one divides.
+        for a, b in zip(sharp.renewal_terms(model, 80), explicit.renewal_terms(model, 80)):
+            assert np.array_equal(a, b)
         assert_division_agrees(model, n_restart, 80)
 
 
