@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z, _fsum, series_divide
-from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart, _clamped_sqrt
+from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart
 
 # Classification labels for sharp restart on the cycle trap.
 BENEFICIAL = "beneficial"
@@ -61,7 +61,7 @@ def _at_one(model: ProcessModel, spec: RestartSpec) -> tuple[float, float, float
     d = (1.0 - model.hit_prob()) * (1.0 - spec.hit_prob()) + nu
     if d == 0.0:
         return 0.0, 1.0, math.inf, d
-    hit = min(1.0, nu / d)
+    hit = nu / d
     return hit, max(0.0, 1.0 - d), head / d if hit == 1.0 else math.inf, d
 
 
@@ -105,10 +105,6 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
         den = -wins[: t_max + 1]
         den[0] = 1.0
         quot = series_divide(num[: t_max + 1], den, t_max)
-        # Division round-off can leave harmless negative dust.
-        if np.any(quot < -1e-9):
-            raise ArithmeticError("restarted PMF division produced negative mass")
-        np.clip(quot, 0.0, None, out=quot)
         law = quot, max(0.0, 1.0 - _fsum(quot))
     # The tag's renewal sums read a prefix of the U masses held for the law.
     kind = AT_INFINITY if _at_one(model, spec)[0] < 1.0 else TRUNCATION
@@ -237,7 +233,7 @@ def brw_geometric_mean(p: float, m: int, rho: float) -> float:
         raise ValueError("rho must lie strictly inside (0, 1)")
     q = 1.0 - p
     x = 1.0 - rho
-    base = 1.0 - _clamped_sqrt(1.0 - 4.0 * p * q * x * x)
+    base = 1.0 - math.sqrt(1.0 - 4.0 * p * q * x * x)  # argument >= 0, as in BiasedWalk.pgf
     return ((2.0 * q * x) ** m - base**m) / (rho * base**m)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z
+from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z, _powers
 
 # Default PMF expansion policy: extend until the unrepresented finite-time
 # mass drops below RESIDUAL_TARGET, or the coefficient count hits MAX_TERMS,
@@ -27,33 +27,9 @@ from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass
 RESIDUAL_TARGET = 1e-10
 MAX_TERMS = 10**6
 
-# Floating-point guard for 1 - 4pq z^2 at the branch point (z -> 1, p = q).
-_SQRT_CLAMP = 1e-15
-
-
-def _clamped_sqrt(arg: float) -> float:
-    if arg < 0.0:
-        if arg < -_SQRT_CLAMP:
-            raise ValueError(f"square-root argument {arg!r} below clamp range")
-        arg = 0.0
-    return math.sqrt(arg)
-
-
 # ---------------------------------------------------------------------------
 # Restart-time specifications
 # ---------------------------------------------------------------------------
-
-
-def _powers(x: float, size: int) -> np.ndarray:
-    """x**n for n = 0..size-1, x in [0, 1].  Past the index where the powers
-    fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
-    rather than sent through libm's slow underflow path."""
-    live = size if x >= 1.0 else min(size, 1)
-    if 0.0 < x < 1.0:
-        live = int(min(size, 3 + 1100 * math.log(2.0) / -math.log(x)))
-    out = np.zeros(size)
-    out[:live] = x ** np.arange(live)
-    return out
 
 
 class RestartSpec:
@@ -136,7 +112,7 @@ class RestartSpec:
         s (E[U] - sum_{n<=h} P(U > n)), each at least 0: U's PGF and mean
         close the flat tail."""
         n_terms, w_terms, h_terms = self.renewal_terms(model)
-        zn = z ** np.arange(w_terms.size)
+        zn = _powers(z, w_terms.size)
         n_sum, h_sum = math.fsum(n_terms * zn[:-1]), math.fsum(h_terms)
         s = self.survival(n_terms.size)
         if s > 0.0:
@@ -550,11 +526,9 @@ class BiasedWalk(ProcessModel):
 
     def pgf(self, z: float) -> float:
         _check_z(z)
-        if z == 0.0:
-            return 0.0
-        # (1 - sqrt(1-4pq z^2)) / (2qz) rationalized to avoid cancellation
-        # at small z and at the branch point.
-        root = _clamped_sqrt(1.0 - 4.0 * self.p * self.q * z * z)
+        # (1 - sqrt(1-4pq z^2)) / (2qz) rationalized to avoid cancellation at small z and at
+        # the branch point; 4pq rounds to at most 1 and z <= 1, so sqrt's argument is >= 0.
+        root = math.sqrt(1.0 - 4.0 * self.p * self.q * z * z)
         return (2.0 * self.p * z / (1.0 + root)) ** self.m
 
     def _masses(self, k_lo: int, k_hi: int, acc: float = 0.0, target: float = math.inf) -> list[float]:
@@ -573,7 +547,7 @@ class BiasedWalk(ProcessModel):
             n = m + 2 * k
             masses.append(exp(
                 head
-                + (k * log_pq if k else 0.0)
+                + k * log_pq
                 + lgamma(n + 1)
                 - lgamma(k + 1)
                 - lgamma(n - k + 1)

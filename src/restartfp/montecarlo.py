@@ -115,7 +115,7 @@ def _summarize(samples: list[float], restarts: list[int], censored: int, config:
         ci_high=mean + z * err,
         censored=censored,
         trials_used=used,
-        mean_restarts=fmean(restarts) if restarts else math.nan,
+        mean_restarts=fmean(restarts),
     )
 
 

@@ -46,6 +46,18 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(values[:stop].tolist())
 
 
+def _powers(x: float, size: int) -> np.ndarray:
+    """x**n for n = 0..size-1, x in [0, 1].  Past the index where the powers
+    fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
+    rather than sent through libm's slow underflow path."""
+    live = size if x >= 1.0 else min(size, 1)
+    if 0.0 < x < 1.0:
+        live = int(min(size, 3 + 1100 * math.log(2.0) / -math.log(x)))
+    out = np.zeros(size)
+    out[:live] = x ** np.arange(live)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedPMF:
     """Mass sequence on 0..t_max with an explicit, tagged residual.
@@ -104,18 +116,13 @@ class TruncatedPMF:
         return self.coefficients.size - 1
 
     def evaluate(self, z: float) -> float:
-        """PGF value sum coefficients[n] * z**n over the represented range.
+        """PGF value: the fsum of coefficients[n] * pow(z, n) over the represented range.
 
         The residual contributes nothing; callers needing P(X < infinity)
         must add their own tail model.
         """
         _check_z(z)
-        terms = []
-        zp = 1.0
-        for c in self.coefficients:
-            terms.append(c * zp)
-            zp *= z
-        return math.fsum(terms)
+        return _fsum(self.coefficients * _powers(z, self.coefficients.size))
 
     def mean(self) -> float:
         """Sum n * coefficients[n]: E[X] when the residual is 0, a lower bound
@@ -230,8 +237,6 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
         # exceeds about 2**970.
         high = 960 - shift - max(0, _exponent(lead))
         ahead = _exponent(float(np.abs(top[:spent]).max(initial=0.0))) + _exponent(t_max + 1) + 1 - _exponent(lead)
-    # A restarted law's coefficients are all >= 0 (see above).
-    signed = not (den[0] > 0.0 and top[:spent].min(initial=0.0) >= 0.0 and den[1:].max(initial=0.0) <= 0.0)
     # quot holds the finished coefficients below ``done``; work holds the
     # history times 2**scale up to ``end``, and top the numerator still to
     # come times 2**(scale + shift).
@@ -260,10 +265,9 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
         # is never empty.
         k = min(b, lags)
         rhs = top[b:e] - (np.correlate(den_pad[1 : k + e - b], work[b - k : b][::-1], "valid") if b else 0.0)
-        if shift:
-            np.ldexp(rhs, -shift, out=rhs)
+        np.ldexp(rhs, -shift, out=rhs)
         block = work[b:e]
         np.matmul(inverse[: e - b, : e - b], rhs, out=block)
-        peaks.append(_exponent((np.abs(block, out=spare[: e - b]) if signed else block).max()) - scale)
+        peaks.append(_exponent(np.abs(block, out=spare[: e - b]).max()) - scale)
     quot[done:end] = np.ldexp(work[done:end], -scale)
     return quot

@@ -76,6 +76,9 @@ class TestParsers:
             "cycle-trap:p=oops,L=2,M=4",
             "cycle-trap:p=1.5,L=2,M=4",
             "mystery:p=0.5",
+            "cycle-trap:p=0.5,L=2,M",
+            "cycle-trap:p=,L=2,M=4",
+            "cycle-trap:=0.5,L=2,M=4",
         ],
     )
     def test_model_errors(self, text):
@@ -166,6 +169,10 @@ class TestSweep:
             parse_sweep_csv("a,b,c\n1,2,3\n")
         with pytest.raises(UsageError):
             parse_sweep_csv("")
+        header = emit_sweep_csv(run_sweep(parse_model(TP_FAST_TEXT), "geometric", [0.1])).split("\n", 1)[0]
+        for text in (header, header + "\n\n"):
+            with pytest.raises(UsageError, match="CSV has no data rows"):
+                parse_sweep_csv(text)
 
     @pytest.mark.parametrize(
         "edit",
@@ -199,6 +206,8 @@ class TestSweep:
         assert ",inf,,,,false" in text
         assert parse_sweep_csv(text) == result
         assert emit_sweep_csv(parse_sweep_csv(text)) == text
+        # Blank lines between rows are skipped.
+        assert parse_sweep_csv(text.replace("\n", "\n\n")) == result
 
     def test_mixed_sweeps_rejected(self):
         a = emit_sweep_csv(run_sweep(parse_model(TP_FAST_TEXT), "geometric", [0.1]))
@@ -546,6 +555,20 @@ class TestExitCodes:
         assert captured.err.startswith("error: invalid ")
         assert captured.out == ""
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "family_args, message",
+        [
+            (["geometric", "--points", "0"], "--points must be >= 1"),
+            (["sharp", "--n-min", "5", "--n-max", "4"], "--n-max must be >= --n-min"),
+        ],
+        ids=["no-points", "n-max-below-n-min"],
+    )
+    def test_empty_sweep_grid_is_two(self, capsys, family_args, message):
+        assert main(["sweep", "--model", TP_FAST_TEXT, "--restart-family", *family_args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_numerical_failure_is_one(self, capsys, monkeypatch):
         def fail(model, spec):

@@ -460,6 +460,7 @@ class TestRenewalHorizon:
         # horizon, whose flat tail closes on U's PGF and mean.
         report = analyze(model, spec)
         assert report.hit_prob == hitting_prob_T(model, spec) == fpur_pgf(model, spec, 1.0)
+        assert 0.0 <= report.hit_prob <= 1.0
         assert report.p_restart_wins == p_restart_wins(model, spec)
         assert report.mean_T == mean_T(model, spec) == mean_T_generic(model, spec)
 
@@ -967,6 +968,25 @@ class TestThresholds:
         assert cycle_trap_geometric_threshold(2, 2) == -math.inf
         assert cycle_trap_geometric_threshold(3, 2) == -math.inf
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: cycle_trap_geometric_threshold(0, 4), "L and M must be >= 1"),
+            (lambda: cycle_trap_geometric_threshold(2, 0), "L and M must be >= 1"),
+            (lambda: brw_geometric_threshold_p(0), "m must be >= 1"),
+            (lambda: cycle_trap_sharp_classify(0, 10, 8), "L and M must be >= 1"),
+            (lambda: cycle_trap_sharp_classify(5, 0, 8), "L and M must be >= 1"),
+            (lambda: cycle_trap_sharp_classify(5, 10, 0), "n_restart must be >= 1"),
+            (lambda: brw_geometric_mean(0.6, 1, 0.0), "rho must lie strictly inside"),
+            (lambda: brw_geometric_mean(0.6, 1, 1.0), "rho must lie strictly inside"),
+        ],
+        ids=["trap-L", "trap-M", "walk-m", "classify-L", "classify-M", "classify-N", "radical-rho-0",
+             "radical-rho-1"],
+    )
+    def test_rejects_bad_arguments(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     @pytest.mark.parametrize("L,M", [(1, 2), (2, 4), (3, 5), (4, 3)])
     def test_nonpositive_when_cycle_short(self, L, M):
         assert cycle_trap_geometric_threshold(L, M) <= 0
@@ -1098,6 +1118,8 @@ class TestHitProbabilityBiconditional:
                 rng, u_proper=u_proper, r_proper=r_proper, preemptive=preemptive
             )
             value = hitting_prob_T(model, spec)
+            # N(1) <= d = N(1) + (mass neither clock reaches), so N(1) / d <= 1.
+            assert 0.0 <= value <= 1.0
             if preemptive:
                 assert value == 0.0
             elif u_proper or r_proper:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import restartfp
 from restartfp import models
@@ -24,7 +26,9 @@ from restartfp import (
     SimConfig,
     TruncatedPMF,
     TwoPoint,
+    brw_geometric_mean,
     mean_T_generic,
+    mean_T_geometric,
     underlying_samples,
 )
 
@@ -67,6 +71,11 @@ class TestGeometricRestart:
     def test_rejects_bad_rate(self, rho):
         with pytest.raises(ValueError):
             GeometricRestart(rho)
+
+    def test_mean_is_infinite_when_the_pgf_underflows(self):
+        # u~(1 - rho) = p x^1100 / (1 - q x^2) underflows to 0 at x = 1/2.
+        assert CycleTrap(0.5, 1100, 1).pgf(0.5) == 0.0
+        assert mean_T_geometric(CycleTrap(0.5, 1100, 1), 0.5) == math.inf
 
     @pytest.mark.parametrize("size", [0, 1, 2, 3000, 20000])
     def test_vectors_equal_pow_past_underflow(self, size):
@@ -366,6 +375,12 @@ class TestExpansionPrefix:
         assert model._held.dtype == np.float64
         assert model._held.size == max(served) + 1
 
+    @pytest.mark.parametrize("make, horizons", PREFIX_CASES)
+    def test_horizon_below_support_is_rejected(self, make, horizons):
+        model = make()
+        with pytest.raises(ValueError, match="below the smallest support point"):
+            model.pmf(model.min_support() - 1)
+
     def test_threads_sharing_a_model(self):
         # Each call reads the held array once, so threads racing to extend it
         # still get first-expansion laws.  Every thread asks ever longer
@@ -442,6 +457,49 @@ class TestBiasedWalk:
     def test_pgf_at_one_is_hit_prob(self):
         assert BiasedWalk(0.6, 2).pgf(1.0) == pytest.approx(1.0, abs=1e-12)
         assert BiasedWalk(0.3, 2).pgf(1.0) == pytest.approx((3 / 7) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("p, m", [(0.55, 3), (0.5, 1), (0.3, 2), (1e-300, 4)])
+    def test_pgf_at_zero_is_positive_zero(self, p, m):
+        # The general expression gives (0 / 2)**m = +0.0 with no special case.
+        assert math.copysign(1.0, BiasedWalk(p, m).pgf(0.0)) == 1.0
+        assert BiasedWalk(p, m).pgf(0.0) == 0.0
+
+    @given(
+        p=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            # The doubles within 2**22 ulps of 1/2: its neighbours are 2**-54
+            # apart below it and 2**-53 above.
+            st.integers(-(2**22), 2**22).map(lambda k: 0.5 + k * 2.0 ** (-54 if k < 0 else -53)),
+        ),
+        z=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1.0, math.nextafter(1.0, 0.0)])),
+        rho=st.floats(2.0**-20, 1.0, exclude_max=True),
+        m=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_square_root_argument_is_never_negative(self, p, z, rho, m):
+        # With q = 1.0 - p: for p >= 1/2, q is exact (Sterbenz) and 4pq <= 1;
+        # for p < 1/2, 4pq < 1 + 2**-53, which rounds to at most 1.  Rounding
+        # is monotone, so multiplying twice by z <= 1 (or x = 1 - rho) keeps
+        # it at most 1: pgf and the radical mean need no clamp.
+        assert 1.0 - 4.0 * p * (1.0 - p) * z * z >= 0.0
+        BiasedWalk(p, m).pgf(z)
+        x = 1.0 - rho
+        arg = 1.0 - 4.0 * p * (1.0 - p) * x * x
+        assert arg >= 0.0
+        # At arg == 1 the radical form's 1 - sqrt(arg) is 0, and it divides by it.
+        if arg < 1.0:
+            brw_geometric_mean(p, m, rho)
+
+    def test_square_root_argument_near_one_half(self):
+        # Every double within 4096 nextafter steps of 1/2, at z = 1 and just below.
+        for toward in (0.0, 1.0):
+            p = 0.5
+            for _ in range(4096):
+                p = math.nextafter(p, toward)
+                for z in (1.0, math.nextafter(1.0, 0.0)):
+                    assert 1.0 - 4.0 * p * (1.0 - p) * z * z >= 0.0
+                    assert 0.0 < BiasedWalk(p, 1).pgf(z) < math.inf
+                assert brw_geometric_mean(p, 1, 2.0**-20) > 0.0
 
     def test_first_masses(self):
         walk = BiasedWalk(0.6, 1)
@@ -550,6 +608,21 @@ class TestTwoPoint:
         assert TwoPoint(1, 0.75, 20).min_support() == 1
         assert TwoPoint(1, 1.0, 20).min_support() == 1
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.5, 0.5, 20), "t1 and t2 must be integers"),
+            ((1, 0.5, 20.0), "t1 and t2 must be integers"),
+            ((0, 0.5, 20), "support points must be >= 1"),
+            ((1, 0.5, -3), "support points must be >= 1"),
+            ((1, -0.1, 20), r"w1 must lie in \[0, 1\]"),
+            ((1, 1.5, 20), r"w1 must lie in \[0, 1\]"),
+        ],
+    )
+    def test_rejects_bad_params(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            TwoPoint(*args)
+
 
 class TestExplicitProcess:
     def test_rejects_mass_at_zero(self):
@@ -584,6 +657,11 @@ class TestExplicitProcess:
         model = ExplicitProcess(dist)
         assert model.step(None, 0.5) == 0
         assert model.step(None, 0.8) == math.inf
+
+    def test_empty_finite_support_has_no_smallest_point(self):
+        model = ExplicitProcess(TruncatedPMF.from_masses({3: 0.0}, residual=1.0, residual_kind=AT_INFINITY))
+        with pytest.raises(ValueError, match="empty finite support"):
+            model.min_support()
 
 
 class TestPmfMatchesPgf:
@@ -804,6 +882,27 @@ def test_tails_return_only_the_residual():
     ]
     assert len(returns) == 4
     assert not any(isinstance(value, ast.Tuple) for value in returns)
+
+
+def test_powers_of_arange_only_in_series_powers():
+    # Every vector of powers x**n comes from series._powers, which leaves
+    # the zeros pow returns past underflow unevaluated.
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            right = getattr(child, "right", None)
+            if (
+                isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
+                and isinstance(right, ast.Call) and isinstance(right.func, ast.Attribute)
+                and right.func.attr == "arange"
+            ):
+                found.append(scope)
+            visit(child, (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
+
+    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    assert found == [("series", "_powers")]
 
 
 def test_all_is_every_public_name():

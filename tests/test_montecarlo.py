@@ -176,6 +176,7 @@ class TestSimulateFpur:
         assert estimate.trials_used == 0
         assert math.isnan(estimate.mean)
         assert math.isnan(estimate.ci_low)
+        assert math.isnan(estimate.mean_restarts)
         assert estimate.is_lower_bound
 
     def test_restart_counts_match_renewal_law(self):
@@ -382,6 +383,10 @@ class TestEngineOracle:
         for cap in ORACLE_CAPS:
             config = SimConfig(trials=60, seed=21, step_cap=cap)
             assert simulate_fpur(model, spec, config) == scalar_engine.simulate_fpur(model, spec, config)
+            # One restart count per used trial, so a run with any used trial
+            # has restart counts to average.
+            samples, restarts, censored = _run_trials(model, spec, config)
+            assert len(restarts) == len(samples) == config.trials - censored
 
     @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: type(m).__name__)
     def test_underlying_samples_equal_scalar_loop(self, model):

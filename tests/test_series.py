@@ -54,6 +54,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncatedPMF(np.array([0.5]), residual=0.5, residual_kind="later")
 
+    @pytest.mark.parametrize("residual", [-0.1, -5e-324, math.nan, math.inf], ids=repr)
+    def test_rejects_nonfinite_or_negative_residual(self, residual):
+        with pytest.raises(ValueError, match="residual must be finite and nonnegative"):
+            TruncatedPMF(np.array([0.5, 0.5]), residual=residual)
+
+    @pytest.mark.parametrize(
+        "masses, message",
+        [({}, "at least one mass point"), ({-1: 0.5, 2: 0.5}, "nonnegative integers"),
+         ({-2: 1.0}, "nonnegative integers")],
+        ids=["empty", "negative-time", "all-negative"],
+    )
+    def test_from_masses_rejects(self, masses, message):
+        with pytest.raises(ValueError, match=message):
+            TruncatedPMF.from_masses(masses)
+
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
             TruncatedPMF(np.array([]))
@@ -81,6 +96,32 @@ class TestEvaluate:
     def test_at_one_equals_total_mass_exactly(self):
         dist = TruncatedPMF(np.array([0.0, 0.3, 0.2, 0.1]), residual=0.4)
         assert dist.evaluate(1.0) == dist.cumulative(dist.t_max)
+
+    @given(
+        masses=st.lists(
+            st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-300, 1.0)), min_size=1, max_size=60
+        ),
+        z=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exact_sum_and_product_loop(self, masses, z):
+        # Each c * pow(z, n) is within about 1.5 ulp of the exact product and
+        # fsum adds the products exactly, so the value is within 2**-50
+        # relative of the exact sum, plus 2**-1074 per subnormal product.  The
+        # repeated-product loop evaluate used to run is within n ulp of it.
+        total = math.fsum(masses)
+        coeffs = np.array(masses) / total if total else np.r_[1.0, masses[1:]]
+        dist = TruncatedPMF(coeffs)
+        got = dist.evaluate(z)
+        exact = sum(Fraction(c) * Fraction(z) ** n for n, c in enumerate(coeffs.tolist()))
+        tiny = coeffs.size * Fraction(2) ** -1074
+        assert abs(Fraction(got) - exact) <= Fraction(2) ** -50 * exact + tiny
+        terms, zp = [], 1.0
+        for c in coeffs.tolist():
+            terms.append(c * zp)
+            zp *= z
+        loop = math.fsum(terms)
+        assert abs(Fraction(got) - Fraction(loop)) <= (coeffs.size + 2) * Fraction(2) ** -52 * exact + 2 * tiny
 
 
 class TestMoments:
@@ -192,6 +233,10 @@ class TestSeriesDivide:
         with pytest.raises(ZeroDivisionError):
             series_divide(np.array([1.0]), np.array([0.0, 1.0]), 3)
 
+    def test_negative_horizon(self):
+        with pytest.raises(ValueError, match="t_max must be nonnegative"):
+            series_divide(np.array([1.0]), np.array([1.0, -0.5]), -1)
+
     @given(
         a=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
         b=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
@@ -294,6 +339,9 @@ class TestSeriesDivideBlocked:
         for num, den, t_max in (short, long):
             got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=SUBNORMAL_ATOL)
+            # Every product and sum is nonnegative, so is every coefficient:
+            # fpur_pmf needs no sign check of its own.
+            assert got.min() >= 0.0
             # Once the numerator is spent and the quotient has been exactly
             # 0 for the denominator's length, it stays exactly 0.
             size = np.flatnonzero(den)[-1] + 1
