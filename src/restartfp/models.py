@@ -383,13 +383,20 @@ class ProcessModel:
         """Advance one time step using the uniform draw ``u`` in [0, 1)."""
         raise NotImplementedError
 
+    def leg_input(self, chunk: np.ndarray):
+        """What :meth:`run_leg` reads of a chunk of uniforms: by default the
+        chunk as a list of Python floats."""
+        return chunk.tolist()
+
     def run_leg(self, state, u: list, start: int, steps: int):
         """Advance up to ``steps`` >= 1 steps from the non-terminal ``state``,
         step k reading ``u[start + k]``, and stop at the first terminal
         state.  Returns (state, steps taken, whether it is terminal).
+        ``u`` is what :meth:`leg_input` made of the uniforms.
 
-        Equal to repeated :meth:`step` calls.  All four models override it with
-        a faster loop; it stays as the path for user subclasses."""
+        Equal to repeated :meth:`step` calls on the uniforms.  All four models
+        override it with a faster loop; it stays as the path for user
+        subclasses."""
         step, is_terminal = self.step, self.is_terminal
         for i in range(start, start + steps):
             state = step(state, u[i])
@@ -481,14 +488,18 @@ class CycleTrap(ProcessModel):
             return 0
         return state + 1
 
-    def run_leg(self, state: int, u: list, start: int, steps: int):
+    def leg_input(self, chunk: np.ndarray) -> bytes:
+        """One byte per uniform: 1 where it is below p (a step down from 0)."""
+        return (chunk < self.p).tobytes()
+
+    def run_leg(self, state: int, u: bytes, start: int, steps: int):
         # Only a step from 0 reads its uniform; the runs below and above 0
         # are deterministic, so each is crossed in one move.
-        p, period, floor = self.p, self.M + 1, -self.L
+        period, floor = self.M + 1, -self.L
         i, end = start, start + steps
         while i < end:
             if state == 0:
-                state = -1 if u[i] < p else 1
+                state = -1 if u[i] else 1
                 i += 1
             elif state < 0:
                 k = min(state - floor, end - i)
@@ -614,15 +625,24 @@ class BiasedWalk(ProcessModel):
             raise ValueError("cannot step a terminal state")
         return state - 1 if u < self.p else state + 1
 
-    def run_leg(self, state: int, u: list, start: int, steps: int):
-        p = self.p
-        for i in range(start, start + steps):
-            if u[i] < p:
-                state -= 1
-                if state == 0:
-                    return 0, i - start + 1, True
-            else:
-                state += 1
+    def leg_input(self, chunk: np.ndarray) -> bytes:
+        """One byte per uniform: 1 where it is below p (a step down)."""
+        return (chunk < self.p).tobytes()
+
+    def run_leg(self, state: int, u: bytes, start: int, steps: int):
+        # From height h the walk can reach 0 within the next h steps only on
+        # the h-th, so it takes k = min(h, steps left) steps at once and
+        # moves by k minus twice the downs among them.
+        count = u.count
+        i, end = start, start + steps
+        while i < end:
+            k = end - i
+            if state < k:
+                k = state
+            state += k - 2 * count(1, i, i + k)
+            i += k
+            if state == 0:
+                return 0, i - start, True
         return state, steps, False
 
     def describe(self) -> str:

@@ -8,16 +8,19 @@ results are reproducible regardless of execution order or thread count.
 
 One numpy ``Philox`` serves a whole run: each trial re-keys it to the
 trial's key with its counter at zero, then reads its uniforms in chunks of
-``_FIRST_CHUNK``, doubling up to ``_MAX_CHUNK``.  A model consumes them
-through :meth:`ProcessModel.run_leg`, one call per stretch of steps.
+``_FIRST_CHUNK``, doubling up to ``_MAX_CHUNK``.  A model consumes each
+chunk in the form :meth:`ProcessModel.leg_input` makes of it, through
+:meth:`ProcessModel.run_leg`, one call per stretch of steps; epoch draws
+read the chunk's own floats.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from statistics import NormalDist, fmean, stdev
+from statistics import NormalDist, fmean
 
 import numpy as np
 
@@ -32,6 +35,9 @@ _MAX_CHUNK = 4096
 
 # Steps a trial may take before it is censored.
 DEFAULT_STEP_CAP = 10**7
+
+# Bits of the integer square root in _stdev: twice a double's 53, plus 3.
+_ROOT_BITS = 2 * sys.float_info.mant_dig + 3
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,28 @@ def sample_restart(spec: RestartSpec, u: float):
     return spec.draw(u)
 
 
-def _summarize(samples: list[float], restarts: list[int], censored: int, config: SimConfig) -> SimEstimate:
+def _stdev(totals: list[int]) -> float:
+    """The sample standard deviation of two or more whole numbers, correctly
+    rounded, as ``statistics.stdev`` gives it from Python 3.11.
+
+    Integer sums give the exact variance (n Σt² − (Σt)²) / (n(n − 1)).  Its
+    square root is taken as an integer of at least _ROOT_BITS / 2 bits, its
+    last bit set when inexact (round to odd), so rounding it to a float
+    once is correct."""
+    n = len(totals)
+    num = n * sum(map(operator.mul, totals, totals)) - sum(totals) ** 2
+    den = n * (n - 1)
+    shift = (num.bit_length() - den.bit_length() - _ROOT_BITS) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
+def _summarize(samples: list[int], restarts: list[int], censored: int, config: SimConfig) -> SimEstimate:
     used = len(samples)
     if used == 0:
         return SimEstimate(
@@ -106,7 +133,7 @@ def _summarize(samples: list[float], restarts: list[int], censored: int, config:
             mean_restarts=math.nan,
         )
     mean = fmean(samples)
-    err = stdev(samples) / math.sqrt(used) if used > 1 else 0.0
+    err = _stdev(samples) / math.sqrt(used) if used > 1 else 0.0
     z = NormalDist().inv_cdf(0.5 * (1.0 + config.ci_level))
     return SimEstimate(
         mean=mean,
@@ -121,15 +148,15 @@ def _summarize(samples: list[float], restarts: list[int], censored: int, config:
 
 def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig, first: int = 0):
     """Run ``config.trials`` trials, numbered from ``first`` (0 except in
-    the stream tests); returns (first-passage times, restart counts,
+    the stream tests); returns (first-passage times as ints, restart counts,
     censored count).  With ``spec`` None the process never restarts and no
     epoch uniform is read."""
-    samples: list[float] = []
+    samples: list[int] = []
     restart_counts: list[int] = []
     censored = 0
     cap = config.step_cap
     draw = None if spec is None else spec.draw
-    run_leg, initial_state = model.run_leg, model.initial_state
+    run_leg, initial_state, leg_input = model.run_leg, model.initial_state, model.leg_input
     philox = np.random.Philox(key=0)
     random = np.random.Generator(philox).random
     # Philox(key=(seed << 64) + trial) holds the key words (trial, seed), a
@@ -147,7 +174,8 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
         key[0] = trial
         philox.state = fresh
         size = _FIRST_CHUNK
-        u = random(size).tolist()
+        chunk = random(size)
+        u = leg_input(chunk)
         pos = total = restarts = 0
         hit = False
         while total < cap:
@@ -158,11 +186,12 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
                     pos -= size
                     if size < _MAX_CHUNK:
                         size *= 2
-                    u = random(size).tolist()
+                    chunk = random(size)
+                    u = leg_input(chunk)
                 # Only the steps before the epoch can end the trial: the step
                 # on the epoch restarts whatever state it reaches (a tie goes
                 # to the restart), so it is counted without being simulated.
-                free = draw(u[pos]) - 1
+                free = draw(chunk.item(pos)) - 1
                 pos += 1
             state = initial_state()
             while free and total < cap:
@@ -170,7 +199,8 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
                     pos -= size
                     if size < _MAX_CHUNK:
                         size *= 2
-                    u = random(size).tolist()
+                    chunk = random(size)
+                    u = leg_input(chunk)
                 steps = size - pos
                 if free < steps:
                     steps = free
@@ -189,7 +219,7 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
                 total += 1
                 restarts += 1
         if hit:
-            samples.append(float(total))
+            samples.append(total)
             restart_counts.append(restarts)
         else:
             censored += 1
@@ -207,7 +237,7 @@ def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> 
 def underlying_samples(model: ProcessModel, config: SimConfig) -> tuple[np.ndarray, int]:
     """Raw first-passage times of the bare process; returns (samples, censored)."""
     samples, _, censored = _run_trials(model, None, config)
-    return np.asarray(samples), censored
+    return np.asarray(samples, dtype=np.float64), censored
 
 
 def simulate_underlying(model: ProcessModel, config: SimConfig) -> SimEstimate:

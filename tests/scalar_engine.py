@@ -2,9 +2,12 @@
 bit for bit: one ``Generator(Philox(key=(seed << 64) + trial))`` per trial,
 and one ``step``/``is_terminal`` call per step."""
 
+import math
+from statistics import NormalDist, fmean, stdev
+
 import numpy as np
 
-from restartfp.montecarlo import SimConfig, SimEstimate, _summarize
+from restartfp.montecarlo import SimConfig, SimEstimate
 from restartfp.models import ProcessModel, RestartSpec
 
 _BUFFER = 256
@@ -27,6 +30,17 @@ class _UniformStream:
         value = self._buf[self._pos]
         self._pos += 1
         return value
+
+
+def _summarize(samples: list[float], restarts: list[int], censored: int, config: SimConfig) -> SimEstimate:
+    """The original summary, with ``statistics.stdev``."""
+    used = len(samples)
+    if used == 0:
+        return SimEstimate(math.nan, math.nan, math.nan, math.nan, censored, 0, math.nan)
+    mean = fmean(samples)
+    err = stdev(samples) / math.sqrt(used) if used > 1 else 0.0
+    z = NormalDist().inv_cdf(0.5 * (1.0 + config.ci_level))
+    return SimEstimate(mean, err, mean - z * err, mean + z * err, censored, used, fmean(restarts))
 
 
 def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> SimEstimate:

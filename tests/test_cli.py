@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,7 +410,7 @@ class TestFigureCommand:
         paths = capsys.readouterr().out.strip().splitlines()
         assert len(paths) == 1
         assert os.path.basename(paths[0]) == "fig5_cycle-trap_p0.25-L7-M5_sharp.csv"
-        result = parse_sweep_csv(open(paths[0]).read())
+        result = parse_sweep_csv(Path(paths[0]).read_text())
         assert [row.param for row in result.rows] == list(range(2, 61))
         for row in result.rows:
             if row.param <= 7:
@@ -420,7 +421,7 @@ class TestFigureCommand:
 
     def test_walk_threshold_table(self, tmp_path):
         (path,) = run_figure("7", outdir=str(tmp_path))
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines[0] == "m,p_star"
         assert lines[1] == "1,0.75"
         assert len(lines) == 21
@@ -429,7 +430,7 @@ class TestFigureCommand:
 
     def test_trap_threshold_table(self, tmp_path):
         (path,) = run_figure("3-bound", outdir=str(tmp_path))
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines[0] == "L,M,p_star"
         assert len(lines) == 1 + 5 * 60
         table = {}
@@ -442,7 +443,7 @@ class TestFigureCommand:
 
     def test_geometric_figure_with_small_trials(self, tmp_path):
         paths = run_figure("1", outdir=str(tmp_path), trials=40, seed=2)
-        result = parse_sweep_csv(open(paths[0]).read())
+        result = parse_sweep_csv(Path(paths[0]).read_text())
         assert len(result.rows) == 60
         mc_rows = [row for row in result.rows if row.mean_t_mc is not None]
         assert len(mc_rows) == 60
@@ -468,7 +469,7 @@ class TestFigureCommand:
         paths = run_figure(figure_id, outdir=str(tmp_path), trials=40, seed=3)
         assert paths
         for path in paths:
-            digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
             assert digest == self.FIGURE_DIGESTS[os.path.basename(path)]
 
     def test_two_trap_figure_writes_both_files(self, tmp_path):

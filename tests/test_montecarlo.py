@@ -2,12 +2,15 @@
 the stream contract, and equality with the scalar reference loop."""
 
 import math
+import random
+import statistics
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scalar_engine
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restartfp import (
@@ -29,7 +32,7 @@ from restartfp import (
     simulate_underlying,
     underlying_samples,
 )
-from restartfp.montecarlo import _FIRST_CHUNK, _run_trials
+from restartfp.montecarlo import _FIRST_CHUNK, DEFAULT_STEP_CAP, _run_trials, _stdev
 
 TP_FAST = TwoPoint(1, 0.75, 20)
 
@@ -244,6 +247,25 @@ class TestEstimateShape:
         )
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds correctly from 3.11")
+class TestStdev:
+    """``_stdev`` from integer sums equals ``statistics.stdev`` of the same
+    totals as floats, bit for bit: ``ci_low`` and ``ci_high`` are pinned."""
+
+    @given(totals=st.lists(st.integers(1, DEFAULT_STEP_CAP), min_size=2, max_size=60))
+    @example(totals=[7, 7, 7])
+    @settings(max_examples=200, deadline=None)
+    def test_small_samples(self, totals):
+        assert _stdev(totals) == statistics.stdev(map(float, totals))
+
+    @given(n=st.integers(2, 3000), high=st.integers(1, DEFAULT_STEP_CAP), seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_large_samples(self, n, high, seed):
+        rng = random.Random(seed)
+        totals = [rng.randint(1, high) for _ in range(n)]
+        assert _stdev(totals) == statistics.stdev(map(float, totals))
+
+
 def native_uniforms(seed, trial, n):
     return np.random.Generator(np.random.Philox(key=(seed << 64) + trial)).random(n)
 
@@ -357,6 +379,7 @@ ORACLE_MODELS = [
     CycleTrap(1.0, 1, 1),
     BiasedWalk(0.55, 3),
     BiasedWalk(0.3, 1),  # transient: long legs, censoring
+    BiasedWalk(0.55, 40),  # the mc-long walk: strides across chunk seams and the cap
     TwoPoint(1, 0.75, 20),
     TwoPoint(3, 0.5, 70),
     EXPLICIT_WITH_INFINITY,
@@ -421,7 +444,9 @@ class TestLegKernels:
     @given(data=st.data(), p=st.floats(0.05, 0.95), m=st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_biased_walk(self, data, p, m):
-        self.check(data, BiasedWalk(p, m), st.integers(1, 12))
+        # Heights up to 60 over up to 200 uniforms: strides longer than the
+        # leg, and strides of k = h downs that end at 0, both occur.
+        self.check(data, BiasedWalk(p, m), st.integers(1, 60), max_size=200)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -431,9 +456,10 @@ class TestLegKernels:
         states = st.one_of(st.none(), st.integers(1, 30), st.just(math.inf))
         self.check(data, model, states)
 
-    def check(self, data, model, states):
+    def check(self, data, model, states, max_size=40):
         state = data.draw(states)
-        u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
+        u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=max_size))
         start = data.draw(st.integers(0, len(u) - 1))
         steps = data.draw(st.integers(1, len(u) - start))
-        assert model.run_leg(state, u, start, steps) == step_by_step(model, state, u, start, steps)
+        got = model.run_leg(state, model.leg_input(np.array(u)), start, steps)
+        assert got == step_by_step(model, state, u, start, steps)
