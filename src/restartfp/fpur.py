@@ -233,8 +233,11 @@ def brw_geometric_mean(p: float, m: int, rho: float) -> float:
         raise ValueError("rho must lie strictly inside (0, 1)")
     q = 1.0 - p
     x = 1.0 - rho
-    base = 1.0 - math.sqrt(1.0 - 4.0 * p * q * x * x)  # argument >= 0, as in BiasedWalk.pgf
-    return ((2.0 * q * x) ** m - base**m) / (rho * base**m)
+    # 1/pgf(x) = ((1 + sqrt(1-4pqx^2)) / (2px))^m; 2px rounding to 0 is an overflow too.
+    try:
+        return (((1.0 + math.sqrt(1.0 - 4.0 * p * q * x * x)) / (2.0 * p * x)) ** m - 1.0) / rho
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def default_rho_grid() -> np.ndarray:

@@ -539,8 +539,9 @@ class BiasedWalk(ProcessModel):
         _check_z(z)
         # (1 - sqrt(1-4pq z^2)) / (2qz) rationalized to avoid cancellation at small z and at
         # the branch point; 4pq rounds to at most 1 and z <= 1, so sqrt's argument is >= 0.
+        # Rounding can lift the base past 1 for p > 1/2 (root near 0 at z = 1): bound it.
         root = math.sqrt(1.0 - 4.0 * self.p * self.q * z * z)
-        return (2.0 * self.p * z / (1.0 + root)) ** self.m
+        return min(1.0, 2.0 * self.p * z / (1.0 + root)) ** self.m
 
     def _masses(self, k_lo: int, k_hi: int, acc: float = 0.0, target: float = math.inf) -> list[float]:
         """u(m+2k) for k = k_lo..k_hi, stopping early once ``acc`` plus their

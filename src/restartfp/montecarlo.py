@@ -1,17 +1,17 @@
 """Trajectory-level simulation of first passage under restart.
 
-Each trial pre-draws a restart epoch, advances the model one leg at a time,
-and resets whenever the epoch arrives at or before termination (a tie goes
-to the restart).  Randomness is counter-based: trial ``i`` of a run seeded
-with ``s`` reads the uniforms of ``Philox(key=(s << 64) + i)`` in order, so
-results are reproducible regardless of execution order or thread count.
+Each trial is one loop over a renewal of legs: it draws a restart epoch,
+runs the model up to the step before it, and counts the epoch step as a
+restart whatever state it reaches (a tie goes to the restart).  Trial ``i``
+of a run seeded with ``s`` reads the counter-based uniforms of
+``Philox(key=(s << 64) + i)`` in order, whatever the order of the trials.
 
 One numpy ``Philox`` serves a whole run: each trial re-keys it to the
 trial's key with its counter at zero, then reads its uniforms in chunks of
-``_FIRST_CHUNK``, doubling up to ``_MAX_CHUNK``.  A model consumes each
-chunk in the form :meth:`ProcessModel.leg_input` makes of it, through
-:meth:`ProcessModel.run_leg`, one call per stretch of steps; epoch draws
-read the chunk's own floats.
+``_FIRST_CHUNK``, doubling up to ``_MAX_CHUNK``, refilled at the loop's top.
+A model consumes each chunk in the form :meth:`ProcessModel.leg_input` makes
+of it, through :meth:`ProcessModel.run_leg`, one call per stretch of a leg
+within a chunk; epoch draws read the chunk's own floats.
 """
 
 from __future__ import annotations
@@ -177,30 +177,20 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
         chunk = random(size)
         u = leg_input(chunk)
         pos = total = restarts = 0
-        hit = False
+        # free: steps of the leg left before its epoch, -1 when the next
+        # epoch is still to be drawn, infinite when the run never restarts.
+        if draw is None:
+            free, state = math.inf, initial_state()
+        else:
+            free = -1
         while total < cap:
-            if draw is None:
-                free = math.inf
-            else:
-                if pos >= size:
-                    pos -= size
-                    if size < _MAX_CHUNK:
-                        size *= 2
-                    chunk = random(size)
-                    u = leg_input(chunk)
-                # Only the steps before the epoch can end the trial: the step
-                # on the epoch restarts whatever state it reaches (a tie goes
-                # to the restart), so it is counted without being simulated.
-                free = draw(chunk.item(pos)) - 1
-                pos += 1
-            state = initial_state()
-            while free and total < cap:
-                if pos >= size:
-                    pos -= size
-                    if size < _MAX_CHUNK:
-                        size *= 2
-                    chunk = random(size)
-                    u = leg_input(chunk)
+            if pos >= size:
+                pos -= size
+                if size < _MAX_CHUNK:
+                    size *= 2
+                chunk = random(size)
+                u = leg_input(chunk)
+            if free > 0:
                 steps = size - pos
                 if free < steps:
                     steps = free
@@ -211,17 +201,22 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
                 total += taken
                 free -= taken
                 if hit:
+                    samples.append(total)
+                    restart_counts.append(restarts)
                     break
-            if hit:
-                break
-            if total < cap:
+            elif free < 0:
+                free = draw(chunk.item(pos)) - 1
+                pos += 1
+                state = initial_state()
+            else:
+                # Only the steps before the epoch can end the trial: the step
+                # on the epoch restarts whatever state it reaches (a tie goes
+                # to the restart), so it is counted without being simulated.
                 pos += 1
                 total += 1
                 restarts += 1
-        if hit:
-            samples.append(total)
-            restart_counts.append(restarts)
-        else:
+                free = -1
+        else:  # the cap came before a hit
             censored += 1
     return samples, restart_counts, censored
 

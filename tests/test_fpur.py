@@ -1073,6 +1073,13 @@ class TestWalkGeometricClosedForm:
             mean_T_geometric(BiasedWalk(p, m), rho), rel=1e-10
         )
 
+    # At p = 1e-17, sqrt(1 - 4pqx^2) rounds to 1; at m = 300 the mean overflows.
+    @pytest.mark.parametrize("p, m, rho", [(1e-17, 1, 0.5), (0.01, 300, 0.5)])
+    def test_agrees_with_pgf_route_at_extremes(self, p, m, rho):
+        assert brw_geometric_mean(p, m, rho) == pytest.approx(
+            mean_T_geometric(BiasedWalk(p, m), rho), rel=1e-12
+        )
+
 
 class TestGapLinearity:
     def test_trap_second_differences_vanish_inside_gaps(self):

@@ -480,15 +480,13 @@ class TestBiasedWalk:
         # With q = 1.0 - p: for p >= 1/2, q is exact (Sterbenz) and 4pq <= 1;
         # for p < 1/2, 4pq < 1 + 2**-53, which rounds to at most 1.  Rounding
         # is monotone, so multiplying twice by z <= 1 (or x = 1 - rho) keeps
-        # it at most 1: pgf and the radical mean need no clamp.
+        # it at most 1: pgf and the radical mean need no clamp on it.
         assert 1.0 - 4.0 * p * (1.0 - p) * z * z >= 0.0
         BiasedWalk(p, m).pgf(z)
         x = 1.0 - rho
         arg = 1.0 - 4.0 * p * (1.0 - p) * x * x
         assert arg >= 0.0
-        # At arg == 1 the radical form's 1 - sqrt(arg) is 0, and it divides by it.
-        if arg < 1.0:
-            brw_geometric_mean(p, m, rho)
+        brw_geometric_mean(p, m, rho)
 
     def test_square_root_argument_near_one_half(self):
         # Every double within 4096 nextafter steps of 1/2, at z = 1 and just below.
@@ -498,8 +496,11 @@ class TestBiasedWalk:
                 p = math.nextafter(p, toward)
                 for z in (1.0, math.nextafter(1.0, 0.0)):
                     assert 1.0 - 4.0 * p * (1.0 - p) * z * z >= 0.0
-                    assert 0.0 < BiasedWalk(p, 1).pgf(z) < math.inf
+                    assert 0.0 < BiasedWalk(p, 1).pgf(z) <= 1.0
                 assert brw_geometric_mean(p, 1, 2.0**-20) > 0.0
+        # Away from 1/2 too, 2p/(1 + root) would round past 1, unbounded, for about 6 % of p > 1/2.
+        for p in np.random.default_rng(11).uniform(0.5, 1.0, 20_000).tolist():
+            assert BiasedWalk(p, 1).pgf(1.0) <= 1.0
 
     def test_first_masses(self):
         walk = BiasedWalk(0.6, 1)

@@ -393,10 +393,13 @@ ORACLE_SPECS = [
     SharpRestart(66),
     ExplicitRestart(TruncatedPMF.from_masses({3: 0.4, 40: 0.2}, residual=0.4,
                                              residual_kind="at_infinity")),
+    # Its first epoch step is the second chunk's first uniform.
+    SharpRestart(_FIRST_CHUNK),
 ]
 # A cap inside the first leg, on the first chunk's last uniform, past it,
-# and one long enough for most trials to finish.
-ORACLE_CAPS = [5, _FIRST_CHUNK - 1, _FIRST_CHUNK + 1, 700]
+# one long enough for most trials to finish, and one on the step of epoch
+# _FIRST_CHUNK.
+ORACLE_CAPS = [5, _FIRST_CHUNK - 1, _FIRST_CHUNK + 1, 700, _FIRST_CHUNK]
 
 
 class TestEngineOracle:
