@@ -226,16 +226,19 @@ def cycle_trap_sharp_classify(L: int, M: int, n_restart: int) -> str:
 
 
 def brw_geometric_mean(p: float, m: int, rho: float) -> float:
-    """Closed-form E[T] for the biased walk under geometric restart,
-    evaluated in its explicit radical form."""
+    """Closed-form E[T] = (b^m - 1) / rho for the biased walk under geometric
+    restart, b = (1 + root) / (2px) with root = sqrt(1 - 4pqx^2), x = 1 - rho."""
     BiasedWalk(p, m)  # parameter validation
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie strictly inside (0, 1)")
-    q = 1.0 - p
     x = 1.0 - rho
-    # 1/pgf(x) = ((1 + sqrt(1-4pqx^2)) / (2px))^m; 2px rounding to 0 is an overflow too.
+    # b - 1 = (d + root) / (2px) with d = 1 - 2px, which cancels where d < 0;
+    # there (d + root)(root - d) = 4px rho gives b - 1 = 2 rho / (root - d).
+    # 2px rounding to 0 is an overflow too.
+    root = math.sqrt(1.0 - 4.0 * p * (1.0 - p) * x * x)
+    d = 1.0 - 2.0 * p * x
     try:
-        return (((1.0 + math.sqrt(1.0 - 4.0 * p * q * x * x)) / (2.0 * p * x)) ** m - 1.0) / rho
+        return math.expm1(m * math.log1p(2.0 * rho / (root - d) if d < 0.0 else (d + root) / (2.0 * p * x))) / rho
     except (OverflowError, ZeroDivisionError):
         return math.inf
 

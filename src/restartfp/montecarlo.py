@@ -117,7 +117,7 @@ def _stdev(totals: list[int]) -> float:
         num <<= -2 * shift
     root = math.isqrt(num // den)
     root |= root * root * den != num
-    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+    return math.ldexp(root, shift)
 
 
 def _summarize(samples: list[int], restarts: list[int], censored: int, config: SimConfig) -> SimEstimate:

@@ -50,9 +50,7 @@ def _powers(x: float, size: int) -> np.ndarray:
     """x**n for n = 0..size-1, x in [0, 1].  Past the index where the powers
     fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
     rather than sent through libm's slow underflow path."""
-    live = size if x >= 1.0 else min(size, 1)
-    if 0.0 < x < 1.0:
-        live = int(min(size, 3 + 1100 * math.log(2.0) / -math.log(x)))
+    live = int(min(size, 3 + 1100 * math.log(2.0) / -math.log(x))) if 0.0 < x < 1.0 else size
     out = np.zeros(size)
     out[:live] = x ** np.arange(live)
     return out
@@ -178,16 +176,18 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     the last bits may differ from the one-coefficient-at-a-time loop
     q[n] = (num[n] - sum_{k>=1} den[k] q[n-k]) / den[0].
 
-    The denominator contracts when sum_{k>=1} |den[k]| <= |den[0]|; then
-    no coefficient exceeds (n + 1) max|num| / |den[0]|, and every block runs
-    on copies scaled by powers of two, which round as the unscaled values
-    do wherever those stay normal.  den[1:] is lifted by 2**S so that its
-    smallest nonzero term is normal.  The quotient history is held times
-    2**E, E >= 0 kept within ``_SLACK`` bits of the largest scale the sums
-    allow (the live window is rescaled as the quotient decays), so the
-    blocks stay out of the subnormal range unless the quotient falls by
-    some 1900 bits across one window and block.  Coefficients are written
-    back times 2**-E, so a subnormal one is rounded once.
+    Every block runs on copies scaled by powers of two, which round as the
+    unscaled values do wherever those stay normal.  When the denominator
+    contracts, sum_{k>=1} |den[k]| <= |den[0]|, no coefficient exceeds
+    (n + 1) max|num| / |den[0]|; den[1:] is lifted by 2**S so that its
+    smallest nonzero term is normal, and the quotient is held times 2**E,
+    E >= 0 kept within ``_SLACK`` bits of the largest scale the sums allow
+    (the live window is rescaled as the quotient decays), so the blocks
+    stay out of the subnormal range unless the quotient falls by some 1900
+    bits across one window and block.  Otherwise S = E = 0.  One array
+    holds the quotient: each block reads the numerator lifted by 2**(E + S),
+    and coefficients leaving the live window are written back times 2**-E
+    in place, so a subnormal one is rounded once.
 
     Once the numerator is spent, each coefficient is a combination of the
     last len(den) - 1, none larger under contraction.  So the division
@@ -203,8 +203,7 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     num = np.asarray(numerator, dtype=float)[: t_max + 1]
     den = den[: np.flatnonzero(den)[-1] + 1]
     spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
-    top = np.zeros(t_max + 1)
-    top[:spent] = num[:spent]
+    top = np.concatenate((num[:spent], np.zeros(t_max + 1 - spent)))
     # Zero-padded so that g's doubling steps and each block's correlation
     # window have their full length.
     den_pad = np.concatenate((den, np.zeros(_BLOCK)))
@@ -227,22 +226,17 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     # exact sum, so only a sum that close to |den[0]| needs fsum.
     contracts = bool(sizes.sum() <= lead * (1.0 - sizes.size * 2.0**-52)) or math.fsum(sizes.tolist()) <= lead
     smallest = _exponent(float(np.min(sizes, where=sizes > 0.0, initial=math.inf)))
-    shift = max(0, -1021 - smallest) if contracts else 0
+    # Scales keep the scaled window, and the bound on every coefficient while
+    # the numerator lasts (ahead), below 2**high, so that no sum exceeds about
+    # 2**970; without contraction floor = high = -inf, so every cap is 0.
+    shift, floor = (max(0, -1021 - smallest), -1076) if contracts else (0, -math.inf)
+    high = 960 - shift - max(0, _exponent(lead)) if contracts else -math.inf
+    ahead = _exponent(float(np.abs(top[:spent]).max(initial=0.0))) + _exponent(t_max + 1) + 1 - _exponent(lead)
     np.ldexp(den_pad, shift, out=den_pad)
-    floor = -math.inf
-    if contracts:
-        floor = -1076
-        # Scales keep the scaled window, and the bound on every coefficient
-        # while the numerator lasts (ahead), below 2**high, so that no sum
-        # exceeds about 2**970.
-        high = 960 - shift - max(0, _exponent(lead))
-        ahead = _exponent(float(np.abs(top[:spent]).max(initial=0.0))) + _exponent(t_max + 1) + 1 - _exponent(lead)
-    # quot holds the finished coefficients below ``done``; work holds the
-    # history times 2**scale up to ``end``, and top the numerator still to
-    # come times 2**(scale + shift).
-    quot, work = np.zeros(t_max + 1), np.zeros(t_max + 1)
+    # work holds the quotient: unscaled below ``done``, times 2**scale from
+    # there up to ``end``.
+    work = np.zeros(t_max + 1)
     scale, done, end = 0, 0, t_max + 1
-    top[:spent] = np.ldexp(top[:spent], shift)
     spare = np.empty(_BLOCK)
     # peaks[j]: exponent bounding block j's magnitudes, unscaled.
     peaks = []
@@ -251,23 +245,21 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
         if b >= spent and window <= floor:
             end = b
             break
-        if contracts:
-            cap = max(0, high - (max(window, ahead) if b < spent else window))
-            if not cap - _SLACK <= scale <= cap:
-                quot[done:b] = np.ldexp(work[done:b], -scale)
-                live, done = max(0, b - lags), b
-                work[live:b] = np.ldexp(work[live:b], cap - scale)
-                top[b:spent] = np.ldexp(top[b:spent], cap - scale)
-                scale = cap
+        cap = max(0, high - (max(window, ahead) if b < spent else window))
+        if not cap - _SLACK <= scale <= cap:
+            live = max(0, b - lags)
+            np.ldexp(work[done:live], -scale, out=work[done:live])
+            np.ldexp(work[live:b], cap - scale, out=work[live:b])
+            scale, done = cap, live
         e = min(b + _BLOCK, t_max + 1)
         # The first block has no history.  Later ones have at least one lag
         # (den_pad[1] is 0 for a constant denominator), so the correlation
         # is never empty.
         k = min(b, lags)
-        rhs = top[b:e] - (np.correlate(den_pad[1 : k + e - b], work[b - k : b][::-1], "valid") if b else 0.0)
+        rhs = np.ldexp(top[b:e], scale + shift)
+        rhs -= np.correlate(den_pad[1 : k + e - b], work[b - k : b][::-1], "valid") if b else 0.0
         np.ldexp(rhs, -shift, out=rhs)
-        block = work[b:e]
-        np.matmul(inverse[: e - b, : e - b], rhs, out=block)
-        peaks.append(_exponent(np.abs(block, out=spare[: e - b]).max()) - scale)
-    quot[done:end] = np.ldexp(work[done:end], -scale)
-    return quot
+        np.matmul(inverse[: e - b, : e - b], rhs, out=work[b:e])
+        peaks.append(_exponent(np.abs(work[b:e], out=spare[: e - b]).max()) - scale)
+    np.ldexp(work[done:end], -scale, out=work[done:end])
+    return work

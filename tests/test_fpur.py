@@ -1,6 +1,7 @@
 """Restart composition analytics: renewal identities, closed forms,
 beneficial-restart criteria."""
 
+import decimal
 import inspect
 import math
 from fractions import Fraction
@@ -1072,6 +1073,25 @@ class TestWalkGeometricClosedForm:
         assert brw_geometric_mean(p, m, rho) == pytest.approx(
             mean_T_geometric(BiasedWalk(p, m), rho), rel=1e-10
         )
+
+    def test_matches_60_digit_value(self):
+        """Within 4e-14 relative of (b^m - 1) / rho in 60-digit decimal, the
+        doubles p and rho taken as exact, at 2000 uniform (p, m, rho) and at
+        a point where b^m - 1 cancelled (p > 1/2, rho small)."""
+        rng = np.random.default_rng(2024)
+        cases = [
+            (0.6916, 3, 7.4e-5),
+            *zip(rng.random(2000).tolist(), rng.integers(1, 12, 2000).tolist(), rng.random(2000).tolist()),
+        ]
+        worst = 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for p, m, rho in cases:
+                big_p, x = decimal.Decimal(p), 1 - decimal.Decimal(rho)
+                b = (1 + (1 - 4 * big_p * (1 - big_p) * x * x).sqrt()) / (2 * big_p * x)
+                exact = (b**m - 1) / decimal.Decimal(rho)
+                worst = max(worst, float(abs(decimal.Decimal(brw_geometric_mean(p, m, rho)) - exact) / exact))
+        assert worst <= 4e-14
 
     # At p = 1e-17, sqrt(1 - 4pqx^2) rounds to 1; at m = 300 the mean overflows.
     @pytest.mark.parametrize("p, m, rho", [(1e-17, 1, 0.5), (0.01, 300, 0.5)])

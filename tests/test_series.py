@@ -382,6 +382,12 @@ class TestSeriesDivideBlocked:
         num = np.arange(1.0, 301.0)
         assert series_divide(num, np.array([2.0]), 299).tolist() == (num / 2.0).tolist()
 
+    def test_growing_quotient_is_never_scaled(self):
+        # 1 / (1 - 2x) does not contract, so its blocks run unscaled: a scale
+        # taken from the numerator's bound would overflow the quotient near
+        # n = 75, and every 2**n up to 2**1023 is exact.
+        assert series_divide([1.0], [1.0, -2.0], 1023).tolist() == (2.0 ** np.arange(1024)).tolist()
+
 
 def decimal_divide(num, den, t_max, digits=40):
     """The long-division recurrence in decimal arithmetic to ``digits``
