@@ -311,6 +311,11 @@ class ProcessModel:
 
     _held: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __getstate__(self) -> dict:
+        # A pickle, such as the copy a Monte Carlo helper runs, carries the
+        # parameters, not the held masses.
+        return {**self.__dict__, "_held": None}
+
     def pgf(self, z: float) -> float:
         raise NotImplementedError
 

@@ -6,20 +6,36 @@ restart whatever state it reaches (a tie goes to the restart).  Trial ``i``
 of a run seeded with ``s`` reads the counter-based uniforms of
 ``Philox(key=(s << 64) + i)`` in order, whatever the order of the trials.
 
-One numpy ``Philox`` serves a whole run: each trial re-keys it to the
+One numpy ``Philox`` serves a run of trials: each trial re-keys it to the
 trial's key with its counter at zero, then reads its uniforms in chunks of
 ``_FIRST_CHUNK``, doubling up to ``_MAX_CHUNK``, refilled at the loop's top.
 A model consumes each chunk in the form :meth:`ProcessModel.leg_input` makes
 of it, through :meth:`ProcessModel.run_leg`, one call per stretch of a leg
 within a chunk; epoch draws read the chunk's own floats.
+
+A run is split into contiguous trial ranges, one per usable CPU.  The
+caller runs the first; each other range goes to a helper process, forked
+on first use where ``os.fork`` exists and kept for the process's life,
+which runs the same trial loop on a pickled copy of the model.  The ranges'
+results are joined in trial order, so a run's results do not depend on how
+it was split.  The caller runs a range itself when no helper can (a model
+that does not pickle, an exception, a dead helper, a call from a thread
+other than the main one or from a forked child), and drops a helper that
+failed.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import operator
+import os
+import pickle
 import sys
-from dataclasses import dataclass
+import threading
+from contextlib import suppress
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 from statistics import NormalDist, fmean
 
 import numpy as np
@@ -147,10 +163,10 @@ def _summarize(samples: list[int], restarts: list[int], censored: int, config: S
 
 
 def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig, first: int = 0):
-    """Run ``config.trials`` trials, numbered from ``first`` (0 except in
-    the stream tests); returns (first-passage times as ints, restart counts,
-    censored count).  With ``spec`` None the process never restarts and no
-    epoch uniform is read."""
+    """Run ``config.trials`` trials, numbered from ``first``, in one
+    process; returns (first-passage times as ints, restart counts, censored
+    count).  With ``spec`` None the process never restarts and no epoch
+    uniform is read."""
     samples: list[int] = []
     restart_counts: list[int] = []
     censored = 0
@@ -221,20 +237,196 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
     return samples, restart_counts, censored
 
 
+def _read(fd: int, size: int) -> bytes:
+    """Exactly ``size`` bytes from ``fd``; EOFError if it closes first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _receive(fd: int) -> bytes:
+    """The next message :func:`_send` wrote to ``fd``."""
+    return _read(fd, int.from_bytes(_read(fd, 8), "little"))
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write ``data`` to ``fd``, prefixed by its length."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(requests: int, replies: int) -> None:
+    """A helper's loop: run each requested range of trials and send back
+    what ``_run_trials`` returned, or None if it raised, until the owner
+    closes the request pipe."""
+    while True:
+        try:
+            request = _receive(requests)
+        except EOFError:
+            return
+        try:
+            reply = _run_trials(*pickle.loads(request))
+        except Exception:  # the owner runs the range and meets the error itself
+            reply = None
+        _send(replies, pickle.dumps(reply))
+
+
+def _fork_helper() -> tuple[int, int, int]:
+    """Fork a helper; returns (pid, request fd, reply fd)."""
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    requests, request_fd, reply_fd, replies = fds
+    if pid == 0:
+        # Never return into the owner's code, and never run its exit handlers.
+        # The helper keeps only its own ends of the pipes, so that the
+        # owner's exit, however it comes, ends the helper's loop.
+        try:
+            os.close(request_fd)
+            os.close(reply_fd)
+            _serve(requests, replies)
+        finally:
+            os._exit(0)
+    os.close(requests)
+    os.close(replies)
+    return pid, request_fd, reply_fd
+
+
+class _Helpers:
+    """The helper processes of the process that forked them, used from its
+    main thread only.  No result depends on a helper: a range it cannot run
+    is run by the caller through the same ``_run_trials`` call."""
+
+    def __init__(self) -> None:
+        self._helpers: list[tuple[int, int, int]] = []
+        # The one thread that may use helpers; None in a forked child.
+        self._owner = threading.main_thread() if hasattr(os, "fork") else None
+
+    def run(self, model: ProcessModel, spec: RestartSpec | None, config: SimConfig, parts: int | None = None):
+        """``_run_trials(model, spec, config)``, as ``parts`` contiguous
+        ranges (one per usable CPU by default) joined in trial order; the
+        caller runs the first range and helpers run the others."""
+        if parts is None:
+            parts = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        parts = min(parts, config.trials)
+        owner = self._owner
+        if parts == 1 or threading.current_thread() is not owner:
+            return _run_trials(model, spec, config)
+        bounds = [config.trials * k // parts for k in range(parts + 1)]
+        jobs = [(replace(config, trials=stop - start), start) for start, stop in zip(bounds, bounds[1:])]
+        try:
+            requests = [pickle.dumps((model, spec, *job)) for job in jobs[1:]]
+        except Exception:  # a model or spec that does not pickle runs here
+            return _run_trials(model, spec, config)
+        # A call nested in this one (from a signal handler, say) runs alone.
+        self._owner = None
+        try:
+            sent = [self._request(helper, request) for helper, request in zip(self._start(len(requests)), requests)]
+            results = [_run_trials(model, spec, *jobs[0])]
+            for helper, job in zip_longest(sent, jobs[1:]):
+                reply = self._reply(helper)
+                results.append(_run_trials(model, spec, *job) if reply is None else reply)
+        except BaseException:
+            # Replies may still be on their way: no later run may read them.
+            self.close()
+            raise
+        finally:
+            self._owner = owner
+        samples, restarts, censored = [], [], 0
+        for part in results:
+            samples += part[0]
+            restarts += part[1]
+            censored += part[2]
+        return samples, restarts, censored
+
+    def _start(self, count: int) -> list[tuple[int, int, int]]:
+        """Up to ``count`` helpers, forking the ones not yet running."""
+        with suppress(OSError):
+            while len(self._helpers) < count:
+                self._helpers.append(_fork_helper())
+        return self._helpers[:count]
+
+    def _request(self, helper, request: bytes):
+        """Send ``request`` to ``helper``; the helper, or None if it failed."""
+        try:
+            _send(helper[1], request)
+        except OSError:
+            self._drop(helper)
+            return None
+        return helper
+
+    def _reply(self, helper):
+        """The helper's results, or None (and the helper dropped) if it
+        has none."""
+        if helper is None:
+            return None
+        try:
+            reply = pickle.loads(_receive(helper[2]))
+        except (OSError, EOFError, pickle.UnpicklingError):
+            reply = None
+        if reply is None:
+            self._drop(helper)
+        return reply
+
+    def _drop(self, helper) -> None:
+        """Close the helper's pipes, kill it, whatever it is doing, and wait
+        for it."""
+        import signal  # imported here: only a dropped helper needs it
+
+        self._helpers.remove(helper)
+        pid, request_fd, reply_fd = helper
+        os.close(request_fd)
+        os.close(reply_fd)
+        with suppress(OSError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def close(self) -> None:
+        """Drop every helper."""
+        for helper in self._helpers[:]:
+            self._drop(helper)
+
+    def _forget(self) -> None:
+        """In a forked child: close the inherited pipes, unused, and use no
+        helper from now on."""
+        for _, request_fd, reply_fd in self._helpers:
+            os.close(request_fd)
+            os.close(reply_fd)
+        self._helpers.clear()
+        self._owner = None
+
+
+_HELPERS = _Helpers()
+atexit.register(_HELPERS.close)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HELPERS._forget)
+
+
 def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> SimEstimate:
     """Estimate E[T] for the restarted process from ``config.trials`` trials.
 
     Preemptive pairs produce all-censored runs (flagged, not raised).
     """
-    return _summarize(*_run_trials(model, spec, config), config)
+    return _summarize(*_HELPERS.run(model, spec, config), config)
 
 
 def underlying_samples(model: ProcessModel, config: SimConfig) -> tuple[np.ndarray, int]:
     """Raw first-passage times of the bare process; returns (samples, censored)."""
-    samples, _, censored = _run_trials(model, None, config)
+    samples, _, censored = _HELPERS.run(model, None, config)
     return np.asarray(samples, dtype=np.float64), censored
 
 
 def simulate_underlying(model: ProcessModel, config: SimConfig) -> SimEstimate:
     """Estimate E[U] for the bare process (no restart)."""
-    return _summarize(*_run_trials(model, None, config), config)
+    return _summarize(*_HELPERS.run(model, None, config), config)

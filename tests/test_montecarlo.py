@@ -1,11 +1,19 @@
 """Simulation engine: determinism, epoch sampling, estimator calibration,
-the stream contract, and equality with the scalar reference loop."""
+the stream contract, equality with the scalar reference loop, and runs
+split over helper processes."""
 
 import math
+import os
+import pickle
 import random
+import signal
 import statistics
+import subprocess
 import sys
+import threading
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +40,9 @@ from restartfp import (
     simulate_underlying,
     underlying_samples,
 )
-from restartfp.montecarlo import _FIRST_CHUNK, DEFAULT_STEP_CAP, _run_trials, _stdev
+import restartfp
+from restartfp import montecarlo
+from restartfp.montecarlo import _FIRST_CHUNK, _HELPERS, DEFAULT_STEP_CAP, _run_trials, _stdev, _summarize
 
 TP_FAST = TwoPoint(1, 0.75, 20)
 
@@ -470,3 +480,226 @@ class TestLegKernels:
         steps = data.draw(st.integers(1, len(u) - start))
         got = model.run_leg(state, model.leg_input(np.array(u)), start, steps)
         assert got == step_by_step(model, state, u, start, steps)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked only where os.fork exists")
+
+
+def helper_pids():
+    return [pid for pid, _, _ in _HELPERS._helpers]
+
+
+def split_estimate(model, spec, config, parts=2):
+    return _summarize(*_HELPERS.run(model, spec, config, parts), config)
+
+
+def one_process_estimate(model, spec, config):
+    return _summarize(*_run_trials(model, spec, config), config)
+
+
+@pytest.fixture
+def close_helpers():
+    """End the helpers a test started: more parts than usable CPUs must not
+    leave more helpers than that for the tests that follow."""
+    yield
+    _HELPERS.close()
+
+
+SPLIT_PAIRS = [
+    (CycleTrap(0.25, 5, 10), SharpRestart(8)),
+    (BiasedWalk(0.55, 40), GeometricRestart(0.005)),
+    (StepOnlyWalk(), None),
+    (CycleTrap(0.25, 7, 5), SharpRestart(1)),  # preemptive: every trial is censored
+]
+
+
+@needs_fork
+@pytest.mark.usefixtures("close_helpers")
+class TestSplitRuns:
+    """A run split into contiguous ranges, the first run by the caller and
+    the others by helpers, equals the one-process run: the same results in
+    trial order, so the same estimate, bit for bit."""
+
+    @pytest.mark.parametrize("pair", SPLIT_PAIRS, ids=lambda pair: type(pair[0]).__name__)
+    @pytest.mark.parametrize("trials", [1, 2, 3, 60, 1000])
+    def test_split_equals_one_process(self, pair, trials):
+        model, spec = pair
+        for cap in ORACLE_CAPS:
+            config = SimConfig(trials=trials, seed=31, step_cap=cap)
+            want = _run_trials(model, spec, config)
+            for parts in (2, 3, 5):
+                got = _HELPERS.run(model, spec, config, parts)
+                assert got == want, (cap, parts)
+                assert _summarize(*got, config) == _summarize(*want, config)
+
+    def test_preemptive_pair_is_all_censored(self):
+        model, spec = SPLIT_PAIRS[-1]
+        config = SimConfig(trials=60, seed=7, step_cap=1000)
+        assert _HELPERS.run(model, spec, config, 5) == ([], [], 60)
+
+    def test_underlying_samples_keep_trial_order(self):
+        model = BiasedWalk(0.6, 1)
+        config = SimConfig(trials=1000, seed=9)
+        want = _run_trials(model, None, config)[0]
+        samples, censored = underlying_samples(model, config)
+        assert censored == 0
+        assert samples.tolist() == want
+        assert _HELPERS.run(model, None, config, 5)[0] == want
+
+    def test_one_helper_per_extra_part(self):
+        config = SimConfig(trials=100, seed=3)
+        _HELPERS.run(*SPLIT_PAIRS[0], config, 3)
+        assert len(helper_pids()) == 2
+        _HELPERS.run(*SPLIT_PAIRS[0], config, 2)
+        assert len(helper_pids()) == 2
+
+
+class FailingTrap(CycleTrap):
+    """A model whose legs raise, wherever they run."""
+
+    def run_leg(self, state, u, start, steps):
+        raise ZeroDivisionError("no leg")
+
+
+@needs_fork
+class TestHelperFaults:
+    """A helper only speeds a run up: whatever becomes of it, the caller
+    runs its range, and the estimate is the one-process one."""
+
+    MODEL, SPEC = CycleTrap(0.25, 5, 10), SharpRestart(8)
+    CONFIG = SimConfig(trials=400, seed=41)
+
+    def want(self):
+        return one_process_estimate(self.MODEL, self.SPEC, self.CONFIG)
+
+    def test_killed_helper(self):
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        pid = helper_pids()[0]
+        os.kill(pid, signal.SIGKILL)
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        assert pid not in helper_pids()
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        assert helper_pids() and pid not in helper_pids()
+
+    def test_model_that_does_not_pickle(self):
+        class LocalTrap(CycleTrap):
+            pass
+
+        model = LocalTrap(0.25, 5, 10)
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(model)
+        split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        pids = helper_pids()
+        assert split_estimate(model, self.SPEC, self.CONFIG) == self.want()
+        assert helper_pids() == pids
+
+    def test_class_the_helper_cannot_unpickle(self, monkeypatch):
+        # Defined after the helper was forked, so its copy of this module
+        # lacks it: the helper's unpickling raises, and it is dropped.
+        split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        pid = helper_pids()[0]
+        late = type("LateTrap", (CycleTrap,), {"__module__": __name__})
+        monkeypatch.setattr(sys.modules[__name__], "LateTrap", late, raising=False)
+        assert split_estimate(late(0.25, 5, 10), self.SPEC, self.CONFIG) == self.want()
+        assert pid not in helper_pids()
+
+    def test_exception_in_the_trials(self):
+        split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        with pytest.raises(ZeroDivisionError):
+            split_estimate(FailingTrap(0.25, 5, 10), self.SPEC, self.CONFIG)
+        assert helper_pids() == []
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+
+    def test_forked_child_uses_no_helper(self):
+        # The child runs another seed: a request it sent down the parent's
+        # pipe would come back as the parent's next reply, and change it.
+        child_config = SimConfig(trials=300, seed=43)
+        child_want = one_process_estimate(self.MODEL, self.SPEC, child_config)
+        split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        pids = helper_pids()
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                ok = helper_pids() == [] and split_estimate(self.MODEL, self.SPEC, child_config) == child_want
+                code = 0 if ok and helper_pids() == [] else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(child, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        assert helper_pids() == pids
+
+    def test_threads(self, monkeypatch):
+        # The main thread may use helpers; another thread runs all of its
+        # trials itself, alone or beside the main thread.
+        want = self.want()
+        split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        results, ranges = {}, {}
+        run_trials = montecarlo._run_trials
+
+        def recording(model, spec, config, first=0):
+            ranges.setdefault(threading.current_thread().name, []).append(config.trials)
+            return run_trials(model, spec, config, first)
+
+        def work():
+            for _ in range(3):
+                estimate = split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+                results.setdefault(threading.current_thread().name, []).append(estimate)
+
+        monkeypatch.setattr(montecarlo, "_run_trials", recording)
+        threads = [threading.Thread(target=work, name=name) for name in ("alone", "one", "two")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads[0].start()
+            threads[0].join(timeout=60)
+            for thread in threads[1:]:
+                thread.start()
+            work()
+            for thread in threads[1:]:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        names = ("alone", "one", "two", "MainThread")
+        assert results == {name: [want] * 3 for name in names}
+        assert ranges == {**{name: [400] * 3 for name in names[:3]}, "MainThread": [200] * 3}
+
+    def test_helper_ends_with_its_pipes(self):
+        # An owner that is killed runs no exit handler, but the kernel
+        # closes its pipe ends, and that alone ends the helper's loop.
+        pid, request_fd, reply_fd = montecarlo._fork_helper()
+        os.close(request_fd)
+        os.close(reply_fd)
+        for _ in range(400):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the helper outlived its pipes")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+HELPER_SCRIPT = """
+from restartfp import CycleTrap, SharpRestart, SimConfig, cli, montecarlo
+cli.run_sweep(CycleTrap(0.25, 5, 10), "sharp", range(2, 12), 400, 5)
+montecarlo._HELPERS.run(CycleTrap(0.25, 5, 10), SharpRestart(8), SimConfig(400, 5), 3)
+print(*(pid for pid, _, _ in montecarlo._HELPERS._helpers))
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="needs /proc to see processes")
+def test_helpers_end_with_their_process():
+    # Waited for at exit: nothing is left, not even a zombie.
+    src = str(Path(restartfp.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", HELPER_SCRIPT], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    pids = [int(word) for word in done.stdout.split()]
+    assert len(pids) == 2
+    assert [pid for pid in pids if Path(f"/proc/{pid}").exists()] == []
