@@ -13,26 +13,31 @@ A model consumes each chunk in the form :meth:`ProcessModel.leg_input` makes
 of it, through :meth:`ProcessModel.run_leg`, one call per stretch of a leg
 within a chunk; epoch draws read the chunk's own floats.
 
-A run is split into contiguous trial ranges, one per usable CPU.  The
-caller runs the first; each other range goes to a helper process, forked
-on first use where ``os.fork`` exists and kept for the process's life,
-which runs the same trial loop on a pickled copy of the model.  The ranges'
-results are joined in trial order, so a run's results do not depend on how
-it was split.  The caller runs a range itself when no helper can (a model
-that does not pickle, an exception, a dead helper, a call from a thread
-other than the main one or from a forked child), and drops a helper that
-failed.
+A run is split into contiguous trial ranges, one per usable CPU (at most
+``_MAX_PARTS``).  The caller runs the first; each other range goes to a
+helper process, forked on first use where ``os.fork`` exists and kept for
+the process's life, which runs the same trial loop on a pickled copy of the
+model.  The ranges' results are joined in trial order, so a run's results
+do not depend on how it was split.  Helpers run only restartfp's own model
+and restart classes, and are forked again when a name their trial loop
+reads in restartfp has been rebound since they were forked; any other
+class runs in the caller.  The caller runs a range itself when no helper
+can (a model that does not pickle, an exception, a dead or late helper, a
+call from a thread other than the main one or from a forked child), and
+drops a helper that failed.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import math
 import operator
 import os
 import pickle
 import sys
 import threading
+import time
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import zip_longest
@@ -40,7 +45,17 @@ from statistics import NormalDist, fmean
 
 import numpy as np
 
-from .models import ProcessModel, RestartSpec
+from .models import (
+    BiasedWalk,
+    CycleTrap,
+    ExplicitProcess,
+    ExplicitRestart,
+    GeometricRestart,
+    ProcessModel,
+    RestartSpec,
+    SharpRestart,
+    TwoPoint,
+)
 
 # Uniforms in a trial's first draw: a figure-6 row's trials use 28 in the
 # median and 40 on average, and 64 ran both Monte Carlo benchmark workloads
@@ -54,6 +69,35 @@ DEFAULT_STEP_CAP = 10**7
 
 # Bits of the integer square root in _stdev: twice a double's 53, plus 3.
 _ROOT_BITS = 2 * sys.float_info.mant_dig + 3
+
+# The most parts a run is split into: the most that have been timed.
+_MAX_PARTS = 2
+
+# How long past the end of its own range the caller waits for a helper's
+# reply, at least; it waits as long as its own range took if that is
+# longer.  A helper that has not replied by then is dropped and the caller
+# runs its range, so a stalled helper delays a run by a bounded time.
+_LATE_S = 0.005
+
+# CPU quota files: cgroup v2's "quota period" (quota "max" when none), then
+# cgroup v1's quota (-1 when none) and period.
+_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+# The model and restart classes helpers run: restartfp's own, as imported
+# here.  Any other class runs in the caller, since a helper's copy of it, or
+# of what it reads, may differ from the caller's; so does one of these
+# classes once a reload has replaced it.
+_SHARED = (
+    BiasedWalk, CycleTrap, ExplicitProcess, TwoPoint, ExplicitRestart, GeometricRestart, SharpRestart, type(None),
+)
+
+# The namespaces a helper's trial loop reads in restartfp: this module's,
+# the models module's and those of the shared classes and their bases.
+_NAMESPACES = [globals(), vars(sys.modules[ProcessModel.__module__])]
+_NAMESPACES += [vars(cls) for cls in dict.fromkeys(base for cls in _SHARED[:-1] for base in cls.__mro__[:-1])]
 
 
 @dataclass(frozen=True)
@@ -237,6 +281,30 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
     return samples, restart_counts, censored
 
 
+@functools.cache
+def _cpus() -> int:
+    """The CPUs a run is split over: those in this process's affinity set,
+    at most its cgroup's CPU quota (rounded up) and at most _MAX_PARTS."""
+    cpus = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, _MAX_PARTS)
+    for paths in _QUOTA_FILES:
+        words = []
+        try:
+            for path in paths:
+                with open(path) as file:
+                    words += file.read().split()
+            quota, period = int(words[0]), int(words[1])
+        except (OSError, ValueError, IndexError):  # absent, or no quota ("max")
+            continue
+        if quota > 0:
+            cpus = min(cpus, -(-quota // period))
+    return cpus
+
+
+def _names() -> list:
+    """What every name in ``_NAMESPACES`` is bound to now, in order."""
+    return [value for space in _NAMESPACES for value in space.values()]
+
+
 def _read(fd: int, size: int) -> bytes:
     """Exactly ``size`` bytes from ``fd``; EOFError if it closes first."""
     data = bytearray()
@@ -276,6 +344,31 @@ def _serve(requests: int, replies: int) -> None:
         _send(replies, pickle.dumps(reply))
 
 
+def _detach(requests: int, replies: int) -> None:
+    """In a new helper: hold none of the owner's files but the helper's
+    own pipe ends, so that a pipeline the owner writes to ends with the
+    owner, and end the helper as soon as the owner's end of the request
+    pipe closes, even in the middle of a range."""
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in range(3):
+        if fd not in (requests, replies):
+            os.dup2(null, fd)
+    low, high = sorted((requests, replies))
+    for start, stop in ((3, low), (low + 1, high), (high + 1, os.sysconf("SC_OPEN_MAX"))):
+        os.closerange(max(start, 3), stop)
+    threading.Thread(target=_watch, args=(requests,), daemon=True).start()
+
+
+def _watch(requests: int) -> None:
+    """End the helper when every writer of its request pipe has closed it."""
+    import select  # imported here: only a helper needs it
+
+    poller = select.poll()
+    poller.register(requests, 0)  # wakes on a hang-up or an error only
+    poller.poll()
+    os._exit(0)
+
+
 def _fork_helper() -> tuple[int, int, int]:
     """Fork a helper; returns (pid, request fd, reply fd)."""
     fds: list[int] = []
@@ -290,11 +383,8 @@ def _fork_helper() -> tuple[int, int, int]:
     requests, request_fd, reply_fd, replies = fds
     if pid == 0:
         # Never return into the owner's code, and never run its exit handlers.
-        # The helper keeps only its own ends of the pipes, so that the
-        # owner's exit, however it comes, ends the helper's loop.
         try:
-            os.close(request_fd)
-            os.close(reply_fd)
+            _detach(requests, replies)
             _serve(requests, replies)
         finally:
             os._exit(0)
@@ -312,16 +402,17 @@ class _Helpers:
         self._helpers: list[tuple[int, int, int]] = []
         # The one thread that may use helpers; None in a forked child.
         self._owner = threading.main_thread() if hasattr(os, "fork") else None
+        # What the names helpers read were bound to when they were forked.
+        self._names: list = []
 
-    def run(self, model: ProcessModel, spec: RestartSpec | None, config: SimConfig, parts: int | None = None):
-        """``_run_trials(model, spec, config)``, as ``parts`` contiguous
-        ranges (one per usable CPU by default) joined in trial order; the
-        caller runs the first range and helpers run the others."""
-        if parts is None:
-            parts = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        parts = min(parts, config.trials)
+    def run(self, model: ProcessModel, spec: RestartSpec | None, config: SimConfig):
+        """``_run_trials(model, spec, config)``, as one contiguous range per
+        usable CPU, joined in trial order; the caller runs the first range
+        and helpers run the others."""
+        parts = min(_cpus(), config.trials)
         owner = self._owner
-        if parts == 1 or threading.current_thread() is not owner:
+        shared = type(model) in _SHARED and type(spec) in _SHARED
+        if parts == 1 or not shared or threading.current_thread() is not owner:
             return _run_trials(model, spec, config)
         bounds = [config.trials * k // parts for k in range(parts + 1)]
         jobs = [(replace(config, trials=stop - start), start) for start, stop in zip(bounds, bounds[1:])]
@@ -329,13 +420,20 @@ class _Helpers:
             requests = [pickle.dumps((model, spec, *job)) for job in jobs[1:]]
         except Exception:  # a model or spec that does not pickle runs here
             return _run_trials(model, spec, config)
+        names = _names()
+        if len(names) != len(self._names) or not all(map(operator.is_, names, self._names)):
+            self.close()  # forked before a rebinding: they would run other code
+        self._names = names
         # A call nested in this one (from a signal handler, say) runs alone.
         self._owner = None
         try:
             sent = [self._request(helper, request) for helper, request in zip(self._start(len(requests)), requests)]
+            start = time.perf_counter()
             results = [_run_trials(model, spec, *jobs[0])]
+            now = time.perf_counter()
+            deadline = now + max(now - start, _LATE_S)
             for helper, job in zip_longest(sent, jobs[1:]):
-                reply = self._reply(helper)
+                reply = self._reply(helper, deadline)
                 results.append(_run_trials(model, spec, *job) if reply is None else reply)
         except BaseException:
             # Replies may still be on their way: no later run may read them.
@@ -366,13 +464,19 @@ class _Helpers:
             return None
         return helper
 
-    def _reply(self, helper):
+    def _reply(self, helper, deadline: float):
         """The helper's results, or None (and the helper dropped) if it
-        has none."""
+        has none, or has not begun to send them by ``deadline``, a
+        ``time.perf_counter`` reading."""
         if helper is None:
             return None
+        import select  # imported here: only a split run needs it
+
+        poller = select.poll()
+        poller.register(helper[2], select.POLLIN)
         try:
-            reply = pickle.loads(_receive(helper[2]))
+            ready = poller.poll(max(deadline - time.perf_counter(), 0.0) * 1e3)
+            reply = pickle.loads(_receive(helper[2])) if ready else None
         except (OSError, EOFError, pickle.UnpicklingError):
             reply = None
         if reply is None:

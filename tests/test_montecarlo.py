@@ -346,7 +346,9 @@ class TestStreamContract:
 
     def test_run_builds_one_generator(self, monkeypatch):
         # Re-keying one generator per trial, not building one, is what keeps
-        # a short trial cheap: pin the count without timing anything.
+        # a short trial cheap: pin the count without timing anything, with
+        # the whole run in this process.
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
         built = []
         philox = np.random.Philox
 
@@ -489,8 +491,13 @@ def helper_pids():
     return [pid for pid, _, _ in _HELPERS._helpers]
 
 
-def split_estimate(model, spec, config, parts=2):
-    return _summarize(*_HELPERS.run(model, spec, config, parts), config)
+def use_parts(monkeypatch, parts):
+    """Split runs into ``parts`` ranges, whatever this machine's CPUs."""
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: parts)
+
+
+def split_estimate(model, spec, config):
+    return _summarize(*_HELPERS.run(model, spec, config), config)
 
 
 def one_process_estimate(model, spec, config):
@@ -498,9 +505,12 @@ def one_process_estimate(model, spec, config):
 
 
 @pytest.fixture
-def close_helpers():
-    """End the helpers a test started: more parts than usable CPUs must not
-    leave more helpers than that for the tests that follow."""
+def close_helpers(monkeypatch):
+    """Wait for every helper's reply, however late, so that which helpers
+    run is the same on a loaded machine; end the helpers a test started, as
+    more parts than usable CPUs must not leave more helpers than that for
+    the tests that follow."""
+    monkeypatch.setattr(montecarlo, "_LATE_S", 600.0)
     yield
     _HELPERS.close()
 
@@ -508,7 +518,8 @@ def close_helpers():
 SPLIT_PAIRS = [
     (CycleTrap(0.25, 5, 10), SharpRestart(8)),
     (BiasedWalk(0.55, 40), GeometricRestart(0.005)),
-    (StepOnlyWalk(), None),
+    (TP_FAST, None),
+    (EXPLICIT_WITH_INFINITY, ORACLE_SPECS[5]),
     (CycleTrap(0.25, 7, 5), SharpRestart(1)),  # preemptive: every trial is censored
 ]
 
@@ -522,52 +533,84 @@ class TestSplitRuns:
 
     @pytest.mark.parametrize("pair", SPLIT_PAIRS, ids=lambda pair: type(pair[0]).__name__)
     @pytest.mark.parametrize("trials", [1, 2, 3, 60, 1000])
-    def test_split_equals_one_process(self, pair, trials):
+    def test_split_equals_one_process(self, monkeypatch, pair, trials):
         model, spec = pair
-        for cap in ORACLE_CAPS:
-            config = SimConfig(trials=trials, seed=31, step_cap=cap)
-            want = _run_trials(model, spec, config)
-            for parts in (2, 3, 5):
-                got = _HELPERS.run(model, spec, config, parts)
+        for parts in (2, 3, 5):
+            use_parts(monkeypatch, parts)
+            for cap in ORACLE_CAPS:
+                config = SimConfig(trials=trials, seed=31, step_cap=cap)
+                want = _run_trials(model, spec, config)
+                got = _HELPERS.run(model, spec, config)
                 assert got == want, (cap, parts)
                 assert _summarize(*got, config) == _summarize(*want, config)
+            if min(parts, trials) > 1:
+                assert len(helper_pids()) == min(parts, trials) - 1
 
-    def test_preemptive_pair_is_all_censored(self):
+    def test_preemptive_pair_is_all_censored(self, monkeypatch):
+        use_parts(monkeypatch, 5)
         model, spec = SPLIT_PAIRS[-1]
         config = SimConfig(trials=60, seed=7, step_cap=1000)
-        assert _HELPERS.run(model, spec, config, 5) == ([], [], 60)
+        assert _HELPERS.run(model, spec, config) == ([], [], 60)
 
-    def test_underlying_samples_keep_trial_order(self):
+    def test_underlying_samples_keep_trial_order(self, monkeypatch):
+        use_parts(monkeypatch, 5)
         model = BiasedWalk(0.6, 1)
         config = SimConfig(trials=1000, seed=9)
         want = _run_trials(model, None, config)[0]
         samples, censored = underlying_samples(model, config)
         assert censored == 0
         assert samples.tolist() == want
-        assert _HELPERS.run(model, None, config, 5)[0] == want
+        assert len(helper_pids()) == 4
 
-    def test_one_helper_per_extra_part(self):
-        config = SimConfig(trials=100, seed=3)
-        _HELPERS.run(*SPLIT_PAIRS[0], config, 3)
-        assert len(helper_pids()) == 2
-        _HELPERS.run(*SPLIT_PAIRS[0], config, 2)
-        assert len(helper_pids()) == 2
+    def test_helpers_are_kept_for_shorter_runs(self, monkeypatch):
+        use_parts(monkeypatch, 3)
+        _HELPERS.run(*SPLIT_PAIRS[0], SimConfig(trials=100, seed=3))
+        pids = helper_pids()
+        assert len(pids) == 2
+        _HELPERS.run(*SPLIT_PAIRS[0], SimConfig(trials=2, seed=3))
+        assert helper_pids() == pids
 
 
-class FailingTrap(CycleTrap):
-    """A model whose legs raise, wherever they run."""
+@pytest.mark.parametrize("affinity, files, want", [
+    (64, {}, 2),  # no quota: the most parts timed
+    (1, {}, 1),
+    (64, {"cpu.max": "max 100000"}, 2),
+    (64, {"cpu.max": "150000 100000"}, 2),
+    (64, {"cpu.max": "100000 100000"}, 1),
+    (64, {"cpu.max": "20000 100000"}, 1),
+    (64, {"quota": "-1", "period": "100000"}, 2),
+    (64, {"quota": "80000", "period": "100000"}, 1),
+])
+def test_cpus(monkeypatch, tmp_path, affinity, files, want):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    quota_files = ((str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period")))
+    monkeypatch.setattr(montecarlo, "_QUOTA_FILES", quota_files)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    montecarlo._cpus.cache_clear()
+    try:
+        assert montecarlo._cpus() == want
+    finally:
+        montecarlo._cpus.cache_clear()
 
-    def run_leg(self, state, u, start, steps):
-        raise ZeroDivisionError("no leg")
+
+class UserTrap(CycleTrap):
+    """A user subclass of a restartfp model: it pickles, but a helper's copy
+    of it may differ from the caller's."""
 
 
 @needs_fork
+@pytest.mark.usefixtures("close_helpers")
 class TestHelperFaults:
     """A helper only speeds a run up: whatever becomes of it, the caller
     runs its range, and the estimate is the one-process one."""
 
     MODEL, SPEC = CycleTrap(0.25, 5, 10), SharpRestart(8)
     CONFIG = SimConfig(trials=400, seed=41)
+
+    @pytest.fixture(autouse=True)
+    def two_parts(self, monkeypatch):
+        use_parts(monkeypatch, 2)
 
     def want(self):
         return one_process_estimate(self.MODEL, self.SPEC, self.CONFIG)
@@ -581,6 +624,24 @@ class TestHelperFaults:
         assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
         assert helper_pids() and pid not in helper_pids()
 
+    def test_late_helper(self, monkeypatch):
+        # A helper that has not replied a little after the caller ran its
+        # own range is not waited for: the caller runs the helper's range.
+        monkeypatch.setattr(montecarlo, "_LATE_S", 0.005)
+        split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        owner, run_leg = os.getpid(), CycleTrap.run_leg
+
+        def slow_in_helpers(model, state, u, start, steps):
+            if os.getpid() != owner:
+                time.sleep(60)
+            return run_leg(model, state, u, start, steps)
+
+        monkeypatch.setattr(CycleTrap, "run_leg", slow_in_helpers)
+        start = time.perf_counter()
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        assert time.perf_counter() - start < 30
+        assert helper_pids() == []
+
     def test_model_that_does_not_pickle(self):
         class LocalTrap(CycleTrap):
             pass
@@ -593,22 +654,86 @@ class TestHelperFaults:
         assert split_estimate(model, self.SPEC, self.CONFIG) == self.want()
         assert helper_pids() == pids
 
-    def test_class_the_helper_cannot_unpickle(self, monkeypatch):
-        # Defined after the helper was forked, so its copy of this module
-        # lacks it: the helper's unpickling raises, and it is dropped.
+    def test_user_subclass_runs_in_the_caller(self, monkeypatch):
+        # Patched after the helper was forked: the helper's copy of the
+        # class would run the old legs.  The caller runs, and sees, them all.
         split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        pids = helper_pids()
+        legs = []
+        run_leg = CycleTrap.run_leg
+
+        def recording(model, state, u, start, steps):
+            legs.append((state, start, steps))
+            return run_leg(model, state, u, start, steps)
+
+        monkeypatch.setattr(UserTrap, "run_leg", recording)
+        model = UserTrap(0.25, 5, 10)
+        want = one_process_estimate(model, self.SPEC, self.CONFIG)
+        one_process_legs = legs[:]
+        legs.clear()
+        assert split_estimate(model, self.SPEC, self.CONFIG) == want == self.want()
+        assert legs == one_process_legs
+        assert helper_pids() == pids
+
+    def test_patched_model_class(self, monkeypatch):
+        # A restartfp class patched after the helper was forked: the helper
+        # is forked again, so the whole run reads the patched step.
+        unpatched = split_estimate(self.MODEL, self.SPEC, self.CONFIG)
         pid = helper_pids()[0]
+        step = CycleTrap.step
+        monkeypatch.setattr(CycleTrap, "run_leg", ProcessModel.run_leg)
+        monkeypatch.setattr(CycleTrap, "step", lambda model, state, u: step(model, state, u / 2))
+        want = one_process_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        assert want != unpatched
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == want
+        assert pid not in helper_pids() and len(helper_pids()) == 1
+
+    def test_class_defined_after_the_fork(self, monkeypatch):
+        # The helper's copy of this module lacks the class: the caller runs
+        # it, and the helper is kept.
+        split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        pids = helper_pids()
         late = type("LateTrap", (CycleTrap,), {"__module__": __name__})
         monkeypatch.setattr(sys.modules[__name__], "LateTrap", late, raising=False)
         assert split_estimate(late(0.25, 5, 10), self.SPEC, self.CONFIG) == self.want()
-        assert pid not in helper_pids()
+        assert helper_pids() == pids
 
-    def test_exception_in_the_trials(self):
+    def test_exception_in_a_helper(self, monkeypatch):
         split_estimate(self.MODEL, self.SPEC, self.CONFIG)
-        with pytest.raises(ZeroDivisionError):
-            split_estimate(FailingTrap(0.25, 5, 10), self.SPEC, self.CONFIG)
-        assert helper_pids() == []
+        owner, run_leg = os.getpid(), CycleTrap.run_leg
+
+        def failing_in_helpers(model, state, u, start, steps):
+            if os.getpid() != owner:
+                raise ZeroDivisionError("no leg")
+            return run_leg(model, state, u, start, steps)
+
+        monkeypatch.setattr(CycleTrap, "run_leg", failing_in_helpers)
         assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        assert helper_pids() == []
+
+    def test_exception_in_the_trials(self, monkeypatch):
+        split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+
+        def failing(model, state, u, start, steps):
+            raise ZeroDivisionError("no leg")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CycleTrap, "run_leg", failing)
+            with pytest.raises(ZeroDivisionError):
+                split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+            assert helper_pids() == []
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        assert len(helper_pids()) == 1
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc to see open files")
+    def test_helper_holds_no_file_of_its_owner(self, tmp_path):
+        _HELPERS.close()
+        with open(tmp_path / "output", "w"):
+            split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+            pid = helper_pids()[0]
+            fds = {int(fd): os.readlink(f"/proc/{pid}/fd/{fd}") for fd in os.listdir(f"/proc/{pid}/fd")}
+        assert [fds.pop(fd) for fd in range(3)] == [os.devnull] * 3
+        assert len(fds) == 2 and all(target.startswith("pipe:") for target in fds.values())
 
     def test_forked_child_uses_no_helper(self):
         # The child runs another seed: a request it sent down the parent's
@@ -685,9 +810,9 @@ class TestHelperFaults:
 
 
 HELPER_SCRIPT = """
-from restartfp import CycleTrap, SharpRestart, SimConfig, cli, montecarlo
+from restartfp import CycleTrap, cli, montecarlo
+montecarlo._cpus, montecarlo._LATE_S = lambda: 3, 600.0
 cli.run_sweep(CycleTrap(0.25, 5, 10), "sharp", range(2, 12), 400, 5)
-montecarlo._HELPERS.run(CycleTrap(0.25, 5, 10), SharpRestart(8), SimConfig(400, 5), 3)
 print(*(pid for pid, _, _ in montecarlo._HELPERS._helpers))
 """
 
@@ -703,3 +828,59 @@ def test_helpers_end_with_their_process():
     pids = [int(word) for word in done.stdout.split()]
     assert len(pids) == 2
     assert [pid for pid in pids if Path(f"/proc/{pid}").exists()] == []
+
+
+KILLED_OWNER_SCRIPT = """
+from restartfp import CycleTrap, SharpRestart, SimConfig, montecarlo, simulate_fpur
+montecarlo._cpus, montecarlo._LATE_S = lambda: 2, 600.0
+model, spec = CycleTrap(0.25, 7, 5), SharpRestart(1)  # every trial runs to its step cap
+simulate_fpur(model, spec, SimConfig(trials=2, seed=5, step_cap=10))
+print(*(pid for pid, _, _ in montecarlo._HELPERS._helpers), flush=True)
+simulate_fpur(model, spec, SimConfig(trials=2, seed=5, step_cap=10**12))
+"""
+
+
+def process_state(pid):
+    """The state letter of process ``pid``, or None once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return None
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="needs /proc to see processes")
+def test_helper_ends_with_a_killed_owner(tmp_path):
+    # The owner is killed while its helper is in the middle of a range that
+    # would run for hours: the helper holds none of the owner's output open,
+    # so a reader of that output sees it end, and the helper ends too.
+    src = str(Path(restartfp.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(tmp_path / "stderr", "wb") as stderr:
+        owner = subprocess.Popen([sys.executable, "-c", KILLED_OWNER_SCRIPT], stdout=subprocess.PIPE,
+                                 stderr=stderr, env=env)
+    pids = []
+    try:
+        pids = [int(word) for word in owner.stdout.readline().split()]
+        assert len(pids) == 1, (tmp_path / "stderr").read_text()
+        time.sleep(0.5)
+        assert owner.poll() is None
+        owner.kill()
+        owner.wait()
+        reader = threading.Thread(target=owner.stdout.read, daemon=True)
+        reader.start()
+        reader.join(timeout=20)
+        assert not reader.is_alive(), "the owner's stdout stayed open after it was killed"
+        for _ in range(400):
+            if process_state(pids[0]) in (None, "Z", "X"):
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("the helper outlived its killed owner")
+    finally:
+        owner.kill()
+        owner.wait()
+        for pid in pids:
+            if process_state(pid) not in (None, "Z", "X"):
+                os.kill(pid, signal.SIGKILL)
+        owner.stdout.close()
