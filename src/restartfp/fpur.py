@@ -99,16 +99,18 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    law = spec.closed_form_law(model, t_max)
+    law, total = spec.closed_form_law(model, t_max), None
     if law is None:
         num, wins, _ = spec.renewal_terms(model, t_max)
         den = -wins[: t_max + 1]
         den[0] = 1.0
         quot = series_divide(num[: t_max + 1], den, t_max)
-        law = quot, max(0.0, 1.0 - _fsum(quot))
+        # One sum of the quotient sets its residual and is its mass check.
+        total = _fsum(quot)
+        law = quot, max(0.0, 1.0 - total)
     # The tag's renewal sums read a prefix of the U masses held for the law.
     kind = AT_INFINITY if _at_one(model, spec)[0] < 1.0 else TRUNCATION
-    return TruncatedPMF(*law, residual_kind=kind)
+    return TruncatedPMF._summed(*law, kind, total)
 
 
 def mean_T_generic(model: ProcessModel, spec: RestartSpec, t_max: int | None = None) -> float:

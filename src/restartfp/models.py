@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z, _powers
+from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z, _fsum, _powers
 
 # Default PMF expansion policy: extend until the unrepresented finite-time
 # mass drops below RESIDUAL_TARGET, or the coefficient count hits MAX_TERMS,
@@ -214,7 +214,8 @@ class SharpRestart(RestartSpec):
         if self.n_restart <= model.min_support():
             return None
         head = model._prefix(self.n_restart - 1)
-        mass_below, tail = math.fsum(head.tolist()), model._tail(head)
+        mass_below = math.fsum(head.tolist())
+        tail = model._tail(head, mass_below)
         _check_mass(mass_below + tail)
         return None if mass_below <= 0.0 else (head, mass_below, tail)
 
@@ -328,7 +329,9 @@ class ProcessModel:
         elif t_max < self.min_support():
             raise ValueError(f"t_max={t_max} is below the smallest support point {self.min_support()}")
         head = self._prefix(t_max)
-        return TruncatedPMF(head, self._tail(head), AT_INFINITY if math.isinf(self.mean()) else TRUNCATION)
+        total = _fsum(head)
+        kind = AT_INFINITY if math.isinf(self.mean()) else TRUNCATION
+        return TruncatedPMF._summed(head, self._tail(head, total), kind, total)
 
     def _prefix(self, t_max: int | None = None) -> np.ndarray:
         """u(0..t_max) from the held masses, extended through ``_atoms`` when
@@ -345,11 +348,13 @@ class ProcessModel:
         ``times``; each new mass must be finite and nonnegative."""
         out = np.zeros(stop)
         out[: held.size] = held
-        np.add.at(out, times, masses)
-        new = out[held.size :]
-        # A NaN makes the minimum NaN, which fails the comparison.
-        if not 0.0 <= new.min() <= new.max() < math.inf:
-            raise ValueError("masses must be finite and nonnegative")
+        # A range with no atoms adds only zeros, which need no check.
+        if len(times):
+            np.add.at(out, times, masses)
+            new = out[held.size :]
+            # A NaN makes the minimum NaN, which fails the comparison.
+            if not 0.0 <= new.min() <= new.max() < math.inf:
+                raise ValueError("masses must be finite and nonnegative")
         object.__setattr__(self, "_held", out)
         return out
 
@@ -360,9 +365,10 @@ class ProcessModel:
         """Times in start..stop-1 with positive mass (may repeat), and the masses."""
         raise NotImplementedError
 
-    def _tail(self, head: np.ndarray) -> float:
-        """What the masses ``head`` leave of 1."""
-        return max(0.0, 1.0 - math.fsum(head.tolist()))
+    def _tail(self, head: np.ndarray, total: float) -> float:
+        """The residual past the masses ``head``, whose fsum is ``total``:
+        by default what they leave of 1."""
+        return max(0.0, 1.0 - total)
 
     def hit_prob(self) -> float:
         """P(U < infinity)."""
@@ -454,7 +460,7 @@ class CycleTrap(ProcessModel):
         j = np.arange(max(0, -(-(start - self.L) // period)), (stop - 1 - self.L) // period + 1)
         return self.L + j * period, self.p * self.q**j
 
-    def _tail(self, head: np.ndarray) -> float:
+    def _tail(self, head: np.ndarray, total: float) -> float:
         # q^(j+1) for the j + 1 cycles the head holds.
         return self.q ** ((head.size - 1 - self.L) // (self.M + 1) + 1)
 
@@ -578,7 +584,7 @@ class BiasedWalk(ProcessModel):
     def _atoms(self, start: int, stop: int):
         k_lo = max(0, (start - self.m + 1) // 2)
         masses = self._masses(k_lo, (stop - 1 - self.m) // 2)
-        return self.m + 2 * np.arange(k_lo, k_lo + len(masses)), masses
+        return np.arange(self.m + 2 * k_lo, self.m + 2 * (k_lo + len(masses)), 2), masses
 
     def _default_horizon(self) -> int:
         """m + 2k for the first k at which the masses, added left to right,
@@ -717,7 +723,7 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         inside = [(t, w) for t, w in self._points() if start <= t < stop]
         return [t for t, _ in inside], [w for _, w in inside]
 
-    def _tail(self, head: np.ndarray) -> float:
+    def _tail(self, head: np.ndarray, total: float) -> float:
         return math.fsum(w for t, w in self._points() if t >= head.size)
 
     def hit_prob(self) -> float:
@@ -760,7 +766,7 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
         times = np.arange(start, min(stop, self.dist.t_max + 1))
         return times, self.dist.coefficients[times]
 
-    def _tail(self, head: np.ndarray) -> float:
+    def _tail(self, head: np.ndarray, total: float) -> float:
         return self.dist.residual + math.fsum(self.dist.coefficients[head.size :].tolist())
 
     def hit_prob(self) -> float:

@@ -75,7 +75,7 @@ class TruncatedPMF:
     residual: float = 0.0
     residual_kind: str = TRUNCATION
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, total: float | None = None) -> None:
         coeffs = np.array(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
@@ -86,9 +86,19 @@ class TruncatedPMF:
             raise ValueError("residual must be finite and nonnegative")
         if self.residual_kind not in (TRUNCATION, AT_INFINITY):
             raise ValueError(f"unknown residual kind {self.residual_kind!r}")
-        _check_mass(_fsum(coeffs) + self.residual)
+        _check_mass((_fsum(coeffs) if total is None else total) + self.residual)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+
+    @classmethod
+    def _summed(cls, coefficients, residual: float, residual_kind: str, total: float | None) -> "TruncatedPMF":
+        """The constructor, where the caller may have taken the fsum ``total``
+        of ``coefficients`` already: every check runs, and the mass check
+        reads ``total`` when it is given."""
+        law = object.__new__(cls)
+        law.__dict__.update(coefficients=coefficients, residual=residual, residual_kind=residual_kind)
+        law.__post_init__(total)
+        return law
 
     @classmethod
     def from_masses(
@@ -128,20 +138,23 @@ class TruncatedPMF:
         +infinity when the residual is tagged as mass at infinity."""
         if self.residual_kind == AT_INFINITY and self.residual > 0.0:
             return math.inf
-        return math.fsum(n * c for n, c in enumerate(self.coefficients))
+        n = np.arange(self.coefficients.size, dtype=float)
+        return math.fsum((n * self.coefficients).tolist())
 
     def second_factorial_moment(self) -> float:
         """Sum n(n-1) * coefficients[n]: the second PGF derivative at 1 when
         the residual is 0, a lower bound on it under ``TRUNCATION``."""
         if self.residual_kind == AT_INFINITY and self.residual > 0.0:
             return math.inf
-        return math.fsum(n * (n - 1) * c for n, c in enumerate(self.coefficients))
+        # n(n-1) is rounded once, as the product of Python ints is.
+        n = np.arange(self.coefficients.size, dtype=float)
+        return math.fsum((n * (n - 1) * self.coefficients).tolist())
 
     def cumulative(self, n: int) -> float:
         """P(X <= n) over the represented range; constant beyond t_max."""
         if n < 0:
             return 0.0
-        return math.fsum(self.coefficients[: min(n, self.t_max) + 1])
+        return math.fsum(self.coefficients[: min(n, self.t_max) + 1].tolist())
 
     def survival(self, n: int) -> float:
         """P(X > n): the residual plus the masses past n, added from the far

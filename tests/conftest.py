@@ -1,6 +1,10 @@
-"""Shared helpers for building randomized explicit distributions."""
+"""Shared helpers: randomized explicit distributions, a record of the sums
+restartfp takes, and the generator form of a law's moments."""
+
+import math
 
 import numpy as np
+import pytest
 
 from restartfp import AT_INFINITY, TRUNCATION, ExplicitProcess, ExplicitRestart, TruncatedPMF
 
@@ -30,3 +34,45 @@ def random_explicit_pair(rng, *, u_proper, r_proper, preemptive=False):
         u_dist = random_pmf(rng, min_support=1, max_support=10, defective=not u_proper)
         r_dist = random_pmf(rng, min_support=2, max_support=12, defective=not r_proper)
     return ExplicitProcess(u_dist), ExplicitRestart(r_dist)
+
+
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """Every sequence ``math.fsum`` adds while the test runs, as a list;
+    restartfp looks fsum up on the math module at each call."""
+    calls = []
+    fsum = math.fsum
+
+    def record(values):
+        values = list(values)
+        calls.append(values)
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", record)
+    return calls
+
+
+def sums_of(calls, values) -> int:
+    """How many of the recorded fsum ``calls`` added ``values``: the same
+    terms up to their last nonzero one, since zeros past it move no bit."""
+
+    def trimmed(terms):
+        terms = [float(t) for t in terms]
+        while terms and terms[-1] == 0.0:
+            terms.pop()
+        return terms
+
+    target = trimmed(values)
+    assert len(target) > 1, "one term is summed in many places"
+    return sum(trimmed(call) == target for call in calls)
+
+
+def assert_generator_moments(dist):
+    """The moments and cumulative sums of a TruncatedPMF equal, bit for bit,
+    their sums over a Python generator of n * c: each product is the same
+    correctly rounded double, and fsum is exactly rounded in any order."""
+    coeffs = dist.coefficients
+    assert dist.mean() == math.fsum(n * c for n, c in enumerate(coeffs))
+    assert dist.second_factorial_moment() == math.fsum(n * (n - 1) * c for n, c in enumerate(coeffs))
+    for n in (-1, 0, 1, dist.t_max // 3, dist.t_max, dist.t_max + 5):
+        assert dist.cumulative(n) == math.fsum(c for c in coeffs[: max(n + 1, 0)]), n

@@ -157,6 +157,16 @@ class TestSweep:
             expected = cycle_trap_sharp_classify(5, 10, int(row.param)) == BENEFICIAL
             assert row.beneficial is expected, row.param
 
+    def test_ascending_sharp_rows_hold_the_longest_prefix(self):
+        # One-row sweeps at N = 2..120, as figures 8-10 are timed row by row,
+        # hold U to the longest horizon asked, N - 1 = 119, and no further,
+        # with the bytes of one first expansion.
+        model = parse_model("brw:p=0.65,m=3")
+        for n in range(2, 121):
+            run_sweep(model, "sharp", [n])
+        assert model._held.size == 120
+        assert model._held.tobytes() == parse_model("brw:p=0.65,m=3").pmf(119).coefficients.tobytes()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError):
             run_sweep(parse_model(TP_FAST_TEXT), "geometric", [])

@@ -51,7 +51,7 @@ from restartfp import (
     p_restart_wins,
     simulate_fpur,
 )
-from conftest import random_explicit_pair
+from conftest import assert_generator_moments, random_explicit_pair, sums_of
 
 TP_FAST = TwoPoint(1, 0.75, 20)
 TP_SLOW = TwoPoint(1, 0.25, 20)
@@ -172,26 +172,49 @@ class TestFpurPmf:
 
 TRAP, WALK = CycleTrap(0.75, 2, 14), BiasedWalk(0.55, 3)
 
+# Laws long enough that the series division runs many blocks: the 16k-step
+# cycle trap and the 8k-step walk under both restart families.
+LONG_LAWS = [
+    pytest.param(TRAP, GeometricRestart(0.2), 16000, lambda: mean_T_geometric(TRAP, 0.2), id="trap-geometric"),
+    pytest.param(TRAP, SharpRestart(13), 16000, lambda: cycle_trap_sharp_mean(0.75, 2, 14, 13), id="trap-sharp"),
+    pytest.param(WALK, GeometricRestart(0.02), 8000, lambda: mean_T_geometric(WALK, 0.02), id="walk-geometric"),
+    pytest.param(WALK, SharpRestart(21), 8000, lambda: mean_T_sharp(WALK, 21), id="walk-sharp"),
+]
+
 
 class TestLongFpurPmf:
-    """Laws long enough that the series division runs many blocks: the
-    16k-step cycle trap and the 8k-step walk under both restart families."""
-
-    @pytest.mark.parametrize(
-        "model, spec, t_max, reference",
-        [
-            (TRAP, GeometricRestart(0.2), 16000, lambda: mean_T_geometric(TRAP, 0.2)),
-            (TRAP, SharpRestart(13), 16000, lambda: cycle_trap_sharp_mean(0.75, 2, 14, 13)),
-            (WALK, GeometricRestart(0.02), 8000, lambda: mean_T_geometric(WALK, 0.02)),
-            (WALK, SharpRestart(21), 8000, lambda: mean_T_sharp(WALK, 21)),
-        ],
-        ids=["trap-geometric", "trap-sharp", "walk-geometric", "walk-sharp"],
-    )
+    @pytest.mark.parametrize("model, spec, t_max, reference", LONG_LAWS)
     def test_mean_and_mass(self, model, spec, t_max, reference):
         dist = fpur_pmf(model, spec, t_max)
         assert dist.t_max == t_max
         assert math.fsum(dist.coefficients) + dist.residual == pytest.approx(1.0, abs=1e-9)
         assert dist.mean() == pytest.approx(reference(), rel=1e-9)
+
+    @pytest.mark.parametrize("model, spec, t_max, reference", LONG_LAWS)
+    def test_moments_equal_generator_form(self, model, spec, t_max, reference):
+        assert_generator_moments(fpur_pmf(model, spec, t_max))
+
+    def test_walk_pmf_moments_equal_generator_form(self):
+        assert_generator_moments(BiasedWalk(0.55, 3).pmf(3000))
+
+    @pytest.mark.parametrize(
+        "model, spec, t_max",
+        [
+            (WALK, GeometricRestart(0.1), 2000),
+            (TRAP, GeometricRestart(0.15), 4000),
+            (BiasedWalk(0.8, 3), ExplicitRestart(TruncatedPMF.from_masses({3: 0.5, 12: 0.5})), 300),
+            (BiasedWalk(0.8, 3), ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75)), 300),
+            (TRAP, SharpRestart(13), 4000),
+        ],
+        ids=["walk-geometric", "trap-geometric", "walk-explicit", "walk-leaky", "trap-sharp"],
+    )
+    def test_law_is_summed_once(self, model, spec, t_max, fsum_calls):
+        # One fsum sets a divided law's residual and is its mass check; a
+        # sharp law's residual comes from the cycle, so its one sum is the check.
+        dist = fpur_pmf(model, spec, t_max)
+        assert sums_of(fsum_calls, dist.coefficients) == 1
+        if not isinstance(spec, SharpRestart):
+            assert dist.residual == max(0.0, 1.0 - math.fsum(dist.coefficients.tolist()))
 
 
 class TestMeanGeneric:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import restartfp
 from restartfp import models
+from conftest import sums_of
 from restartfp import (
     AT_INFINITY,
     TRUNCATION,
@@ -440,6 +441,32 @@ class TestExpansionPrefix:
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold) and warm.describe() == cold.describe()
         assert {warm: 1}[cold] == 1
+
+
+class TestHeadSummedOnce:
+    """U's head is summed once: the one fsum is both the mass check's sum
+    and, for a model with no tail of its own, the residual's."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: BiasedWalk(0.55, 3), lambda: BiasedWalk(0.3, 2), lambda: CycleTrap(0.75, 2, 14)],
+        ids=["brw", "brw-defective", "cycle-trap"],
+    )
+    def test_pmf(self, make, fsum_calls):
+        for horizon in (40, 41, 3000):
+            model = make()
+            fsum_calls.clear()
+            dist = model.pmf(horizon)
+            assert sums_of(fsum_calls, dist.coefficients) == 1, horizon
+
+    @pytest.mark.parametrize("make", SHARP_MEAN_MODELS, ids=lambda make: make().describe())
+    def test_sharp_cycle(self, make, fsum_calls):
+        # A warm model asked every N in turn, as a sharp sweep asks it.
+        model = make()
+        for n in range(model.min_support() + 1, 121):
+            fsum_calls.clear()
+            SharpRestart(n).closed_form_mean(model)
+            calls = fsum_calls[:]
+            assert sums_of(calls, model.pmf(n - 1).coefficients) == 1, n
 
 
 class TestBiasedWalk:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_generator_moments
 from restartfp import AT_INFINITY, TRUNCATION, TruncatedPMF, series_divide
 
 
@@ -143,6 +144,14 @@ class TestMoments:
     def test_truncation_residual_keeps_moments_finite(self):
         dist = TruncatedPMF.from_masses({2: 0.9}, residual=0.1, residual_kind=TRUNCATION)
         assert dist.mean() == pytest.approx(1.8)
+
+    @given(masses=st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e-6, 1.0)), min_size=1,
+                           max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_moments_equal_generator_form(self, masses):
+        total = math.fsum(masses)
+        coeffs = np.array([w / total for w in masses]) if total > 0.0 else np.array([1.0, *masses])
+        assert_generator_moments(TruncatedPMF(coeffs, residual=max(0.0, 1.0 - math.fsum(coeffs.tolist()))))
 
     @given(masses=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=50))
     @settings(max_examples=40, deadline=None)
