@@ -152,10 +152,6 @@ def _fmt(value) -> str:
         return str(value)
     if math.isnan(value):
         return ""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if float(value).is_integer() and abs(value) < 2**53:
-        return str(int(value))
     return format(value, ".17g")
 
 

@@ -13,18 +13,18 @@ A model consumes each chunk in the form :meth:`ProcessModel.leg_input` makes
 of it, through :meth:`ProcessModel.run_leg`, one call per stretch of a leg
 within a chunk; epoch draws read the chunk's own floats.
 
-A run is split into contiguous trial ranges, one per usable CPU (at most
-``_MAX_PARTS``).  The caller runs the first; each other range goes to a
-helper process, forked on first use where ``os.fork`` exists and kept for
-the process's life, which runs the same trial loop on a pickled copy of the
-model.  The ranges' results are joined in trial order, so a run's results
-do not depend on how it was split.  Helpers run only restartfp's own model
-and restart classes, and are forked again when a name their trial loop
-reads in restartfp has been rebound since they were forked; any other
-class runs in the caller.  The caller runs a range itself when no helper
-can (a model that does not pickle, an exception, a dead or late helper, a
-call from a thread other than the main one or from a forked child), and
-drops a helper that failed.
+A run of two or more trials is split in two contiguous halves when two
+CPUs are usable.  The caller runs the first; the second goes to a helper
+process, forked on first use where ``os.fork`` exists and kept for the
+process's life, which runs the same trial loop on a pickled copy of the
+model.  The halves' results are joined in trial order, so a run's results
+do not depend on whether it was split.  The helper runs only restartfp's
+own model and restart classes, and is forked again when a name its trial
+loop reads in restartfp has been rebound since it was forked; any other
+class runs in the caller.  The caller runs the second half itself when the
+helper cannot (a model that does not pickle, an exception, a dead or late
+helper, a call from a thread other than the main one or from a forked
+child), and drops a helper that failed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import zip_longest
 from statistics import NormalDist, fmean
 
 import numpy as np
@@ -70,13 +69,10 @@ DEFAULT_STEP_CAP = 10**7
 # Bits of the integer square root in _stdev: twice a double's 53, plus 3.
 _ROOT_BITS = 2 * sys.float_info.mant_dig + 3
 
-# The most parts a run is split into: the most that have been timed.
-_MAX_PARTS = 2
-
-# How long past the end of its own range the caller waits for a helper's
-# reply, at least; it waits as long as its own range took if that is
-# longer.  A helper that has not replied by then is dropped and the caller
-# runs its range, so a stalled helper delays a run by a bounded time.
+# How long past the end of its own half the caller waits for the helper's
+# reply, at least; it waits as long as its own half took if that is
+# longer.  A helper whose reply is not all in by then is dropped and the
+# caller runs its half, so a stalled helper delays a run by a bounded time.
 _LATE_S = 0.005
 
 # CPU quota files: cgroup v2's "quota period" (quota "max" when none), then
@@ -284,8 +280,8 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
 @functools.cache
 def _cpus() -> int:
     """The CPUs a run is split over: those in this process's affinity set,
-    at most its cgroup's CPU quota (rounded up) and at most _MAX_PARTS."""
-    cpus = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, _MAX_PARTS)
+    at most its cgroup's CPU quota (rounded up) and at most 2, the most timed."""
+    cpus = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, 2)
     for paths in _QUOTA_FILES:
         words = []
         try:
@@ -305,10 +301,13 @@ def _names() -> list:
     return [value for space in _NAMESPACES for value in space.values()]
 
 
-def _read(fd: int, size: int) -> bytes:
-    """Exactly ``size`` bytes from ``fd``; EOFError if it closes first."""
+def _read(fd: int, size: int, wait=None) -> bytes:
+    """Exactly ``size`` bytes from ``fd``; EOFError if it closes first.
+    ``wait``, if given, is called before each read."""
     data = bytearray()
     while len(data) < size:
+        if wait:
+            wait()
         chunk = os.read(fd, size - len(data))
         if not chunk:
             raise EOFError
@@ -316,9 +315,9 @@ def _read(fd: int, size: int) -> bytes:
     return data
 
 
-def _receive(fd: int) -> bytes:
-    """The next message :func:`_send` wrote to ``fd``."""
-    return _read(fd, int.from_bytes(_read(fd, 8), "little"))
+def _receive(fd: int, wait=None) -> bytes:
+    """The next message :func:`_send` wrote to ``fd``; ``wait`` as in :func:`_read`."""
+    return _read(fd, int.from_bytes(_read(fd, 8, wait), "little"), wait)
 
 
 def _send(fd: int, data: bytes) -> None:
@@ -394,121 +393,106 @@ def _fork_helper() -> tuple[int, int, int]:
 
 
 class _Helpers:
-    """The helper processes of the process that forked them, used from its
-    main thread only.  No result depends on a helper: a range it cannot run
-    is run by the caller through the same ``_run_trials`` call."""
+    """The helper process of the process that forked it, used from its main
+    thread only.  No result depends on the helper: a half it cannot run is
+    run by the caller through the same ``_run_trials`` call."""
 
     def __init__(self) -> None:
-        self._helpers: list[tuple[int, int, int]] = []
-        # The one thread that may use helpers; None in a forked child.
+        # The helper's (pid, request fd, reply fd), or None.
+        self._helper: tuple[int, int, int] | None = None
+        # The one thread that may use the helper; None in a forked child.
         self._owner = threading.main_thread() if hasattr(os, "fork") else None
-        # What the names helpers read were bound to when they were forked.
+        # What the names the helper reads were bound to when it was forked.
         self._names: list = []
 
     def run(self, model: ProcessModel, spec: RestartSpec | None, config: SimConfig):
-        """``_run_trials(model, spec, config)``, as one contiguous range per
-        usable CPU, joined in trial order; the caller runs the first range
-        and helpers run the others."""
-        parts = min(_cpus(), config.trials)
+        """``_run_trials(model, spec, config)``, split in two contiguous
+        halves when two CPUs are usable, joined in trial order; the caller
+        runs the first half and the helper the second."""
         owner = self._owner
         shared = type(model) in _SHARED and type(spec) in _SHARED
-        if parts == 1 or not shared or threading.current_thread() is not owner:
+        if _cpus() < 2 or config.trials < 2 or not shared or threading.current_thread() is not owner:
             return _run_trials(model, spec, config)
-        bounds = [config.trials * k // parts for k in range(parts + 1)]
-        jobs = [(replace(config, trials=stop - start), start) for start, stop in zip(bounds, bounds[1:])]
+        half = config.trials // 2
+        first, second = replace(config, trials=half), replace(config, trials=config.trials - half)
         try:
-            requests = [pickle.dumps((model, spec, *job)) for job in jobs[1:]]
+            request = pickle.dumps((model, spec, second, half))
         except Exception:  # a model or spec that does not pickle runs here
             return _run_trials(model, spec, config)
         names = _names()
         if len(names) != len(self._names) or not all(map(operator.is_, names, self._names)):
-            self.close()  # forked before a rebinding: they would run other code
+            self.close()  # forked before a rebinding: it would run other code
         self._names = names
         # A call nested in this one (from a signal handler, say) runs alone.
         self._owner = None
         try:
-            sent = [self._request(helper, request) for helper, request in zip(self._start(len(requests)), requests)]
+            sent = self._request(request)
             start = time.perf_counter()
-            results = [_run_trials(model, spec, *jobs[0])]
+            samples, restarts, censored = _run_trials(model, spec, first)
             now = time.perf_counter()
-            deadline = now + max(now - start, _LATE_S)
-            for helper, job in zip_longest(sent, jobs[1:]):
-                reply = self._reply(helper, deadline)
-                results.append(_run_trials(model, spec, *job) if reply is None else reply)
+            reply = self._reply(now + max(now - start, _LATE_S)) if sent else None
+            if reply is None:
+                reply = _run_trials(model, spec, second, half)
         except BaseException:
-            # Replies may still be on their way: no later run may read them.
+            # A reply may still be on its way: no later run may read it.
             self.close()
             raise
         finally:
             self._owner = owner
-        samples, restarts, censored = [], [], 0
-        for part in results:
-            samples += part[0]
-            restarts += part[1]
-            censored += part[2]
-        return samples, restarts, censored
+        return samples + reply[0], restarts + reply[1], censored + reply[2]
 
-    def _start(self, count: int) -> list[tuple[int, int, int]]:
-        """Up to ``count`` helpers, forking the ones not yet running."""
-        with suppress(OSError):
-            while len(self._helpers) < count:
-                self._helpers.append(_fork_helper())
-        return self._helpers[:count]
-
-    def _request(self, helper, request: bytes):
-        """Send ``request`` to ``helper``; the helper, or None if it failed."""
+    def _request(self, request: bytes) -> bool:
+        """Send ``request`` to the helper, forked if none runs; False (and
+        the helper dropped) if it could not be sent."""
         try:
-            _send(helper[1], request)
+            if self._helper is None:
+                self._helper = _fork_helper()
+            _send(self._helper[1], request)
         except OSError:
-            self._drop(helper)
-            return None
-        return helper
+            self.close()
+            return False
+        return True
 
-    def _reply(self, helper, deadline: float):
+    def _reply(self, deadline: float):
         """The helper's results, or None (and the helper dropped) if it
-        has none, or has not begun to send them by ``deadline``, a
+        has none, or has not sent them all by ``deadline``, a
         ``time.perf_counter`` reading."""
-        if helper is None:
-            return None
         import select  # imported here: only a split run needs it
 
         poller = select.poll()
-        poller.register(helper[2], select.POLLIN)
+        poller.register(self._helper[2], select.POLLIN)
+
+        def wait() -> None:
+            if not poller.poll(max(deadline - time.perf_counter(), 0.0) * 1e3):
+                raise TimeoutError
+
         try:
-            ready = poller.poll(max(deadline - time.perf_counter(), 0.0) * 1e3)
-            reply = pickle.loads(_receive(helper[2])) if ready else None
+            reply = pickle.loads(_receive(self._helper[2], wait))
         except (OSError, EOFError, pickle.UnpicklingError):
             reply = None
         if reply is None:
-            self._drop(helper)
+            self.close()
         return reply
 
-    def _drop(self, helper) -> None:
+    def close(self) -> None:
         """Close the helper's pipes, kill it, whatever it is doing, and wait
         for it."""
-        import signal  # imported here: only a dropped helper needs it
+        if self._helper:
+            import signal  # imported here: only a dropped helper needs it
 
-        self._helpers.remove(helper)
-        pid, request_fd, reply_fd = helper
-        os.close(request_fd)
-        os.close(reply_fd)
-        with suppress(OSError):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-    def close(self) -> None:
-        """Drop every helper."""
-        for helper in self._helpers[:]:
-            self._drop(helper)
+            (pid, request_fd, reply_fd), self._helper = self._helper, None
+            os.close(request_fd)
+            os.close(reply_fd)
+            with suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
     def _forget(self) -> None:
         """In a forked child: close the inherited pipes, unused, and use no
         helper from now on."""
-        for _, request_fd, reply_fd in self._helpers:
-            os.close(request_fd)
-            os.close(reply_fd)
-        self._helpers.clear()
-        self._owner = None
+        for fd in self._helper[1:] if self._helper else ():
+            os.close(fd)
+        self._helper = self._owner = None
 
 
 _HELPERS = _Helpers()

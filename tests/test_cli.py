@@ -107,6 +107,20 @@ class TestValueFormatting:
         assert _fmt(math.nan) == ""
         assert float(_fmt(0.1)) == 0.1
 
+    def test_floats_print_as_seventeen_digits(self):
+        # Whole floats print as integers and infinities as "inf" through
+        # ".17g" alone.  -0.0 would print "-0", but no CLI value is -0.0.
+        rng = np.random.default_rng(5)
+        whole = [0.0, 1.0, -1.0, 38.0, 1e15, 2.0**52, 2.0**53 - 1, 1 - 2.0**53,
+                 *rng.integers(-2**53 + 1, 2**53, 200).astype(float)]
+        reals = [math.inf, 0.1, 1 / 3, 5e-324, 1e300, *rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)]
+        for value in whole + reals:
+            for x in (value, -value, np.float64(value)):
+                assert _fmt(x) == format(x, ".17g")
+        for value in whole:
+            assert _fmt(value) == _fmt(np.float64(value)) == str(int(value))
+        assert (_fmt(math.inf), _fmt(-math.inf), _fmt(np.float64(-math.inf))) == ("inf", "-inf", "-inf")
+
     def test_seventeen_digit_round_trip(self):
         for value in (0.1, 1 / 3, 150 / 156, 4.1764711353568655, 2**-40 + 1):
             assert _parse_real(_fmt(value)) == value
