@@ -504,25 +504,24 @@ class CycleTrap(ProcessModel):
         return (chunk < self.p).tobytes()
 
     def run_leg(self, state: int, u: bytes, start: int, steps: int):
-        # Only a step from 0 reads its uniform; the runs below and above 0
-        # are deterministic, so each is crossed in one move.
-        period, floor = self.M + 1, -self.L
-        i, end = start, start + steps
-        while i < end:
-            if state == 0:
-                state = -1 if u[i] else 1
-                i += 1
-            elif state < 0:
-                k = min(state - floor, end - i)
-                state -= k
-                i += k
-            else:
-                k = min(period - state, end - i)
-                state = (state + k) % period
-                i += k
-            if state == floor:
-                return state, i - start, True
-        return state, steps, False
+        # Only a step from 0 reads its uniform, and 0 recurs every M + 1
+        # steps until one steps down: a climb or a descent is settled by
+        # arithmetic, and the uniforms read at 0 by one strided search.
+        # ``down`` is where the leg's step down from 0 is, or was.
+        period, end = self.M + 1, start + steps
+        if state < 0:
+            down = start + state
+        else:
+            i = start + (period - state) % period  # where the walk is next at 0
+            if i > end:
+                return state + steps, steps, False
+            k = u[i:end:period].find(1)
+            if k < 0:
+                return (end - i) % period, steps, False
+            down = i + k * period
+        if down + self.L <= end:
+            return -self.L, down + self.L - start, True
+        return down - end, steps, False
 
     def describe(self) -> str:
         return f"cycle-trap:p={self.p!r},L={self.L},M={self.M}"

@@ -7,8 +7,11 @@ of a run seeded with ``s`` reads the counter-based uniforms of
 ``Philox(key=(s << 64) + i)`` in order, whatever the order of the trials.
 
 One numpy ``Philox`` serves a run of trials: each trial re-keys it to the
-trial's key with its counter at zero, then reads its uniforms in chunks of
-``_FIRST_CHUNK``, doubling up to ``_MAX_CHUNK``, refilled at the loop's top.
+trial's key with its counter at zero, then reads its uniforms in chunks
+refilled at the loop's top.  A trial's first chunk is as large as the one
+the run's last hitting trial ended in, halved if that trial read no more
+than half of it, and never smaller than ``_FIRST_CHUNK``; later chunks
+double up to ``_MAX_CHUNK``.
 A model consumes each chunk in the form :meth:`ProcessModel.leg_input` makes
 of it, through :meth:`ProcessModel.run_leg`, one call per stretch of a leg
 within a chunk; epoch draws read the chunk's own floats.
@@ -56,10 +59,10 @@ from .models import (
     TwoPoint,
 )
 
-# Uniforms in a trial's first draw: a figure-6 row's trials use 28 in the
-# median and 40 on average, and 64 ran both Monte Carlo benchmark workloads
-# faster than 32.  Later draws double in size up to _MAX_CHUNK, so a trial
-# of n steps makes O(log n) draws and wastes less than half of them.
+# The fewest uniforms in a trial's first draw: a figure-6 row's trials use
+# 28 in the median and 40 on average, and 64 ran both Monte Carlo benchmark
+# workloads faster than 32.  Later draws double in size up to _MAX_CHUNK, so
+# a trial of n steps makes O(log n) draws.
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 4096
 
@@ -75,12 +78,13 @@ _ROOT_BITS = 2 * sys.float_info.mant_dig + 3
 # caller runs its half, so a stalled helper delays a run by a bounded time.
 _LATE_S = 0.005
 
-# CPU quota files: cgroup v2's "quota period" (quota "max" when none), then
-# cgroup v1's quota (-1 when none) and period.
-_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-)
+# This process's cgroups, one "hierarchy:controllers:path" line each.
+_CGROUP = "/proc/self/cgroup"
+# Where cgroup v2's hierarchy and cgroup v1's cpu controller are mounted,
+# and the CPU quota files of each cgroup there: v2's "quota period" (quota
+# "max" when none), then v1's quota (-1 when none) and period.
+_CGROUP_MOUNTS = ("/sys/fs/cgroup", "/sys/fs/cgroup/cpu")
+_QUOTA_FILES = (("cpu.max",), ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
 
 # The model and restart classes helpers run: restartfp's own, as imported
 # here.  Any other class runs in the caller, since a helper's copy of it, or
@@ -226,10 +230,11 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
         "has_uint32": 0,
         "uinteger": 0,
     }
+    opening = _FIRST_CHUNK
     for trial in range(first, first + config.trials):
         key[0] = trial
         philox.state = fresh
-        size = _FIRST_CHUNK
+        size = opening
         chunk = random(size)
         u = leg_input(chunk)
         pos = total = restarts = 0
@@ -259,6 +264,9 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
                 if hit:
                     samples.append(total)
                     restart_counts.append(restarts)
+                    # The next trial opens with this one's last chunk size,
+                    # halved if it read no more than half of that chunk.
+                    opening = size if pos > size >> 1 or size == _FIRST_CHUNK else size >> 1
                     break
             elif free < 0:
                 free = draw(chunk.item(pos)) - 1
@@ -280,19 +288,31 @@ def _run_trials(model: ProcessModel, spec: RestartSpec | None, config: SimConfig
 @functools.cache
 def _cpus() -> int:
     """The CPUs a run is split over: those in this process's affinity set,
-    at most its cgroup's CPU quota (rounded up) and at most 2, the most timed."""
+    at most the smallest CPU quota (rounded up) of its own cgroup and that
+    cgroup's ancestors, and at most 2, the most timed.  The roots' quotas
+    alone are read when the process's cgroups cannot be."""
     cpus = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, 2)
-    for paths in _QUOTA_FILES:
-        words = []
-        try:
-            for path in paths:
-                with open(path) as file:
-                    words += file.read().split()
-            quota, period = int(words[0]), int(words[1])
-        except (OSError, ValueError, IndexError):  # absent, or no quota ("max")
-            continue
-        if quota > 0:
-            cpus = min(cpus, -(-quota // period))
+    paths = ["", ""]  # the v2 and v1 cgroup paths under their mounts
+    with suppress(OSError, ValueError), open(_CGROUP) as file:
+        for line in file:
+            hierarchy, controllers, path = line.rstrip("\n").split(":", 2)
+            if hierarchy == "0" and not controllers:
+                paths[0] = path
+            elif "cpu" in controllers.split(","):
+                paths[1] = path
+    for mount, path, names in zip(_CGROUP_MOUNTS, paths, _QUOTA_FILES):
+        parts = [mount, *filter(None, path.split("/"))]
+        for depth in range(1, len(parts) + 1):
+            words = []
+            try:
+                for name in names:
+                    with open(os.path.join(*parts[:depth], name)) as file:
+                        words += file.read().split()
+                quota, period = int(words[0]), int(words[1])
+            except (OSError, ValueError, IndexError):  # absent, or no quota ("max")
+                continue
+            if quota > 0:
+                cpus = min(cpus, -(-quota // period))
     return cpus
 
 

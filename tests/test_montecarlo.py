@@ -393,6 +393,7 @@ ORACLE_MODELS = [
     CycleTrap(0.25, 5, 10),
     CycleTrap(0.6, 2, 4),  # every passage takes >= 2 steps: ties with sharp N = 2
     CycleTrap(1.0, 1, 1),
+    CycleTrap(0.1, 3, 70),  # a period of 71, longer than the first chunk: climbs cross seams
     BiasedWalk(0.55, 3),
     BiasedWalk(0.3, 1),  # transient: long legs, censoring
     BiasedWalk(0.55, 40),  # the mc-long walk: strides across chunk seams and the cap
@@ -449,16 +450,58 @@ class TestEngineOracle:
         assert estimate == scalar_engine.simulate_fpur(model, spec, config)
 
 
+# (_FIRST_CHUNK, _MAX_CHUNK) with the first no larger: one-uniform chunks,
+# odd sizes, the shipped sizes, and a first chunk that never grows.
+CHUNKINGS = [(first, most) for first in (1, 5, 64, 4096) for most in (8, 4096) if first <= most]
+
+
+class TestChunking:
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: type(m).__name__)
+    def test_results_do_not_depend_on_chunk_sizes(self, monkeypatch, model):
+        # No bit depends on how a trial's uniforms are chunked: this is what
+        # lets a trial open with the chunk size the run's last trial needed.
+        config = SimConfig(trials=10, seed=23, step_cap=700)
+        for spec in [None, *ORACLE_SPECS]:
+            want = _run_trials(model, spec, config)
+            for first, most in CHUNKINGS:
+                monkeypatch.setattr(montecarlo, "_FIRST_CHUNK", first)
+                monkeypatch.setattr(montecarlo, "_MAX_CHUNK", most)
+                assert _run_trials(model, spec, config) == want, (spec, first, most)
+            monkeypatch.undo()
+
+    def test_random_calls_per_trial(self, monkeypatch):
+        # Long trials open with a chunk that holds most of them, and short
+        # ones keep the first chunk.  With every trial opening at
+        # _FIRST_CHUNK, the walk's trials made 4.07 calls each, the trap's 1.16.
+        calls = []
+
+        class CountingGenerator(np.random.Generator):
+            def random(self, *args, **kwargs):
+                calls.append(1)
+                return super().random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        for model, spec, trials, most in [
+            (BiasedWalk(0.55, 40), GeometricRestart(0.005), 375, 2.0),
+            (CycleTrap(0.25, 5, 10), SharpRestart(30), 500, 1.2),
+        ]:
+            calls.clear()
+            assert _run_trials(model, spec, SimConfig(trials=trials, seed=7))[2] == 0
+            assert len(calls) <= most * trials, model
+
+
 def step_by_step(model, state, u, start, steps):
     return ProcessModel.run_leg(model, state, u, start, steps)
 
 
 class TestLegKernels:
-    @given(data=st.data(), p=st.floats(0.05, 1.0), L=st.integers(1, 6), M=st.integers(1, 6))
+    @given(data=st.data(), p=st.floats(0.05, 1.0), L=st.integers(1, 8), M=st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
     def test_cycle_trap(self, data, p, L, M):
+        # Every start state over up to 200 uniforms: strides over several
+        # periods, and legs cut mid-climb or mid-descent, both occur.
         model = CycleTrap(p, L, M)
-        self.check(data, model, st.integers(-L + 1, M))
+        self.check(data, model, st.integers(-L + 1, M), max_size=200)
 
     @given(data=st.data(), p=st.floats(0.05, 0.95), m=st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
@@ -579,14 +622,40 @@ class TestSplitRuns:
     (64, {"quota": "80000", "period": "100000"}, 1),
 ])
 def test_cpus(monkeypatch, tmp_path, affinity, files, want):
+    # No readable cgroup file: the roots' quota files alone are read.
+    assert fake_cpus(monkeypatch, tmp_path, None, files, affinity) == want
+
+
+@pytest.mark.parametrize("cgroup, files, want", [
+    ("0::/a/b", {"v2/a/b/cpu.max": "100000 100000"}, 1),  # on the leaf only
+    ("0::/a/b", {"v2/a/cpu.max": "50000 100000", "v2/a/b/cpu.max": "max 100000"}, 1),  # an ancestor only
+    ("0::/a/b", {"v2/a/b/cpu.max": "max 100000", "v2/b/cpu.max": "100000 100000"}, 2),  # none on the path
+    ("1:cpu,cpuacct:/a/b\n0::/", {"v1/a/b/quota": "100000", "v1/a/b/period": "100000"}, 1),
+    ("1:cpu:/a/b", {"v1/a/quota": "100000", "v1/a/period": "100000", "v1/a/b/quota": "-1",
+                    "v1/a/b/period": "100000"}, 1),
+    ("3:cpuacct:/a\n1:cpu:/", {"v1/a/quota": "100000", "v1/a/period": "100000"}, 2),  # not the cpu cgroup's
+])
+def test_cpus_reads_the_process_cgroup(monkeypatch, tmp_path, cgroup, files, want):
+    assert fake_cpus(monkeypatch, tmp_path, cgroup, files, 64) == want
+
+
+def fake_cpus(monkeypatch, tmp_path, cgroup, files, affinity):
+    """``_cpus()`` with ``affinity`` CPUs, ``cgroup`` as /proc/self/cgroup
+    (None: unreadable) and ``files`` as the cgroup trees, v2's under "v2/"
+    and v1's under "v1/", both under the root when neither is named."""
     for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text + "\n")
-    quota_files = ((str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period")))
-    monkeypatch.setattr(montecarlo, "_QUOTA_FILES", quota_files)
+    if cgroup is not None:
+        (tmp_path / "cgroup").write_text(cgroup + "\n")
+    mounts = (tmp_path / "v2", tmp_path / "v1") if cgroup is not None else (tmp_path, tmp_path)
+    monkeypatch.setattr(montecarlo, "_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(montecarlo, "_CGROUP_MOUNTS", tuple(map(str, mounts)))
+    monkeypatch.setattr(montecarlo, "_QUOTA_FILES", (("cpu.max",), ("quota", "period")))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
     montecarlo._cpus.cache_clear()
     try:
-        assert montecarlo._cpus() == want
+        return montecarlo._cpus()
     finally:
         montecarlo._cpus.cache_clear()
 
