@@ -26,6 +26,13 @@ from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass
 # whichever comes first.  Defective walks (p <= q) never reach the target.
 RESIDUAL_TARGET = 1e-10
 MAX_TERMS = 10**6
+_UNIT = 2**1074
+
+
+def _fixed(x: float) -> int:
+    """x * _UNIT as an exact int: every double is a whole number of 1/_UNIT."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
 # ---------------------------------------------------------------------------
 # Restart-time specifications
@@ -208,16 +215,17 @@ class SharpRestart(RestartSpec):
         out[: self.n_restart] = 1.0
         return out
 
-    def _cycle(self, model: ProcessModel) -> tuple[np.ndarray, float, float] | None:
-        """(u(0..N-1), P(U <= N-1), s = P(U >= N)) for one cycle, with U
-        expanded to N-1; None if preemptive (no mass below N)."""
+    def _cycle(self, model: ProcessModel) -> tuple[np.ndarray, float, float, float] | None:
+        """(u(0..N-1), P(U <= N-1), sum_{n<N} n u(n), s = P(U >= N)) for one
+        cycle, with U expanded to N-1 and both sums read from the model's
+        exact cursor; None if preemptive (no mass below N)."""
         if self.n_restart <= model.min_support():
             return None
         head = model._prefix(self.n_restart - 1)
-        mass_below = math.fsum(head.tolist())
+        mass_below, weighted = model._head_sums(self.n_restart - 1)
         tail = model._tail(head, mass_below)
         _check_mass(mass_below + tail)
-        return None if mass_below <= 0.0 else (head, mass_below, tail)
+        return None if mass_below <= 0.0 else (head, mass_below, weighted, tail)
 
     def closed_form_mean(self, model: ProcessModel) -> float:
         """(sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1); infinity if
@@ -225,8 +233,7 @@ class SharpRestart(RestartSpec):
         cycle = self._cycle(model)
         if cycle is None:
             return math.inf
-        head, mass_below, tail = cycle
-        weighted = math.fsum((np.arange(head.size) * head).tolist())
+        _, mass_below, weighted, tail = cycle
         return (weighted + self.n_restart * tail) / mass_below
 
     def closed_form_law(self, model: ProcessModel, t_max: int) -> tuple[np.ndarray, float]:
@@ -236,7 +243,7 @@ class SharpRestart(RestartSpec):
         cycle = self._cycle(model)
         if cycle is None:
             return np.zeros(t_max + 1), 1.0
-        head, _, s = cycle
+        head, _, _, s = cycle
         k, j = divmod(t_max, self.n_restart)
         powers = _powers(s, k + 1)
         # P(U > j) is s plus the masses past j, not 1 minus those up to j.
@@ -307,15 +314,17 @@ class ProcessModel:
     :meth:`pmf` holds u(0..h) for the longest horizon h asked, serves shorter
     horizons as its prefix and extends it through ``_atoms`` for longer ones;
     each mass depends only on its time, so every horizon has first-expansion bits.
-    Only ``ProcessModel``'s own methods touch the held masses; everything else
-    reads them through :meth:`_prefix`."""
+    Only ``ProcessModel``'s own methods touch the held masses and cursor;
+    everything else reads them through :meth:`_prefix` and :meth:`_head_sums`."""
 
     _held: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # (t, S, W): u(0..t) and fl(n u(n)), n = 0..t, summed exactly in units of 1/_UNIT.
+    _cursor: tuple[int, int, int] = field(default=(-1, 0, 0), init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         # A pickle, such as the copy a Monte Carlo helper runs, carries the
-        # parameters, not the held masses.
-        return {**self.__dict__, "_held": None}
+        # parameters, not the held masses or the cursor.
+        return {**self.__dict__, "_held": None, "_cursor": (-1, 0, 0)}
 
     def pgf(self, z: float) -> float:
         raise NotImplementedError
@@ -343,14 +352,30 @@ class ProcessModel:
             held = self._extend(held, t_max + 1, *self._atoms(held.size, t_max + 1))
         return held[: t_max + 1]
 
+    def _head_sums(self, t: int) -> tuple[float, float]:
+        """fsum's bits for the sums of u(0..t) and of n u(n), n = 0..t, each
+        product rounded as ``np.arange(t + 1) * head`` rounds it.  The cursor
+        moves to t, adding or subtracting the exact values of the nonzero
+        masses it crosses; it is published as one tuple, so racing threads
+        each move their own snapshot.  Int true division rounds correctly,
+        as fsum does."""
+        at, s, w = self._cursor
+        lo, hi, sign = (at, t, 1) if t > at else (t, at, -1)
+        for n, x in enumerate(self._prefix(hi)[lo + 1 :].tolist(), lo + 1):
+            if x:
+                s += sign * _fixed(x)
+                w += sign * _fixed(n * x)
+        object.__setattr__(self, "_cursor", (t, s, w))
+        return s / _UNIT, w / _UNIT
+
     def _extend(self, held: np.ndarray, stop: int, times, masses) -> np.ndarray:
-        """Hold and return u(0..stop-1): ``held``, then ``masses`` added at
+        """Hold and return u(0..stop-1): ``held``, then ``masses`` written at
         ``times``; each new mass must be finite and nonnegative."""
         out = np.zeros(stop)
         out[: held.size] = held
         # A range with no atoms adds only zeros, which need no check.
         if len(times):
-            np.add.at(out, times, masses)
+            out[times] = masses
             new = out[held.size :]
             # A NaN makes the minimum NaN, which fails the comparison.
             if not 0.0 <= new.min() <= new.max() < math.inf:
@@ -362,7 +387,7 @@ class ProcessModel:
         raise NotImplementedError
 
     def _atoms(self, start: int, stop: int):
-        """Times in start..stop-1 with positive mass (may repeat), and the masses."""
+        """Times in start..stop-1 with positive mass, each once, and the masses."""
         raise NotImplementedError
 
     def _tail(self, head: np.ndarray, total: float) -> float:
@@ -719,8 +744,11 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         return max(self.t1, self.t2)
 
     def _atoms(self, start: int, stop: int):
-        inside = [(t, w) for t, w in self._points() if start <= t < stop]
-        return [t for t, _ in inside], [w for _, w in inside]
+        atoms: dict[int, float] = {}  # t1 == t2 is one atom, 0.0 + w1 + (1 - w1)
+        for t, w in self._points():
+            if start <= t < stop:
+                atoms[t] = atoms.get(t, 0.0) + w
+        return list(atoms), list(atoms.values())
 
     def _tail(self, head: np.ndarray, total: float) -> float:
         return math.fsum(w for t, w in self._points() if t >= head.size)
@@ -762,7 +790,7 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
         return self.dist.t_max
 
     def _atoms(self, start: int, stop: int):
-        times = np.arange(start, min(stop, self.dist.t_max + 1))
+        times = start + np.flatnonzero(self.dist.coefficients[start:stop])
         return times, self.dist.coefficients[times]
 
     def _tail(self, head: np.ndarray, total: float) -> float:

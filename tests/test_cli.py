@@ -496,6 +496,27 @@ class TestFigureCommand:
             digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
             assert digest == self.FIGURE_DIGESTS[os.path.basename(path)]
 
+    # SHA-256 of the four sharp figures' analytic CSVs (trials=0, the default
+    # seed): any drift in the sharp closed-form mean's bits changes these.
+    # Figure 8's row N = 120 prints a known wrong `beneficial` flag (ROADMAP
+    # item 3), so its digest is expected to move when item 3 lands.
+    SHARP_DIGESTS = {
+        "fig5_cycle-trap_p0.25-L7-M5_sharp.csv":
+            "adcd47e06646169182b73dc7437c3babf19ee1849f8daa43768601e71edbd0b9",
+        "fig8_brw_p0.8-m3_sharp.csv":
+            "e29fc7716fba0a2aa0c8079c6b0bacf45f068e4c3f9a405c8e1f2163bf1f57a0",
+        "fig9_brw_p0.65-m3_sharp.csv":
+            "37054715fd20335359fca8ee3f85e4f893ccedbe9f6bbe531c1ed7f7e38d14b6",
+        "fig10_brw_p0.54-m3_sharp.csv":
+            "c9e39b5a29f3cfd3bb5690c42a384618cc7b74564787eab46216a2d2474db599",
+    }
+
+    @pytest.mark.parametrize("figure_id", ["5", "8", "9", "10"])
+    def test_sharp_figure_bytes_are_frozen(self, tmp_path, figure_id):
+        (path,) = run_figure(figure_id, outdir=str(tmp_path), trials=0)
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert digest == self.SHARP_DIGESTS[os.path.basename(path)]
+
     def test_two_trap_figure_writes_both_files(self, tmp_path):
         paths = run_figure("4", outdir=str(tmp_path), trials=0)
         assert len(paths) == 2

@@ -414,6 +414,55 @@ class TestExpansionPrefix:
         assert wrong == []
         assert all(model._held.size <= max(horizons) + 1 for model in models)
 
+    def test_threads_sharing_a_cursor(self):
+        # Each sharp mean moves its own snapshot of the exact cursor and
+        # publishes one tuple, so threads asking ascending, descending and
+        # shuffled N of shared models still get a fresh model's means.
+        makers = [lambda: BiasedWalk(0.55, 3), lambda: CycleTrap(0.75, 2, 14)]
+        ns = list(range(2, 60))
+        expected = {(i, n): SharpRestart(n).closed_form_mean(make()) for i, make in enumerate(makers) for n in ns}
+        shuffled = ns[:]
+        np.random.default_rng(5).shuffle(shuffled)
+        orders = [ns, ns[::-1], shuffled]
+        wrong = []
+
+        def worker(shared, order):
+            for i, model in shared:
+                for n in order:
+                    try:
+                        if SharpRestart(n).closed_form_mean(model) != expected[i, n]:
+                            wrong.append((i, n))
+                    except Exception as exc:  # a thread's exception would not reach the test
+                        wrong.append(exc)
+
+        # Many short sweeps: threads meet on each model more often.
+        shared = [(i, make()) for _ in range(24) for i, make in enumerate(makers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(shared, orders[k % 3])) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: CycleTrap(0.75, 2, 14), lambda: BiasedWalk(0.55, 3), lambda: TwoPoint(5, 0.3, 5),
+        lambda: TwoPoint(3, 0.4, 17), lambda: ExplicitProcess(TruncatedPMF.from_masses({2: 0.5, 7: 0.25, 40: 0.25})),
+    ], ids=["cycle-trap", "brw", "two-point-one-time", "two-point", "explicit"])
+    def test_atoms_hold_each_time_once(self, make):
+        # _extend writes the masses at their times, so no time may repeat.
+        model = make()
+        for start, stop in [(0, 1), (0, 6), (3, 18), (5, 6), (6, 41), (0, 300)]:
+            times, masses = model._atoms(start, stop)
+            times = [int(t) for t in times]
+            assert len(set(times)) == len(times) == len(masses)
+            assert all(start <= t < stop for t in times)
+
     @pytest.mark.parametrize("q", [0.25, 0.75, 0.5, 0.001, 0.999, 0.0])
     def test_power_prefix(self, q):
         # The cycle trap extends p q^j from where it stopped: numpy's ** must
@@ -459,14 +508,49 @@ class TestHeadSummedOnce:
             assert sums_of(fsum_calls, dist.coefficients) == 1, horizon
 
     @pytest.mark.parametrize("make", SHARP_MEAN_MODELS, ids=lambda make: make().describe())
-    def test_sharp_cycle(self, make, fsum_calls):
-        # A warm model asked every N in turn, as a sharp sweep asks it.
+    def test_sharp_cycle(self, make, fsum_calls, monkeypatch):
+        # A model asked every N = 2..120 in turn, as a sharp sweep asks it:
+        # the cycle fsums no head, and over the whole sweep the exact cursor
+        # converts each nonzero mass and its product n u(n) exactly once.
         model = make()
-        for n in range(model.min_support() + 1, 121):
+        converted = []
+        fixed = models._fixed
+        monkeypatch.setattr(models, "_fixed", lambda x: converted.append(x) or fixed(x))
+        for n in range(2, 121):
             fsum_calls.clear()
             SharpRestart(n).closed_form_mean(model)
-            calls = fsum_calls[:]
-            assert sums_of(calls, model.pmf(n - 1).coefficients) == 1, n
+            if n > model.min_support():
+                head = model._prefix(n - 1)
+                assert sums_of(fsum_calls, head) == sums_of(fsum_calls, np.arange(n) * head) == 0, n
+        head = model._prefix(119)
+        assert converted == [x for t in np.flatnonzero(head).tolist() for x in (head[t], t * head[t])]
+
+
+# Masses whose exact sums stress the cursor: subnormals, exact powers of two
+# and products n u(n) that round.
+EXACT_MASSES = {1: 0.5, 2: 5e-324, 3: 0.1, 4: 2.0**-1022, 5: 0.125, 6: 7 * 5e-324, 9: 2.0**-60, 11: 0.25 / 3, 13: 1e-300}
+CURSOR_MODELS = [
+    *SHARP_MEAN_MODELS,
+    lambda: TwoPoint(5, 0.3, 5),
+    lambda: BiasedWalk(0.5, 1),
+    lambda: ExplicitProcess(TruncatedPMF.from_masses(
+        EXACT_MASSES, residual=1.0 - math.fsum(EXACT_MASSES.values()), residual_kind=AT_INFINITY)),
+]
+
+
+class TestExactCursor:
+    """The cursor's two sums are fsum's bits wherever it has been moved."""
+
+    @given(which=st.integers(0, len(CURSOR_MODELS) - 1),
+           moves=st.lists(st.integers(0, 60) | st.integers(0, 1500), min_size=1, max_size=12))
+    @settings(max_examples=120, deadline=None)
+    def test_head_sums_equal_fsum(self, which, moves):
+        model = CURSOR_MODELS[which]()
+        for t in moves:
+            mass, weighted = model._head_sums(t)
+            head = model._prefix(t)
+            assert mass.hex() == math.fsum(head.tolist()).hex(), t
+            assert weighted.hex() == math.fsum((np.arange(t + 1) * head).tolist()).hex(), t
 
 
 class TestBiasedWalk:
@@ -612,6 +696,12 @@ class TestTwoPoint:
         assert tp2.mean() == 15.25
         assert tp2.second_factorial_moment() == 285.0
 
+    def test_one_support_point(self):
+        # t1 == t2 holds one atom, w1 + (1 - w1), the bits adding both to 0.0 gives.
+        dist = TwoPoint(5, 0.3, 5).pmf(9)
+        assert dist.coefficients.tobytes() == np.array([0.0] * 5 + [1.0] + [0.0] * 4).tobytes()
+        assert dist.residual == 0.0
+
     def test_pmf_and_truncation(self):
         tp = TwoPoint(1, 0.75, 20)
         dist = tp.pmf()
@@ -675,6 +765,12 @@ class TestExplicitProcess:
         assert short.residual_kind == AT_INFINITY
         assert short.residual == pytest.approx(0.8)
         assert short.mean() == ExplicitProcess(dist).mean() == math.inf
+
+    def test_negative_zero_is_held_as_zero(self):
+        # The held masses start as +0.0 and only nonzero masses are written
+        # over them, so a -0.0 coefficient holds as +0.0.
+        model = ExplicitProcess(TruncatedPMF(np.array([0.0, -0.0, 0.5, -0.0, 0.5])))
+        assert not np.signbit(model.pmf(4).coefficients).any()
 
     def test_hit_prob_from_residual(self):
         dist = TruncatedPMF.from_masses({1: 0.7}, residual=0.3, residual_kind=AT_INFINITY)
@@ -846,13 +942,15 @@ def test_default_horizon_is_called_only_by_process_models():
 
 
 def test_held_masses_are_touched_only_by_process_model():
-    # Every other reader of U's held masses goes through ProcessModel._prefix.
+    # Every other reader of U's held masses and the exact cursor over them
+    # goes through ProcessModel._prefix and ProcessModel._head_sums.
     found = []
+    private = {"_held", "_cursor"}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "_held" or (
-                isinstance(child, ast.Constant) and child.value == "_held"
+            if isinstance(child, ast.Attribute) and child.attr in private or (
+                isinstance(child, ast.Constant) and child.value in private
             ):
                 found.append(scope)
             inner = (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
