@@ -27,6 +27,9 @@ from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass
 RESIDUAL_TARGET = 1e-10
 MAX_TERMS = 10**6
 _UNIT = 2**1074
+# Masses an extension computes at least: a run of asks a few masses apart
+# (one sharp sweep row per N) extends the held array once a block.
+_BLOCK = 128
 
 
 def _fixed(x: float) -> int:
@@ -311,9 +314,11 @@ class ProcessModel:
     """A process with integer states whose first passage to a terminal set is
     the underlying time being restarted.  Subclasses are immutable.
 
-    :meth:`pmf` holds u(0..h) for the longest horizon h asked, serves shorter
-    horizons as its prefix and extends it through ``_atoms`` for longer ones;
-    each mass depends only on its time, so every horizon has first-expansion bits.
+    :meth:`pmf` holds u(0..h) for h at least the longest horizon asked, serves
+    shorter horizons as its prefix and extends it through ``_atoms`` for longer
+    ones, by at least ``_BLOCK`` masses, so h stays below the longest horizon
+    asked plus ``_BLOCK``; each mass depends only on its time, so every horizon
+    has first-expansion bits.
     Only ``ProcessModel``'s own methods touch the held masses and cursor;
     everything else reads them through :meth:`_prefix` and :meth:`_head_sums`."""
 
@@ -343,23 +348,28 @@ class ProcessModel:
         return TruncatedPMF._summed(head, self._tail(head, total), kind, total)
 
     def _prefix(self, t_max: int | None = None) -> np.ndarray:
-        """u(0..t_max) from the held masses, extended through ``_atoms`` when
-        they are too short; with no ``t_max``, the masses held so far."""
+        """u(0..t_max) from the held masses, extended through ``_atoms`` to
+        t_max or a block past them, whichever is further, when they are too
+        short; with no ``t_max``, the masses held so far."""
         held = np.zeros(0) if self._held is None else self._held
         if t_max is None:
             return held
         if held.size <= t_max:
-            held = self._extend(held, t_max + 1, *self._atoms(held.size, t_max + 1))
+            stop = max(t_max + 1, held.size + _BLOCK)
+            held = self._extend(held, stop, *self._atoms(held.size, stop))
         return held[: t_max + 1]
 
     def _head_sums(self, t: int) -> tuple[float, float]:
         """fsum's bits for the sums of u(0..t) and of n u(n), n = 0..t, each
         product rounded as ``np.arange(t + 1) * head`` rounds it.  The cursor
-        moves to t, adding or subtracting the exact values of the nonzero
+        moves to t from its own place or from -1, whichever crosses fewer
+        masses, adding or subtracting the exact values of the nonzero
         masses it crosses; it is published as one tuple, so racing threads
         each move their own snapshot.  Int true division rounds correctly,
         as fsum does."""
         at, s, w = self._cursor
+        if at - t > t + 1:
+            at, s, w = -1, 0, 0
         lo, hi, sign = (at, t, 1) if t > at else (t, at, -1)
         for n, x in enumerate(self._prefix(hi)[lo + 1 :].tolist(), lo + 1):
             if x:

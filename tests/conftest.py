@@ -1,12 +1,13 @@
-"""Shared helpers: randomized explicit distributions, a record of the sums
-restartfp takes, and the generator form of a law's moments."""
+"""Shared helpers: randomized explicit distributions, records of the sums
+restartfp takes and of the masses it reads and computes, and the generator
+form of a law's moments."""
 
 import math
 
 import numpy as np
 import pytest
 
-from restartfp import AT_INFINITY, TRUNCATION, ExplicitProcess, ExplicitRestart, TruncatedPMF
+from restartfp import AT_INFINITY, TRUNCATION, ExplicitProcess, ExplicitRestart, ProcessModel, TruncatedPMF
 
 
 def random_pmf(rng, *, min_support=1, max_support=12, defective=False, min_residual=0.05):
@@ -50,6 +51,37 @@ def fsum_calls(monkeypatch):
 
     monkeypatch.setattr(math, "fsum", record)
     return calls
+
+
+@pytest.fixture
+def prefix_horizons(monkeypatch):
+    """Every horizon ``ProcessModel._prefix`` is asked while the test runs,
+    as a list; None asks for the masses held so far."""
+    horizons = []
+    prefix = ProcessModel._prefix
+
+    def record(self, t_max=None):
+        horizons.append(t_max)
+        return prefix(self, t_max)
+
+    monkeypatch.setattr(ProcessModel, "_prefix", record)
+    return horizons
+
+
+@pytest.fixture
+def atom_ranges(monkeypatch):
+    """Every (start, stop) a model's ``_atoms`` computes while the test
+    runs, as a list: one entry per extension of the held masses."""
+    ranges = []
+    for cls in ProcessModel.__subclasses__():
+        if "_atoms" in vars(cls):
+
+            def record(self, start, stop, atoms=cls._atoms):
+                ranges.append((start, stop))
+                return atoms(self, start, stop)
+
+            monkeypatch.setattr(cls, "_atoms", record)
+    return ranges
 
 
 def sums_of(calls, values) -> int:

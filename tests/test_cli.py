@@ -19,7 +19,7 @@ from restartfp import (
     cycle_trap_sharp_classify,
     mean_T_sharp,
 )
-from restartfp import cli
+from restartfp import cli, models
 from restartfp.cli import (
     DEFAULT_SEED,
     RHO_SWEEP_HI,
@@ -171,15 +171,26 @@ class TestSweep:
             expected = cycle_trap_sharp_classify(5, 10, int(row.param)) == BENEFICIAL
             assert row.beneficial is expected, row.param
 
-    def test_ascending_sharp_rows_hold_the_longest_prefix(self):
+    def test_ascending_sharp_rows_hold_the_longest_prefix(self, prefix_horizons):
         # One-row sweeps at N = 2..120, as figures 8-10 are timed row by row,
-        # hold U to the longest horizon asked, N - 1 = 119, and no further,
-        # with the bytes of one first expansion.
+        # ask U to N - 1 (twice a row: the head, then the cursor's sums) from
+        # U's support on; the one extension holds a block, past 119, with the
+        # bytes of one first expansion.
         model = parse_model("brw:p=0.65,m=3")
         for n in range(2, 121):
             run_sweep(model, "sharp", [n])
-        assert model._held.size == 120
-        assert model._held.tobytes() == parse_model("brw:p=0.65,m=3").pmf(119).coefficients.tobytes()
+        assert prefix_horizons == [n - 1 for n in range(4, 121) for _ in range(2)]
+        assert model._held.size == models._BLOCK
+        assert model._held.tobytes() == parse_model("brw:p=0.65,m=3").pmf(models._BLOCK - 1).coefficients.tobytes()
+
+    @pytest.mark.parametrize("text", ["cycle-trap:p=0.25,L=7,M=5", "brw:p=0.8,m=3", "brw:p=0.65,m=3", "brw:p=0.54,m=3"])
+    def test_ascending_sharp_rows_extend_once(self, text, atom_ranges):
+        # The sharp figures' models (5, 8, 9, 10) swept one row at a time
+        # compute U's masses in one block, not one extension a row.
+        model = parse_model(text)
+        for n in range(2, 121):
+            run_sweep(model, "sharp", [n])
+        assert atom_ranges == [(0, models._BLOCK)]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError):

@@ -48,6 +48,7 @@ from restartfp import (
     mean_T_generic,
     mean_T_geometric,
     mean_T_sharp,
+    models,
     p_restart_wins,
     simulate_fpur,
 )
@@ -358,24 +359,18 @@ class TestRenewalHorizon:
         fpur_pgf(model, spec, 0.9)
         assert horizons == [max(n_restart - 1, model.min_support())] * 4
 
-    def test_fpur_pmf_expands_once(self, monkeypatch):
+    def test_fpur_pmf_expands_once(self, prefix_horizons, atom_ranges):
         # The sharp law reads U only to N - 1, however long the law, and the
-        # residual tag's renewal sums read the same prefix.
-        extensions = []
-        atoms = BiasedWalk._atoms
-
-        def record(self, start, stop):
-            extensions.append((start, stop))
-            return atoms(self, start, stop)
-
+        # residual tag's renewal sums read the same prefix: one extension,
+        # to N - 1 or a block past nothing, whichever is further.
         for n_restart, t_max in ((3000, 3000), (8, 16000)):
             model, spec = BiasedWalk(0.55, 3), SharpRestart(n_restart)
             tag = AT_INFINITY if hitting_prob_T(BiasedWalk(0.55, 3), spec) < 1.0 else TRUNCATION
-            extensions.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(BiasedWalk, "_atoms", record)
-                law = fpur_pmf(model, spec, t_max)
-            assert extensions == [(0, n_restart)]
+            prefix_horizons.clear()
+            atom_ranges.clear()
+            law = fpur_pmf(model, spec, t_max)
+            assert prefix_horizons == [n_restart - 1] * 3
+            assert atom_ranges == [(0, max(n_restart, models._BLOCK))]
             assert law.residual_kind == tag
 
     @pytest.mark.parametrize("model", HORIZON_MODELS, ids=lambda m: m.describe())
@@ -550,41 +545,32 @@ class TestRenewalHorizon:
         assert estimate.ci_low <= mean_T(model, spec) <= estimate.ci_high
 
     @pytest.mark.parametrize("kind", [AT_INFINITY, TRUNCATION])
-    def test_leaky_clock_reads_only_the_law_prefix(self, kind, monkeypatch):
-        # The residual tag and the report read U no further than the law,
-        # or than the clock's last epoch minus one.
+    def test_leaky_clock_reads_only_the_law_prefix(self, kind, prefix_horizons, atom_ranges):
+        # The residual tag and the report ask U no further than the law,
+        # or than the clock's last epoch minus one; the one extension
+        # computes a block, not the critical walk's default 10^6 masses.
         spec = ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75, residual_kind=kind))
-        extensions = []
-        atoms = BiasedWalk._atoms
-
-        def record(self, start, stop):
-            extensions.append((start, stop))
-            return atoms(self, start, stop)
-
-        monkeypatch.setattr(BiasedWalk, "_atoms", record)
         model = BiasedWalk(0.5, 1)
         law = fpur_pmf(model, spec, 10)
-        assert extensions == [(0, 11)]
-        assert model._held.size == 11
+        assert prefix_horizons == [10, 5, 5]
+        assert atom_ranges == [(0, models._BLOCK)]
+        assert model._held.tobytes() == BiasedWalk(0.5, 1).pmf(models._BLOCK - 1).coefficients.tobytes()
         assert law.residual_kind == TRUNCATION
-        extensions.clear()
+        prefix_horizons.clear()
+        atom_ranges.clear()
         assert analyze(BiasedWalk(0.5, 1), spec).mean_T == math.inf
-        assert extensions == [(0, 6)]
+        assert prefix_horizons == [5, 5]
+        assert atom_ranges == [(0, models._BLOCK)]
 
-    def test_analyze_on_sharp_clock_extends_once(self, monkeypatch):
+    def test_analyze_on_sharp_clock_extends_once(self, prefix_horizons, atom_ranges):
         # The renewal sums and the closed form both read U to N - 1; the
-        # second read is served from the masses the first one held.
+        # second read is served from the masses the first one held, and an
+        # ask a block or more past them computes no mass beyond it.
         model, spec = BiasedWalk(0.55, 3), SharpRestart(3000)
-        extensions = []
-        atoms = BiasedWalk._atoms
-
-        def record(self, start, stop):
-            extensions.append((start, stop))
-            return atoms(self, start, stop)
-
-        monkeypatch.setattr(BiasedWalk, "_atoms", record)
         report = analyze(model, spec)
-        assert extensions == [(0, 3000)]
+        assert prefix_horizons == [2999] * 3
+        assert atom_ranges == [(0, 3000)]
+        assert model._held.size == 3000
         assert report.mean_T == mean_T_sharp(BiasedWalk(0.55, 3), 3000)
 
     def test_analyze_expands_once(self, monkeypatch):

@@ -367,14 +367,21 @@ class TestExpansionPrefix:
     @pytest.mark.parametrize("make, horizons", PREFIX_CASES)
     def test_served_horizon_equals_first_expansion(self, make, horizons, order):
         model = make()
-        served = []
+        served, size = [], 0
         for horizon in CALL_ORDERS[order](horizons):
             dist = model.pmf(horizon)
             assert law_fields(dist) == law_fields(make().pmf(horizon)), horizon
             served.append(dist.t_max)
-        # One float64 array, never longer than the longest horizon asked.
+            if size <= dist.t_max:
+                # An extension reaches the ask or a block past the held
+                # masses; the walk's default stops where its sum does.
+                block = 1 if horizon is None and isinstance(model, BiasedWalk) else models._BLOCK
+                size = max(dist.t_max + 1, size + block)
+        # One float64 array of first-expansion bits, less than a block
+        # longer than the longest horizon asked.
         assert model._held.dtype == np.float64
-        assert model._held.size == max(served) + 1
+        assert model._held.size == size <= max(served) + models._BLOCK
+        assert model._held.tobytes() == make().pmf(size - 1).coefficients.tobytes()
 
     @pytest.mark.parametrize("make, horizons", PREFIX_CASES)
     def test_horizon_below_support_is_rejected(self, make, horizons):
@@ -385,13 +392,14 @@ class TestExpansionPrefix:
     def test_threads_sharing_a_model(self):
         # Each call reads the held array once, so threads racing to extend it
         # still get first-expansion laws.  Every thread asks ever longer
-        # horizons of fresh shared models, so nearly every call extends.
-        horizons = range(3, 400, 3)
+        # horizons of fresh shared models, each more than a block past the
+        # last, so nearly every call extends.
+        horizons = range(3, 32 * (models._BLOCK + 1), models._BLOCK + 1)
         expected = {h: law_fields(BiasedWalk(0.55, 3).pmf(h)) for h in horizons}
         wrong = []
 
-        def worker(models, offset):
-            for model in models:
+        def worker(walks, offset):
+            for model in walks:
                 for h in horizons[offset::4]:
                     try:
                         if law_fields(model.pmf(h)) != expected[h]:
@@ -399,11 +407,11 @@ class TestExpansionPrefix:
                     except Exception as exc:  # a thread's exception would not reach the test
                         wrong.append(exc)
 
-        models = [BiasedWalk(0.55, 3) for _ in range(40)]
+        walks = [BiasedWalk(0.55, 3) for _ in range(16)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker, args=(models, i % 4)) for i in range(8)]
+            threads = [threading.Thread(target=worker, args=(walks, i % 4)) for i in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -412,7 +420,13 @@ class TestExpansionPrefix:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        assert all(model._held.size <= max(horizons) + 1 for model in models)
+        # A thread that extends a stale snapshot may publish a shorter array
+        # than another thread's, never one past a block beyond any ask.
+        longest = max(horizons) + models._BLOCK
+        fresh = BiasedWalk(0.55, 3).pmf(longest - 1).coefficients
+        for model in walks:
+            assert model._held.size <= longest
+            assert model._held.tobytes() == fresh[: model._held.size].tobytes()
 
     def test_threads_sharing_a_cursor(self):
         # Each sharp mean moves its own snapshot of the exact cursor and
@@ -551,6 +565,24 @@ class TestExactCursor:
             head = model._prefix(t)
             assert mass.hex() == math.fsum(head.tolist()).hex(), t
             assert weighted.hex() == math.fsum((np.arange(t + 1) * head).tolist()).hex(), t
+
+    @pytest.mark.parametrize("make", [lambda: BiasedWalk(0.55, 3), lambda: CycleTrap(0.75, 2, 14)],
+                             ids=["brw", "cycle-trap"])
+    def test_far_move_down_sums_afresh(self, make, monkeypatch):
+        # From N = 16000 down to N = 10 the cursor sums u(0..9) from -1
+        # rather than walk back over 15990 masses; every mean keeps a fresh
+        # model's bits.
+        model = make()
+        converted = []
+        fixed = models._fixed
+        monkeypatch.setattr(models, "_fixed", lambda x: converted.append(x) or fixed(x))
+        for n in (16000, 10, 16000):
+            expected = SharpRestart(n).closed_form_mean(make())
+            converted.clear()
+            assert SharpRestart(n).closed_form_mean(model).hex() == expected.hex(), n
+            if n == 10:
+                head = model._prefix(9)
+                assert converted == [x for t in np.flatnonzero(head).tolist() for x in (head[t], t * head[t])]
 
 
 class TestBiasedWalk:

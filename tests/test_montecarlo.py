@@ -243,6 +243,34 @@ class TestTieRule:
         assert estimate.ci_low <= 4.0 <= estimate.ci_high
 
 
+class TestRestartCountLaw:
+    """The restart count K of a trial that hits, against its exact law: the
+    cycles are independent, so P(K = k) = w^k (1 - w), w = P(R <= U)."""
+
+    # Pairs that hit surely; each seed was fixed before its statistic was seen.
+    PAIRS = [
+        (BiasedWalk(0.6, 1), GeometricRestart(0.1), 1501),
+        (CycleTrap(0.75, 2, 14), SharpRestart(9), 1502),
+    ]
+    TRIALS = 40_000
+    # A pair fails falsely with probability ALPHA under the chi-square
+    # approximation (its smallest expected count, K >= 6, is 14.2 and 9.8),
+    # so the test does with at most 1e-6, by the union bound.
+    ALPHA = 5e-7
+
+    @pytest.mark.parametrize("model, spec, seed", PAIRS, ids=["brw-geometric", "cycle-trap-sharp"])
+    def test_chi_square(self, model, spec, seed):
+        _, restarts, censored = _run_trials(model, spec, SimConfig(trials=self.TRIALS, seed=seed))
+        assert censored == 0
+        w = p_restart_wins(model, spec)
+        # Bins k = 0..5 and the tail k >= 6: six degrees of freedom.
+        observed = np.bincount(np.minimum(restarts, 6), minlength=7)
+        expected = self.TRIALS * np.array([w**k * (1.0 - w) for k in range(6)] + [w**6])
+        half = float(((observed - expected) ** 2 / expected).sum()) / 2
+        # The chi-square survival function at 6 degrees of freedom.
+        assert math.exp(-half) * (1.0 + half + half**2 / 2) >= self.ALPHA, (2 * half, observed.tolist())
+
+
 class TestEstimateShape:
     def test_single_trial_has_zero_stderr(self):
         estimate = simulate_underlying(CycleTrap(1.0, 3, 2), SimConfig(trials=1, seed=1))
