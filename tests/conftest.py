@@ -86,17 +86,16 @@ def atom_ranges(monkeypatch):
 
 def sums_of(calls, values) -> int:
     """How many of the recorded fsum ``calls`` added ``values``: the same
-    terms up to their last nonzero one, since zeros past it move no bit."""
+    nonzero terms in the same order, since a zero moves no bit."""
 
-    def trimmed(terms):
-        terms = [float(t) for t in terms]
-        while terms and terms[-1] == 0.0:
-            terms.pop()
-        return terms
+    def nonzero(terms):
+        return [float(t) for t in terms if t != 0.0]
 
-    target = trimmed(values)
-    assert len(target) > 1, "one term is summed in many places"
-    return sum(trimmed(call) == target for call in calls)
+    target = nonzero(values)
+    count = sum(nonzero(call) == target for call in calls)
+    # A lone term may be summed in many places, so only its absence reads.
+    assert len(target) > 1 or not count, "one term is summed in many places"
+    return count
 
 
 def assert_generator_moments(dist):

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restartfp import (
+    AT_INFINITY,
     BiasedWalk,
     CycleTrap,
     ExplicitProcess,
@@ -33,6 +34,7 @@ from restartfp import (
     SimEstimate,
     TruncatedPMF,
     TwoPoint,
+    fpur_pmf,
     mean_T_geometric,
     p_restart_wins,
     sample_restart,
@@ -243,6 +245,15 @@ class TestTieRule:
         assert estimate.ci_low <= 4.0 <= estimate.ci_high
 
 
+def chi_square_sf(stat, df):
+    """P(X >= stat) for X chi-square with ``df`` degrees of freedom: the
+    regularized upper incomplete gamma Q(df/2, stat/2) in closed form."""
+    h = stat / 2
+    if df % 2 == 0:
+        return math.exp(-h) * math.fsum(h**i / math.factorial(i) for i in range(df // 2))
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * math.fsum(h ** (i - 0.5) / math.gamma(i + 0.5) for i in range(1, df // 2 + 1))
+
+
 class TestRestartCountLaw:
     """The restart count K of a trial that hits, against its exact law: the
     cycles are independent, so P(K = k) = w^k (1 - w), w = P(R <= U)."""
@@ -266,9 +277,53 @@ class TestRestartCountLaw:
         # Bins k = 0..5 and the tail k >= 6: six degrees of freedom.
         observed = np.bincount(np.minimum(restarts, 6), minlength=7)
         expected = self.TRIALS * np.array([w**k * (1.0 - w) for k in range(6)] + [w**6])
-        half = float(((observed - expected) ** 2 / expected).sum()) / 2
-        # The chi-square survival function at 6 degrees of freedom.
-        assert math.exp(-half) * (1.0 + half + half**2 / 2) >= self.ALPHA, (2 * half, observed.tolist())
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi_square_sf(stat, 6) >= self.ALPHA, (stat, observed.tolist())
+
+
+class TestHittingTimeLaw:
+    """The restarted hitting time T of a trial, against the exact law from
+    ``fpur_pmf`` on 0..200: a chi-square over its atoms."""
+
+    # Each seed was fixed before its statistic was seen.
+    PAIRS = [
+        (BiasedWalk(0.6, 1), GeometricRestart(0.1), 1601),
+        (CycleTrap(0.75, 2, 14), SharpRestart(9), 1602),
+        (TwoPoint(1, 0.25, 20), GeometricRestart(0.3), 1603),
+        (
+            BiasedWalk(0.55, 3),
+            ExplicitRestart(TruncatedPMF.from_masses({5: 0.5, 12: 0.3}, residual=0.2, residual_kind=AT_INFINITY)),
+            1604,
+        ),
+    ]
+    TRIALS = 20_000
+    HORIZON = 200
+    # A pair fails falsely with probability ALPHA under the chi-square
+    # approximation, so the test does with at most 1e-6, by the union bound.
+    ALPHA = 2.5e-7
+
+    @pytest.mark.parametrize(
+        "model, spec, seed", PAIRS, ids=["brw-geometric", "cycle-trap-sharp", "two-point-geometric", "brw-leaky-explicit"]
+    )
+    def test_chi_square(self, model, spec, seed):
+        times, _, censored = _run_trials(model, spec, SimConfig(trials=self.TRIALS, seed=seed))
+        assert censored == 0
+        law = fpur_pmf(model, spec, self.HORIZON)
+        counts = np.bincount(np.minimum(times, self.HORIZON + 1), minlength=self.HORIZON + 2)
+        # No trial ends at a time of mass 0.
+        masses = np.append(law.coefficients, law.residual)
+        assert not counts[masses == 0.0].any()
+        # The atoms (the times past the horizon one of them) with an
+        # expected count below 5 are pooled, with the next smallest until
+        # the pool expects at least 5.
+        expected = self.TRIALS * masses
+        order = np.argsort(expected, kind="stable")
+        pooled = max(np.count_nonzero(expected < 5.0), int(np.searchsorted(np.cumsum(expected[order]), 5.0)) + 1)
+        pool, kept = order[:pooled], order[pooled:]
+        observed = np.append(counts[kept], counts[pool].sum())
+        expected = np.append(expected[kept], expected[pool].sum())
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi_square_sf(stat, observed.size - 1) >= self.ALPHA, (stat, observed.size)
 
 
 class TestEstimateShape:

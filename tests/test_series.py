@@ -1,16 +1,27 @@
 """Truncated PMF container and formal power-series division."""
 
 import decimal
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_generator_moments
-from restartfp import AT_INFINITY, TRUNCATION, TruncatedPMF, series_divide
+from restartfp import (
+    AT_INFINITY,
+    TRUNCATION,
+    BiasedWalk,
+    CycleTrap,
+    GeometricRestart,
+    TruncatedPMF,
+    fpur_pmf,
+    series,
+    series_divide,
+)
 
 
 def two_point():
@@ -275,14 +286,15 @@ class TestSeriesDivide:
         assert series_divide(np.array([0.0, 1.0]), np.array([1.0]), 0).tolist() == [0.0]
 
 
-def plain_divide(num, den, t_max):
-    """The dense long-division loop over every coefficient: the oracle."""
-    quot = np.zeros(t_max + 1)
+def plain_divide(num, den, t_max, dtype=float):
+    """The dense long-division loop over every coefficient, in ``dtype``: the oracle."""
+    num, den = np.asarray(num, dtype), np.asarray(den, dtype)
+    quot = np.zeros(t_max + 1, dtype)
     for n in range(t_max + 1):
-        acc = num[n] if n < num.size else 0.0
+        acc = num[n] if n < num.size else dtype(0)
         kmax = min(n, den.size - 1)
         if kmax >= 1:
-            acc -= float(np.dot(den[1 : kmax + 1], quot[n - kmax : n][::-1]))
+            acc -= np.dot(den[1 : kmax + 1], quot[n - kmax : n][::-1])
         quot[n] = acc / den[0]
     return quot
 
@@ -329,36 +341,55 @@ def exact_divide(num, den, t_max):
 # reordered sum keeps fewer significant bits.
 SUBNORMAL_ATOL = 2.0**-1000
 
+# A short series, which mostly fits in the first block, and one that may
+# span many.
+SHORT_AND_LONG = (
+    restart_shaped_series(),
+    st.one_of(
+        restart_shaped_series(max_size=300, max_t=700),
+        restart_shaped_series(max_size=300, max_t=700, sharp=True),
+    ),
+)
+
+
+def assert_matches_plain_loop(num, den, t_max):
+    got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=SUBNORMAL_ATOL)
+    # Every product and sum is nonnegative, so is every coefficient:
+    # fpur_pmf needs no sign check of its own.
+    assert got.min() >= 0.0
+    # Once the numerator is spent and the quotient has been exactly
+    # 0 for the denominator's length, it stays exactly 0.
+    size = np.flatnonzero(den)[-1] + 1
+    spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
+    for n in range(max(spent, size), t_max + 1):
+        if not got[n - size : n].any():
+            assert not got[n:].any()
+            break
+
+
+def assert_block_edge(t_max):
+    # 1 / (1 - x/2 - x**2/4) has positive Fibonacci-like coefficients.
+    den = np.array([1.0, -0.5, -0.25])
+    np.testing.assert_allclose(
+        series_divide(np.array([1.0]), den, t_max),
+        plain_divide(np.array([1.0]), den, t_max),
+        rtol=1e-13, atol=SUBNORMAL_ATOL,
+    )
+
+
+BLOCK_EDGES = [0, 1, 63, 64, 127, 128, 129, 255, 256, 1000]
+
 
 class TestSeriesDivideBlocked:
     """The blocked division against the one-coefficient-at-a-time loop,
     from a single coefficient to many blocks."""
 
-    @given(
-        restart_shaped_series(),
-        st.one_of(
-            restart_shaped_series(max_size=300, max_t=700),
-            restart_shaped_series(max_size=300, max_t=700, sharp=True),
-        ),
-    )
+    @given(*SHORT_AND_LONG)
     @settings(max_examples=300, deadline=None)
     def test_matches_plain_loop(self, short, long):
-        # Each example checks a short series, which mostly fits in the
-        # first block, and one that may span many.
-        for num, den, t_max in (short, long):
-            got, want = series_divide(num, den, t_max), plain_divide(num, den, t_max)
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=SUBNORMAL_ATOL)
-            # Every product and sum is nonnegative, so is every coefficient:
-            # fpur_pmf needs no sign check of its own.
-            assert got.min() >= 0.0
-            # Once the numerator is spent and the quotient has been exactly
-            # 0 for the denominator's length, it stays exactly 0.
-            size = np.flatnonzero(den)[-1] + 1
-            spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0
-            for n in range(max(spent, size), t_max + 1):
-                if not got[n - size : n].any():
-                    assert not got[n:].any()
-                    break
+        for case in (short, long):
+            assert_matches_plain_loop(*case)
 
     @pytest.mark.parametrize("t_max", [82, 700])
     def test_subnormal_start_of_a_growing_quotient(self, t_max):
@@ -377,15 +408,9 @@ class TestSeriesDivideBlocked:
         assert plain < 1e-6
         assert blocked <= plain * (1.0 + 1e-3)
 
-    @pytest.mark.parametrize("t_max", [0, 1, 63, 64, 127, 128, 129, 255, 256, 1000])
+    @pytest.mark.parametrize("t_max", BLOCK_EDGES)
     def test_block_edges(self, t_max):
-        # 1 / (1 - x/2 - x**2/4) has positive Fibonacci-like coefficients.
-        den = np.array([1.0, -0.5, -0.25])
-        np.testing.assert_allclose(
-            series_divide(np.array([1.0]), den, t_max),
-            plain_divide(np.array([1.0]), den, t_max),
-            rtol=1e-13, atol=SUBNORMAL_ATOL,
-        )
+        assert_block_edge(t_max)
 
     def test_constant_denominator(self):
         num = np.arange(1.0, 301.0)
@@ -415,32 +440,106 @@ def decimal_divide(num, den, t_max, digits=40):
     return quot
 
 
+def within_rounding(exact):
+    """Per coefficient, the least and greatest value within 1e-13 relative
+    plus half the smallest subnormal of the exact one, for quotients that
+    cross into the subnormal range past the first block (n > 128) and fall
+    below 2**-1075 before t_max."""
+    tiny, gone = Fraction(1, 2**1022), Fraction(1, 2**1075)
+    crossed = [n for n, e in enumerate(exact) if e < tiny]
+    assert crossed[0] > 128 and exact[-1] < gone
+    slack = [Fraction(1e-13) * e + gone for e in exact]
+    return [e - d for e, d in zip(exact, slack)], [e + d for e, d in zip(exact, slack)]
+
+
+@functools.cache
+def short_denominator():
+    # A restarted-law shape: a decaying numerator that lasts past the
+    # first block over 1 minus a few terms summing to at most 1.
+    num = 0.5 * 0.3 ** np.arange(150)
+    den = np.array([1.0, -0.05, -0.002, -1e-4])
+    return num, den, 400, *within_rounding(exact_divide(num, den, 400))
+
+
+@functools.cache
+def subnormal_denominator_terms():
+    # A geometric clock's denominator ends in subnormal terms, which the
+    # division lifts by a power of two.
+    num = 0.4 * 0.2 ** np.arange(100)
+    den = np.concatenate(([1.0], -0.05 * 0.1 ** np.arange(330)))
+    den = den[: np.flatnonzero(den)[-1] + 1]
+    assert np.any(np.abs(den) < 2.0**-1022)
+    return num, den, 450, *within_rounding([Fraction(e) for e in decimal_divide(num, den, 450)])
+
+
+def assert_within_rounding(num, den, t_max, low, high):
+    got = series_divide(num, den, t_max).tolist()
+    assert all(lo <= g <= hi for g, lo, hi in zip(got, low, high))
+
+
 class TestSeriesDivideSubnormal:
     """Quotients that cross into the subnormal range past the first block
     (n > 128) and fall below 2**-1075 before t_max: each coefficient is the
     exact one rounded once, to 1e-13 relative plus half the smallest
     subnormal."""
 
-    @staticmethod
-    def check(got, exact):
-        tiny, gone = Fraction(1, 2**1022), Fraction(1, 2**1075)
-        crossed = [n for n, e in enumerate(exact) if e < tiny]
-        assert crossed[0] > 128 and exact[-1] < gone
-        errors = [abs(Fraction(g) - e) - Fraction(1e-13) * e - gone for g, e in zip(got.tolist(), exact)]
-        assert max(errors) <= 0
-
     def test_short_denominator_against_exact(self):
-        # A restarted-law shape: a decaying numerator that lasts past the
-        # first block over 1 minus a few terms summing to at most 1.
-        num = 0.5 * 0.3 ** np.arange(150)
-        den = np.array([1.0, -0.05, -0.002, -1e-4])
-        self.check(series_divide(num, den, 400), exact_divide(num, den, 400))
+        assert_within_rounding(*short_denominator())
 
     def test_denominator_with_subnormal_terms(self):
-        # A geometric clock's denominator ends in subnormal terms, which the
-        # division lifts by a power of two.
-        num = 0.4 * 0.2 ** np.arange(100)
-        den = np.concatenate(([1.0], -0.05 * 0.1 ** np.arange(330)))
-        den = den[: np.flatnonzero(den)[-1] + 1]
-        assert np.any(np.abs(den) < 2.0**-1022)
-        self.check(series_divide(num, den, 450), [Fraction(e) for e in decimal_divide(num, den, 450)])
+        assert_within_rounding(*subnormal_denominator_terms())
+
+
+@pytest.fixture(params=[1, 2, 127, 128, 129])
+def small_lags(request, monkeypatch):
+    """The division reads its history in chunks of at most this many lags."""
+    monkeypatch.setattr(series, "_LAGS", request.param)
+
+
+@pytest.mark.usefixtures("small_lags")
+class TestSeriesDivideChunked(TestSeriesDivideSubnormal):
+    """The division's oracles, the subnormal ones inherited, with the
+    history read in chunks of a few lags, at and around the block length:
+    at the real ``series._LAGS`` no series above reaches a second chunk."""
+
+    @given(*SHORT_AND_LONG)
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_plain_loop(self, short, long):
+        for case in (short, long):
+            assert_matches_plain_loop(*case)
+
+    @pytest.mark.parametrize("t_max", BLOCK_EDGES)
+    def test_block_edges(self, t_max):
+        assert_block_edge(t_max)
+
+    def test_long_denominator(self):
+        # The generated denominators seldom pass 129 lags; these 300 split
+        # into chunks at every size above once the history is long enough.
+        num = 0.3 * 0.99 ** np.arange(400)
+        den = np.concatenate(([1.0], -0.0015 * (1.0 + np.cos(np.arange(300.0)))))
+        assert_matches_plain_loop(num, den, 900)
+
+
+class TestSeriesDivideLongLaws:
+    """The two longest divisions the benchmark makes, each with more lags
+    than one chunk reads, against the one-coefficient-at-a-time loop in
+    numpy's longdouble on the same double terms."""
+
+    @pytest.mark.parametrize(
+        "make, rho, t_max",
+        [(lambda: BiasedWalk(0.55, 3), 0.05, 8000), (lambda: CycleTrap(0.75, 2, 14), 0.1, 16000)],
+        ids=["walk-8000-lags", "trap-3752-lags"],
+    )
+    def test_against_longdouble_loop(self, make, rho, t_max):
+        model, spec = make(), GeometricRestart(rho)
+        num, wins, _ = spec.renewal_terms(model, t_max)
+        den = -wins[: t_max + 1]
+        den[0] = 1.0
+        assert np.flatnonzero(den)[-1] > series._LAGS
+        got = fpur_pmf(model, spec, t_max).coefficients
+        want = plain_divide(num[: t_max + 1], den, t_max, np.longdouble)
+        # Exact zeros where the reference rounds to 0 as a double, and 1e-14
+        # relative wherever it is clear of the subnormal range.
+        assert np.array_equal(got == 0.0, want.astype(float) == 0.0)
+        big = want > SUBNORMAL_ATOL
+        assert np.max(np.abs(got[big] - want[big]) / want[big]) <= 1e-14
