@@ -30,12 +30,21 @@ _UNIT = 2**1074
 # Masses an extension computes at least: a run of asks a few masses apart
 # (one sharp sweep row per N) extends the held array once a block.
 _BLOCK = 128
+# Walk masses one kernel call computes at most, so its temporaries stay
+# small however far an expansion runs.
+_CHUNK = 4096
 
 
 def _fixed(x: float) -> int:
     """x * _UNIT as an exact int: every double is a whole number of 1/_UNIT."""
     num, den = x.as_integer_ratio()
     return num << (1075 - den.bit_length())
+
+
+def _mapped(f, values) -> np.ndarray:
+    """The ``math`` function f of each of ``values`` (a range, or a
+    memoryview of doubles), as a float64 array."""
+    return np.fromiter(map(f, values), float, len(values))
 
 # ---------------------------------------------------------------------------
 # Restart-time specifications
@@ -380,11 +389,12 @@ class ProcessModel:
 
     def _extend(self, held: np.ndarray, stop: int, times, masses) -> np.ndarray:
         """Hold and return u(0..stop-1): ``held``, then ``masses`` written at
-        ``times``; each new mass must be finite and nonnegative."""
+        ``times`` (indices or a slice); each new mass must be finite and
+        nonnegative."""
         out = np.zeros(stop)
         out[: held.size] = held
         # A range with no atoms adds only zeros, which need no check.
-        if len(times):
+        if len(masses):
             out[times] = masses
             new = out[held.size :]
             # A NaN makes the minimum NaN, which fails the comparison.
@@ -588,42 +598,48 @@ class BiasedWalk(ProcessModel):
         root = math.sqrt(1.0 - 4.0 * self.p * self.q * z * z)
         return min(1.0, 2.0 * self.p * z / (1.0 + root)) ** self.m
 
-    def _masses(self, k_lo: int, k_hi: int, acc: float = 0.0, target: float = math.inf) -> list[float]:
-        """u(m+2k) for k = k_lo..k_hi, stopping early once ``acc`` plus their
-        running sum reaches ``target``.
+    def _masses(self, k_lo: int, k_hi: int) -> np.ndarray:
+        """u(m+2k) for k = k_lo..k_hi: m p^m (pq)^k C(m+2k, k) / (m+2k),
+        binomial in log space, with the bits of the per-mass loop
+        exp(head + k log(pq) + lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) - log(n)),
+        n = m+2k, head = log(m) + m log(p), its terms added left to right.
 
-        u(m+2k) = m p^m (pq)^k C(m+2k, k) / (m+2k), binomial in log space,
-        its terms added left to right with the constant ones first.
+        The float64 array operations add in that order, so each rounds as
+        the loop's did.  lgamma is taken once per distinct argument: k+1 and
+        m+k+1 from one run where they overlap, n+1 from that run while it
+        reaches and from its own odd or even run past it.  ``math``'s log and
+        exp are mapped per element, since numpy's may round differently.
         """
-        m = self.m
-        head = math.log(m) + m * math.log(self.p)
-        log_pq = math.log(self.p * self.q)
-        exp, lgamma, log = math.exp, math.lgamma, math.log
-        masses = []
-        for k in range(k_lo, k_hi + 1):
-            n = m + 2 * k
-            masses.append(exp(
-                head
-                + k * log_pq
-                + lgamma(n + 1)
-                - lgamma(k + 1)
-                - lgamma(n - k + 1)
-                - log(n)
-            ))
-            acc += masses[-1]
-            if acc >= target:
-                break
-        return masses
+        m, size = self.m, k_hi + 1 - k_lo
+        lgamma = math.lgamma
+        if m < size:
+            run = _mapped(lgamma, range(k_lo + 1, m + k_hi + 2))
+            lg_k, lg_mk = run[:size], run[m:]
+        else:
+            lg_k = _mapped(lgamma, range(k_lo + 1, k_hi + 2))
+            lg_mk = _mapped(lgamma, range(m + k_lo + 1, m + k_hi + 2))
+        # lgamma(m+2k+1) is lg_mk[2k - k_lo] while that index is in range.
+        lg_n = lg_mk[k_lo::2]
+        lg_n = np.concatenate((lg_n, _mapped(lgamma, range(m + 2 * (k_lo + lg_n.size) + 1, m + 2 * k_hi + 2, 2))))
+        k = np.arange(k_lo, k_hi + 1, dtype=float)
+        x = math.log(m) + m * math.log(self.p) + k * math.log(self.p * self.q)
+        x += lg_n
+        x -= lg_k
+        x -= lg_mk
+        x -= _mapped(math.log, range(m + 2 * k_lo, m + 2 * k_hi + 1, 2))
+        return _mapped(math.exp, memoryview(x))
 
     def _atoms(self, start: int, stop: int):
-        k_lo = max(0, (start - self.m + 1) // 2)
-        masses = self._masses(k_lo, (stop - 1 - self.m) // 2)
-        return np.arange(self.m + 2 * k_lo, self.m + 2 * (k_lo + len(masses)), 2), masses
+        m = self.m
+        k_lo, k_hi = max(0, (start - m + 1) // 2), (stop - 1 - m) // 2
+        chunks = [self._masses(k, min(k + _CHUNK - 1, k_hi)) for k in range(k_lo, k_hi + 1, _CHUNK)]
+        return np.arange(m + 2 * k_lo, m + 2 * k_hi + 1, 2), np.concatenate([np.zeros(0), *chunks])
 
     def _default_horizon(self) -> int:
         """m + 2k for the first k at which the masses, added left to right,
         reach hit_prob - RESIDUAL_TARGET; at most MAX_TERMS coefficients.  The
-        held masses are summed first (np.cumsum adds in the same order)."""
+        held masses are summed first, then each new chunk seeded with the sum
+        so far (np.cumsum adds in the same order), and held in one extension."""
         m, k_cap = self.m, (MAX_TERMS - 1 - self.m) // 2
         target = self.hit_prob() - RESIDUAL_TARGET
         held = self._prefix()
@@ -631,11 +647,20 @@ class BiasedWalk(ProcessModel):
         reached = np.flatnonzero(sums >= target)
         if reached.size or sums.size > k_cap:
             return m + 2 * int(reached[0] if reached.size else k_cap)
-        k_lo = sums.size
-        masses = self._masses(k_lo, k_cap, float(sums[-1]) if k_lo else 0.0, target)
-        times = m + 2 * np.arange(k_lo, k_lo + len(masses))
-        self._extend(held, int(times[-1]) + 1, times, masses)
-        return int(times[-1])
+        k = k_lo = sums.size
+        chunks = []
+        while not reached.size and k <= k_cap:
+            # Chunks double from a block, so an early stop computes few masses.
+            masses = self._masses(k, min(k + min(_BLOCK << len(chunks), _CHUNK), k_cap + 1) - 1)
+            seed = sums[-1:]
+            sums = np.cumsum(np.concatenate((seed, masses)))[seed.size :]
+            reached = np.flatnonzero(sums >= target)
+            chunks.append(masses[: reached[0] + 1] if reached.size else masses)
+            k += masses.size
+        masses = np.concatenate(chunks)
+        stop = m + 2 * (k_lo + masses.size) - 1
+        self._extend(held, stop, slice(m + 2 * k_lo, stop, 2), masses)
+        return stop - 1
 
     pmf = ProcessModel.pmf
 

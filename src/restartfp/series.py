@@ -45,8 +45,9 @@ def _check_mass(total: float) -> None:
 
 def _fsum(values: np.ndarray) -> float:
     """``math.fsum`` of the nonzero entries of ``values``: fsum is exact, so
-    a zero would move no bit, only cost time."""
-    return math.fsum(values[values != 0.0].tolist())
+    a zero would move no bit, only cost time.  It reads them through a
+    memoryview, one float at a time, not from a list of them all."""
+    return math.fsum(memoryview(values[values != 0.0]))
 
 
 def _powers(x: float, size: int) -> np.ndarray:

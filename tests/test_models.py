@@ -4,6 +4,7 @@ import ast
 import math
 import sys
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import restartfp
 from restartfp import models
+import scalar_masses
 from conftest import sums_of
 from restartfp import (
     AT_INFINITY,
@@ -491,7 +493,7 @@ class TestExpansionPrefix:
         longest = walk._masses(0, 4000)
         for lo in (0, 1, 17):
             for hi in range(lo, 300, 7):
-                assert walk._masses(lo, hi) == longest[lo : hi + 1]
+                assert walk._masses(lo, hi).tobytes() == longest[lo : hi + 1].tobytes()
 
     @pytest.mark.parametrize(
         "make", [lambda: CycleTrap(0.75, 2, 14), lambda: BiasedWalk(0.55, 3), lambda: TwoPoint(1, 0.75, 20)],
@@ -717,6 +719,127 @@ class TestBiasedWalk:
     def test_rejects_bad_params(self, args):
         with pytest.raises(ValueError):
             BiasedWalk(*args)
+
+
+KERNEL_PS = [0.01, 0.3, 0.5, 0.51, 0.54, 0.55, 0.8, 0.999]
+KERNEL_MS = [1, 3, 40, 200]
+
+
+@pytest.fixture(scope="module")
+def loop_masses():
+    """u(m+2k), k = 0..4200, from the per-mass loop for each (p, m) of the
+    grid, computed once."""
+    return {(p, m): scalar_masses.masses(BiasedWalk(p, m), 0, 4200) for p in KERNEL_PS for m in KERNEL_MS}
+
+
+@pytest.fixture(params=[1, 2, 3])
+def small_chunks(request, monkeypatch):
+    """The walk kernel's chunk bound cut to a few masses, so that short
+    expansions cross many chunk edges."""
+    monkeypatch.setattr(models, "_CHUNK", request.param)
+    return request.param
+
+
+def assert_law_is_loops(dist, walk, masses):
+    """``dist`` is the walk's law from the loop's ``masses`` u(m), u(m+2), …:
+    the same coefficient bytes, and the residual their fsum leaves of 1."""
+    head = np.zeros(dist.t_max + 1)
+    head[walk.m :: 2] = masses[: head[walk.m :: 2].size]
+    assert dist.coefficients.tobytes() == head.tobytes()
+    assert dist.residual.hex() == max(0.0, 1.0 - math.fsum(head.tolist())).hex()
+    assert dist.residual_kind == (AT_INFINITY if walk.p <= 0.5 else TRUNCATION)
+
+
+class TestWalkKernel:
+    """``BiasedWalk._masses`` is an array kernel with the doubles of the
+    per-mass loop it replaced (``tests/scalar_masses.py``), for every range,
+    horizon and default expansion, wherever the chunk edges fall."""
+
+    @pytest.mark.parametrize("m", KERNEL_MS)
+    @pytest.mark.parametrize("p", KERNEL_PS)
+    def test_masses_and_laws_are_the_loops(self, p, m, loop_masses):
+        walk, want = BiasedWalk(p, m), loop_masses[p, m]
+        for lo, hi in [(0, 63), (64, 127), (1000, 1063), (0, 3998), (7, 7), (5, 4)]:
+            assert walk._masses(lo, hi).tobytes() == np.array(want[lo : hi + 1]).tobytes(), (lo, hi)
+        # Growing horizons extend the held masses a block, then a range, at a
+        # time; a fresh walk's pmf(m + 8400) crosses the chunk edge at
+        # k = 4096 in one extension.
+        for t_max in (m, m + 126, m + 254, m + 2126, m + 7996):
+            assert_law_is_loops(walk.pmf(t_max), walk, want)
+        assert_law_is_loops(BiasedWalk(p, m).pmf(m + 8400), walk, want)
+
+    @pytest.mark.parametrize("m", KERNEL_MS)
+    @pytest.mark.parametrize("p", KERNEL_PS)
+    def test_default_horizon_is_the_loops(self, p, m, monkeypatch):
+        # The walks at p = 0.5 and 0.51 run to MAX_TERMS, cut here to keep the test short.
+        monkeypatch.setattr(models, "MAX_TERMS", 20_001)
+        want = scalar_masses.default_masses(BiasedWalk(p, m))
+        dist = BiasedWalk(p, m).pmf()
+        assert dist.t_max == m + 2 * (len(want) - 1)
+        assert_law_is_loops(dist, BiasedWalk(p, m), want)
+
+    @pytest.mark.parametrize("p, m", [(0.8, 3), (0.62, 3), (0.3, 1), (0.999, 200), (0.5, 1)])
+    def test_stops_on_chunk_edges(self, p, m, small_chunks, monkeypatch):
+        # Every chunk is 1-3 masses, so the stop falls at each offset in a
+        # chunk; the critical walk stops at MAX_TERMS, the others short of it.
+        monkeypatch.setattr(models, "MAX_TERMS", 1_001)
+        want = scalar_masses.default_masses(BiasedWalk(p, m))
+        for warm in (None, m + 41, m + 2 * len(want) - 3):
+            walk = BiasedWalk(p, m)
+            if warm is not None:  # the held masses' sum seeds the running sum
+                walk.pmf(warm)
+            dist = walk.pmf()
+            assert dist.t_max == m + 2 * (len(want) - 1), warm
+            assert dist.coefficients[m::2].tobytes() == np.array(want).tobytes(), warm
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    def test_stop_on_the_loops_running_sum(self, chunk, monkeypatch, loop_masses):
+        # A target equal to the loop's running sum at k stops there only if
+        # the chunks' seeded sums round as the loop's did: 1 - (1 - acc) is
+        # acc exactly, since 1 - acc is exact for acc in [0.5, 1].
+        monkeypatch.setattr(models, "_CHUNK", chunk)
+        acc, sums = 0.0, []
+        for mass in loop_masses[0.55, 3]:
+            acc += mass
+            sums.append(acc)
+        for k in [k for k, acc in enumerate(sums) if acc >= 0.5][:40:2]:
+            monkeypatch.setattr(models, "RESIDUAL_TARGET", 1.0 - sums[k])
+            for warm in (None, 3 + k // 2):
+                walk = BiasedWalk(0.55, 3)
+                if warm is not None:
+                    walk.pmf(warm)
+                assert walk.pmf().t_max == 3 + 2 * sums.index(sums[k]), (k, warm)
+
+    @pytest.mark.parametrize("p, m", [(0.55, 3), (0.3, 40), (0.999, 1)])
+    def test_extensions_on_chunk_edges(self, p, m, small_chunks, loop_masses):
+        # A time at a time, a few masses at a time and all at once give the loop's bytes.
+        walk, stop = BiasedWalk(p, m), m + 300
+        times, masses = walk._atoms(0, stop)
+        assert times.tolist() == list(range(m, stop, 2))
+        assert masses.tobytes() == np.array(loop_masses[p, m][: times.size]).tobytes()
+        single = [walk._atoms(t, t + 1) for t in range(stop)]
+        assert np.concatenate([t for t, _ in single]).tolist() == times.tolist()
+        assert np.concatenate([x for _, x in single]).tobytes() == masses.tobytes()
+        for t_max in range(m, stop, 7):
+            walk.pmf(t_max)
+        assert walk.pmf(stop - 1).coefficients[m::2].tobytes() == masses.tobytes()
+
+    def test_default_expansion_memory(self, monkeypatch):
+        # The critical walk runs to MAX_TERMS, here 2·10^5 + 1 (10^5 masses,
+        # 1.6 MB held), since tracing allocations slows the full 10^6 tenfold.
+        # Besides the held array, the peak is the law's own copy of it and
+        # the kernel's temporaries, which stay per chunk: 0.05 MiB measured,
+        # against 0.5 MiB for a kernel called on chunks of up to 65536 masses.
+        monkeypatch.setattr(models, "MAX_TERMS", 200_001)
+        walk = BiasedWalk(0.5, 1)
+        tracemalloc.start()
+        try:
+            walk.pmf()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walk._held.nbytes == 8 * 200_000
+        assert peak <= 2 * walk._held.nbytes + 2**18
 
 
 class TestTwoPoint:
