@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z, _fsum, _powers
+from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z, _fsum, _index, _powers
 
 # Default PMF expansion policy: extend until the unrepresented finite-time
 # mass drops below RESIDUAL_TARGET, or the coefficient count hits MAX_TERMS,
@@ -132,13 +132,13 @@ class RestartSpec:
         close the flat tail."""
         n_terms, w_terms, h_terms = self.renewal_terms(model)
         zn = _powers(z, w_terms.size)
-        n_sum, h_sum = math.fsum(n_terms * zn[:-1]), math.fsum(h_terms)
+        n_sum, h_sum = _fsum(n_terms * zn[:-1]), _fsum(h_terms)
         s = self.survival(n_terms.size)
         if s > 0.0:
             u = model.pmf(n_terms.size - 1)
-            n_sum += s * max(0.0, model.pgf(z) - math.fsum(u.coefficients * zn[:-1]))
-            h_sum += s * max(0.0, model.mean() - math.fsum(u.survival_array()))
-        return n_sum, math.fsum(w_terms * zn), h_sum
+            n_sum += s * max(0.0, model.pgf(z) - _fsum(u.coefficients * zn[:-1]))
+            h_sum += s * max(0.0, model.mean() - _fsum(u.survival_array()))
+        return n_sum, _fsum(w_terms * zn), h_sum
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,7 @@ class SharpRestart(RestartSpec):
     n_restart: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_restart, int) or self.n_restart < 1:
-            raise ValueError("n_restart must be an integer >= 1")
+        object.__setattr__(self, "n_restart", _index(self.n_restart, "n_restart must be an integer >= 1", 1))
 
     def survival(self, n: int) -> float:
         return 1.0 if n < self.n_restart else 0.0
@@ -259,7 +258,7 @@ class SharpRestart(RestartSpec):
         k, j = divmod(t_max, self.n_restart)
         powers = _powers(s, k + 1)
         # P(U > j) is s plus the masses past j, not 1 minus those up to j.
-        residual = float(powers[k]) * math.fsum([s, *head[j + 1 :].tolist()])
+        residual = float(powers[k]) * _fsum(np.append(s, head[j + 1 :]))
         return np.outer(powers, head).ravel()[: t_max + 1], residual
 
 
@@ -298,8 +297,7 @@ class ExplicitRestart(_ExplicitLaw, RestartSpec):
 
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
-        upto = min(t_max, self.dist.t_max)
-        out[: upto + 1] = self.dist.coefficients[: upto + 1]
+        out[: self.dist.t_max + 1] = self.dist.coefficients[: t_max + 1]
         return out
 
     def last_epoch(self) -> int:
@@ -388,18 +386,17 @@ class ProcessModel:
         return s / _UNIT, w / _UNIT
 
     def _extend(self, held: np.ndarray, stop: int, times, masses) -> np.ndarray:
-        """Hold and return u(0..stop-1): ``held``, then ``masses`` written at
-        ``times`` (indices or a slice); each new mass must be finite and
-        nonnegative."""
+        """Hold and return u(0..stop-1), read-only (laws of U view it):
+        ``held``, then ``masses`` written at ``times`` (indices or a slice);
+        each new mass must be finite and nonnegative."""
         out = np.zeros(stop)
         out[: held.size] = held
-        # A range with no atoms adds only zeros, which need no check.
-        if len(masses):
-            out[times] = masses
-            new = out[held.size :]
-            # A NaN makes the minimum NaN, which fails the comparison.
-            if not 0.0 <= new.min() <= new.max() < math.inf:
-                raise ValueError("masses must be finite and nonnegative")
+        out[times] = masses
+        new = out[held.size :]
+        # A NaN makes the minimum NaN, which fails the comparison.
+        if not 0.0 <= new.min() <= new.max() < math.inf:
+            raise ValueError("masses must be finite and nonnegative")
+        out.setflags(write=False)
         object.__setattr__(self, "_held", out)
         return out
 
@@ -480,8 +477,8 @@ class CycleTrap(ProcessModel):
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if not (isinstance(self.L, int) and isinstance(self.M, int)):
-            raise ValueError("L and M must be integers")
+        for name in ("L", "M"):
+            object.__setattr__(self, name, _index(getattr(self, name), "L and M must be integers"))
         if self.L < 1 or self.M < 1:
             raise ValueError("L and M must be >= 1")
 
@@ -583,8 +580,7 @@ class BiasedWalk(ProcessModel):
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly inside (0, 1)")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError("m must be an integer >= 1")
+        object.__setattr__(self, "m", _index(self.m, "m must be an integer >= 1", 1))
 
     @property
     def q(self) -> float:
@@ -759,8 +755,8 @@ class TwoPoint(_CountdownMixin, ProcessModel):
     t2: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.t1, int) and isinstance(self.t2, int)):
-            raise ValueError("t1 and t2 must be integers")
+        for name in ("t1", "t2"):
+            object.__setattr__(self, name, _index(getattr(self, name), "t1 and t2 must be integers"))
         if self.t1 < 1 or self.t2 < 1:
             raise ValueError("support points must be >= 1")
         if not 0.0 <= self.w1 <= 1.0:
@@ -786,7 +782,7 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         return list(atoms), list(atoms.values())
 
     def _tail(self, head: np.ndarray, total: float) -> float:
-        return math.fsum(w for t, w in self._points() if t >= head.size)
+        return _fsum(np.array([w for t, w in self._points() if t >= head.size]))
 
     def hit_prob(self) -> float:
         return 1.0
@@ -829,7 +825,7 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
         return times, self.dist.coefficients[times]
 
     def _tail(self, head: np.ndarray, total: float) -> float:
-        return self.dist.residual + math.fsum(self.dist.coefficients[head.size :].tolist())
+        return self.dist.residual + _fsum(self.dist.coefficients[head.size :])
 
     def hit_prob(self) -> float:
         return 1.0 - self.dist.residual if self.dist.residual_kind == AT_INFINITY else 1.0

@@ -8,6 +8,7 @@ the probability generating function on [0, 1].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -50,6 +51,13 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(memoryview(values[values != 0.0]))
 
 
+def _index(value, message: str, least: float = -math.inf) -> int:
+    """``operator.index(value)`` if that is an int >= ``least`` (numpy integers pass), else ValueError(message)."""
+    if not hasattr(type(value), "__index__") or operator.index(value) < least:
+        raise ValueError(message)
+    return operator.index(value)
+
+
 def _powers(x: float, size: int) -> np.ndarray:
     """x**n for n = 0..size-1, x in [0, 1].  Past the index where the powers
     fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
@@ -79,8 +87,8 @@ class TruncatedPMF:
     residual: float = 0.0
     residual_kind: str = TRUNCATION
 
-    def __post_init__(self, total: float | None = None) -> None:
-        coeffs = np.array(self.coefficients, dtype=float)
+    def __post_init__(self, total: float | None = None, copy: bool = True) -> None:
+        coeffs = np.array(self.coefficients, dtype=float, copy=copy)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
         # A NaN makes the minimum NaN, which fails the comparison.
@@ -96,12 +104,11 @@ class TruncatedPMF:
 
     @classmethod
     def _summed(cls, coefficients, residual: float, residual_kind: str, total: float | None) -> "TruncatedPMF":
-        """The constructor, where the caller may have taken the fsum ``total``
-        of ``coefficients`` already: every check runs, and the mass check
-        reads ``total`` when it is given."""
+        """The constructor for a float64 array the library built, kept read-only,
+        not copied; the mass check reads its fsum ``total`` when that is given."""
         law = object.__new__(cls)
         law.__dict__.update(coefficients=coefficients, residual=residual, residual_kind=residual_kind)
-        law.__post_init__(total)
+        law.__post_init__(total, copy=False)
         return law
 
     @classmethod
@@ -115,11 +122,9 @@ class TruncatedPMF:
         """Build from a {time: mass} mapping; the horizon is the largest key."""
         if not masses:
             raise ValueError("at least one mass point is required")
-        top = max(masses)
-        if top < 0 or any(n < 0 for n in masses):
-            raise ValueError("mass points must be nonnegative integers")
-        coeffs = np.zeros(top + 1)
-        for n, w in masses.items():
+        times = [_index(n, "mass points must be nonnegative integers", 0) for n in masses]
+        coeffs = np.zeros(max(times) + 1)
+        for n, w in zip(times, masses.values()):
             coeffs[n] += w
         return cls(coeffs, residual=residual, residual_kind=residual_kind)
 
@@ -143,7 +148,7 @@ class TruncatedPMF:
         if self.residual_kind == AT_INFINITY and self.residual > 0.0:
             return math.inf
         n = np.arange(self.coefficients.size, dtype=float)
-        return math.fsum((n * self.coefficients).tolist())
+        return _fsum(n * self.coefficients)
 
     def second_factorial_moment(self) -> float:
         """Sum n(n-1) * coefficients[n]: the second PGF derivative at 1 when
@@ -152,13 +157,11 @@ class TruncatedPMF:
             return math.inf
         # n(n-1) is rounded once, as the product of Python ints is.
         n = np.arange(self.coefficients.size, dtype=float)
-        return math.fsum((n * (n - 1) * self.coefficients).tolist())
+        return _fsum(n * (n - 1) * self.coefficients)
 
     def cumulative(self, n: int) -> float:
         """P(X <= n) over the represented range; constant beyond t_max."""
-        if n < 0:
-            return 0.0
-        return math.fsum(self.coefficients[: min(n, self.t_max) + 1].tolist())
+        return _fsum(self.coefficients[: max(min(n, self.t_max) + 1, 0)])
 
     def survival(self, n: int) -> float:
         """P(X > n): the residual plus the masses past n, added from the far
@@ -248,7 +251,7 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     lead = abs(float(den[0]))
     # Decided as fsum would: numpy's sum is within size * 2**-52 of the
     # exact sum, so only a sum that close to |den[0]| needs fsum.
-    contracts = bool(sizes.sum() <= lead * (1.0 - sizes.size * 2.0**-52)) or math.fsum(sizes.tolist()) <= lead
+    contracts = bool(sizes.sum() <= lead * (1.0 - sizes.size * 2.0**-52)) or _fsum(sizes) <= lead
     smallest = _exponent(float(np.min(sizes, where=sizes > 0.0, initial=math.inf)))
     # Scales keep the scaled window, and the bound on every coefficient while
     # the numerator lasts (ahead), below 2**high, so that no sum exceeds about

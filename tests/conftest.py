@@ -6,8 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from restartfp import AT_INFINITY, TRUNCATION, ExplicitProcess, ExplicitRestart, ProcessModel, TruncatedPMF
+
+# Every @given test draws the same examples on every run: a derandomized
+# profile with no example database, loaded before the test modules build
+# their own settings, so each keeps its max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_pmf(rng, *, min_support=1, max_support=12, defective=False, min_residual=0.05):

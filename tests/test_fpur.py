@@ -170,6 +170,15 @@ class TestFpurPmf:
         assert dist.residual_kind == AT_INFINITY
         assert dist.cumulative(200) == pytest.approx(2 / 3, abs=1e-9)
 
+    def test_divided_law_keeps_the_quotient(self, monkeypatch):
+        # The law holds the array series_divide built, read-only, not a copy.
+        built = []
+        divide = fpur.series_divide
+        monkeypatch.setattr(fpur, "series_divide", lambda *args: built.append(divide(*args)) or built[-1])
+        dist = fpur_pmf(TP_FAST, GeometricRestart(0.1), 400)
+        assert len(built) == 1 and dist.coefficients is built[0]
+        assert not dist.coefficients.flags.writeable
+
 
 TRAP, WALK = CycleTrap(0.75, 2, 14), BiasedWalk(0.55, 3)
 

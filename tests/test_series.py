@@ -41,6 +41,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dist.coefficients[0] = 1.0
 
+    def test_public_constructor_copies(self):
+        # Only the library's own arrays are kept uncopied.
+        coeffs = np.array([0.25, 0.75])
+        dist = TruncatedPMF(coeffs)
+        assert not np.shares_memory(dist.coefficients, coeffs)
+        assert coeffs.flags.writeable
+
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             TruncatedPMF(np.array([0.5, -0.1, 0.6]))
@@ -74,12 +81,26 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "masses, message",
         [({}, "at least one mass point"), ({-1: 0.5, 2: 0.5}, "nonnegative integers"),
-         ({-2: 1.0}, "nonnegative integers")],
-        ids=["empty", "negative-time", "all-negative"],
+         ({-2: 1.0}, "nonnegative integers"), ({2.5: 1.0}, "nonnegative integers"),
+         ({2.0: 1.0}, "nonnegative integers"), ({"2": 1.0}, "nonnegative integers"),
+         ({1: 0.5, None: 0.5}, "nonnegative integers")],
+        ids=["empty", "negative-time", "all-negative", "float-time", "integral-float-time", "string-time",
+             "none-time"],
     )
     def test_from_masses_rejects(self, masses, message):
         with pytest.raises(ValueError, match=message):
             TruncatedPMF.from_masses(masses)
+
+    @pytest.mark.parametrize(
+        "masses",
+        [{np.int64(1): 0.25, np.int64(3): 0.75}, {True: 0.25, np.uint8(3): 0.75}, {1: 0.25, np.int32(3): 0.75}],
+        ids=["int64", "bool", "mixed"],
+    )
+    def test_from_masses_reads_times_as_integers(self, masses):
+        # Each time is read through operator.index: a numpy integer or a bool
+        # is the integer it stands for.
+        dist = TruncatedPMF.from_masses(masses)
+        assert dist.coefficients.tolist() == [0.0, 0.25, 0.0, 0.75]
 
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
