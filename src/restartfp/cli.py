@@ -190,6 +190,9 @@ def parse_sweep_csv(text: str) -> SweepResult:
         if len(record) != len(_SWEEP_HEADER) or record[8] not in ("true", "false"):
             raise UsageError(f"malformed CSV row {record!r}")
         values = list(map(_parse_real, record[2:8]))
+        # emit_sweep_csv writes a number for the baseline, param and analytic mean on every row.
+        if any(value is None or math.isnan(value) for value in values[:3]):
+            raise UsageError(f"malformed CSV row {record!r}")
         if descriptor is None:
             descriptor, family, baseline = record[0], record[1], values[0]
         elif (record[0], record[1]) != (descriptor, family):
@@ -219,8 +222,9 @@ def run_sweep(
 ) -> SweepResult:
     """Analytic (and optionally Monte Carlo) restarted means over a grid.
 
-    Every row's restart spec is built before any row runs, so a parameter
-    outside the family's domain is a usage error that costs no work.
+    Every row's restart spec is built from its grid value as given before
+    any row runs, so a value outside the family's domain (a sharp 7.9 too)
+    is a usage error that costs no work; a row's ``param`` is its clock's.
     Monte Carlo is skipped on rows whose analytic mean is infinite
     (preemptive or defective); each row uses seed + row index.  A row with
     censored trials gets a warning on stderr: its mean is a lower bound.
@@ -233,16 +237,18 @@ def run_sweep(
     if not 0 <= seed <= 2**64 - len(grid):
         raise UsageError(f"seed {seed} out of range: row seeds seed..seed+{len(grid) - 1} "
                          "must lie in [0, 2**64)")
-    make, ((_, convert),) = _RESTART_FAMILIES[family]
+    make = _RESTART_FAMILIES[family][0]
     specs = []
     for param in grid:
         try:
-            specs.append(make(convert(param)))
+            specs.append(make(param))
         except ValueError as exc:
-            raise UsageError(f"invalid {family} sweep parameter {_fmt(param)}: {exc}") from exc
+            raise UsageError(f"invalid {family} sweep parameter {param!r}: {exc}") from exc
+    name = make.__match_args__[0]  # the clock's one parameter
     baseline = model.mean()
     rows = []
-    for index, (param, spec) in enumerate(zip(grid, specs)):
+    for index, spec in enumerate(specs):
+        param = getattr(spec, name)
         analytic = fpur.mean_T(model, spec)
         mc = ci_low = ci_high = None
         if trials > 0 and math.isfinite(analytic):

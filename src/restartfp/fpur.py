@@ -13,17 +13,17 @@ The renewal denominator is accumulated from nonnegative terms rather than
 as "1 minus a sum", so it stays accurate even when the straightforward form
 would cancel catastrophically, and it is exactly 0 only for a preemptive
 pair.  Closed-form means come from the restart law's ``closed_form_mean``.
+Each formula reads its parameters by building the model or clock they belong to.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z, _fsum, series_divide
+from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z, _fsum, _index, series_divide
 from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart
 
 # Classification labels for sharp restart on the cycle trap.
@@ -97,8 +97,7 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
     by delta(n=0) - r(n) P(U >= n), both from ``spec.renewal_terms``; below
     U's smallest support point the law is all zeros.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    t_max = _index(t_max, "t_max must be an integer >= 0", 0)
     law, total = spec.closed_form_law(model, t_max), None
     if law is None:
         num, wins, _ = spec.renewal_terms(model, t_max)
@@ -136,21 +135,19 @@ def mean_T_geometric(model: ProcessModel, rho: float) -> float:
 def mean_T_sharp(model: ProcessModel, n_restart: int) -> float:
     """E[T] under sharp restart at N via partial sums:
     (sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1); infinity if preemptive."""
-    if n_restart < 1:
-        raise ValueError("n_restart must be >= 1")
-    return SharpRestart(operator.index(n_restart)).closed_form_mean(model)
+    return SharpRestart(n_restart).closed_form_mean(model)
 
 
 def cycle_trap_sharp_mean(p: float, L: int, M: int, n_restart: int) -> float:
     """Closed-form E[T] for the cycle trap under sharp restart at N."""
-    model = CycleTrap(p, L, M)  # parameter validation
-    if n_restart <= L:
+    trap, n = CycleTrap(p, L, M), SharpRestart(n_restart).n_restart
+    p, L, M, q = trap.p, trap.L, trap.M, trap.q
+    if n <= L:
         return math.inf
-    q = model.q
-    k = (n_restart - 1 - L) // (M + 1)
+    k = (n - 1 - L) // (M + 1)
     q_hi = q ** (k + 1)
     bracket = k * q_hi - (k + 1) * q**k + 1.0
-    return L + (q_hi * n_restart + (q / p) * (M + 1) * bracket) / (1.0 - q_hi)
+    return L + (q_hi * n + (q / p) * (M + 1) * bracket) / (1.0 - q_hi)
 
 
 def cycle_trap_sharp_drop(p: float, L: int, M: int, a: int) -> float:
@@ -158,9 +155,8 @@ def cycle_trap_sharp_drop(p: float, L: int, M: int, a: int) -> float:
     support point N = L + a(M+1), a >= 1, where the passage through a
     cycles starts to beat the epoch:
     q^a [p L + q M (1 - q^a)] / ((1 - q^a)(1 - q^(a+1)))."""
-    q = CycleTrap(p, L, M).q  # parameter validation
-    if operator.index(a) < 1:
-        raise ValueError("a must be >= 1")
+    trap, a = CycleTrap(p, L, M), _index(a, "a must be an integer >= 1", 1)
+    p, L, M, q = trap.p, trap.L, trap.M, trap.q
     q_a = q**a
     return q_a * (p * L + q * M * (1.0 - q_a)) / ((1.0 - q_a) * (1.0 - q_a * q))
 
@@ -184,8 +180,8 @@ def cycle_trap_geometric_threshold(L: int, M: int) -> float:
     Nonpositive (no beneficial interval) whenever M <= 2L; the denominator
     factors as (M-L)(M-L+1), so M in {L-1, L} degenerates to -infinity.
     """
-    if L < 1 or M < 1:
-        raise ValueError("L and M must be >= 1")
+    trap = CycleTrap(1.0, L, M)  # p does not enter
+    L, M = trap.L, trap.M
     num = (M + 1) * (M - 2 * L)
     den = num + L * (L + 1)
     if den == 0:
@@ -195,8 +191,7 @@ def cycle_trap_geometric_threshold(L: int, M: int) -> float:
 
 def brw_geometric_threshold_p(m: int) -> float:
     """Bias threshold p* below which geometric restart helps the walk."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = BiasedWalk(0.5, m).m  # p does not enter
     return (4.0 - m + math.sqrt(m * m + 8.0)) / 8.0
 
 
@@ -213,13 +208,11 @@ def cycle_trap_sharp_classify(L: int, M: int, n_restart: int) -> str:
     The sign of (N-1-M) - (M+1) floor((N-1-L)/(M+1)) decides, independent
     of the bias p.
     """
-    if L < 1 or M < 1:
-        raise ValueError("L and M must be >= 1")
-    if n_restart < 1:
-        raise ValueError("n_restart must be >= 1")
-    if n_restart <= L:
+    trap, n = CycleTrap(1.0, L, M), SharpRestart(n_restart).n_restart  # p does not enter
+    L, M = trap.L, trap.M
+    if n <= L:
         return PREEMPTIVE
-    sign = (n_restart - 1 - M) - (M + 1) * ((n_restart - 1 - L) // (M + 1))
+    sign = (n - 1 - M) - (M + 1) * ((n - 1 - L) // (M + 1))
     if sign > 0:
         return WORSE
     if sign == 0:
@@ -230,10 +223,8 @@ def cycle_trap_sharp_classify(L: int, M: int, n_restart: int) -> str:
 def brw_geometric_mean(p: float, m: int, rho: float) -> float:
     """Closed-form E[T] = (b^m - 1) / rho for the biased walk under geometric
     restart, b = (1 + root) / (2px) with root = sqrt(1 - 4pqx^2), x = 1 - rho."""
-    BiasedWalk(p, m)  # parameter validation
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly inside (0, 1)")
-    x = 1.0 - rho
+    walk, rho = BiasedWalk(p, m), GeometricRestart(rho).rho
+    p, m, x = walk.p, walk.m, 1.0 - rho
     # b - 1 = (d + root) / (2px) with d = 1 - 2px, which cancels where d < 0;
     # there (d + root)(root - d) = 4px rho gives b - 1 = 2 rho / (root - d).
     # 2px rounding to 0 is an overflow too.

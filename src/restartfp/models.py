@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z, _fsum, _index, _powers
+from .series import (AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z, _fsum, _index, _powers,
+                     _real)
 
 # Default PMF expansion policy: extend until the unrepresented finite-time
 # mass drops below RESIDUAL_TARGET, or the coefficient count hits MAX_TERMS,
@@ -150,8 +151,7 @@ class GeometricRestart(RestartSpec):
     _log_x: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie strictly inside (0, 1)")
+        object.__setattr__(self, "rho", _real(self.rho, "rho must lie strictly inside (0, 1)", lambda r: 0 < r < 1))
         object.__setattr__(self, "_log_x", math.log1p(-self.rho))
 
     def survival(self, n: int) -> float:
@@ -347,7 +347,7 @@ class ProcessModel:
         """U's law on 0..t_max (default: the model's own horizon)."""
         if t_max is None:
             t_max = self._default_horizon()
-        elif t_max < self.min_support():
+        elif (t_max := _index(t_max, "t_max must be an integer")) < self.min_support():
             raise ValueError(f"t_max={t_max} is below the smallest support point {self.min_support()}")
         head = self._prefix(t_max)
         total = _fsum(head)
@@ -475,8 +475,7 @@ class CycleTrap(ProcessModel):
     M: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("p must lie in (0, 1]")
+        object.__setattr__(self, "p", _real(self.p, "p must lie in (0, 1]", lambda p: 0 < p <= 1))
         for name in ("L", "M"):
             object.__setattr__(self, name, _index(getattr(self, name), "L and M must be integers"))
         if self.L < 1 or self.M < 1:
@@ -578,8 +577,7 @@ class BiasedWalk(ProcessModel):
     m: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly inside (0, 1)")
+        object.__setattr__(self, "p", _real(self.p, "p must lie strictly inside (0, 1)", lambda p: 0 < p < 1))
         object.__setattr__(self, "m", _index(self.m, "m must be an integer >= 1", 1))
 
     @property
@@ -759,8 +757,7 @@ class TwoPoint(_CountdownMixin, ProcessModel):
             object.__setattr__(self, name, _index(getattr(self, name), "t1 and t2 must be integers"))
         if self.t1 < 1 or self.t2 < 1:
             raise ValueError("support points must be >= 1")
-        if not 0.0 <= self.w1 <= 1.0:
-            raise ValueError("w1 must lie in [0, 1]")
+        object.__setattr__(self, "w1", _real(self.w1, "w1 must lie in [0, 1]", lambda w: 0 <= w <= 1))
 
     def pgf(self, z: float) -> float:
         _check_z(z)

@@ -58,6 +58,13 @@ def _index(value, message: str, least: float = -math.inf) -> int:
     return operator.index(value)
 
 
+def _real(value, message: str, inside) -> float:
+    """``float(value)`` for a real ``value`` (not a str) that ``inside`` accepts, else ValueError(message)."""
+    if not hasattr(type(value), "__float__") or not inside(float(value)):
+        raise ValueError(message)
+    return float(value)
+
+
 def _powers(x: float, size: int) -> np.ndarray:
     """x**n for n = 0..size-1, x in [0, 1].  Past the index where the powers
     fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
@@ -225,8 +232,7 @@ def series_divide(numerator, denominator, t_max: int) -> np.ndarray:
     den = np.asarray(denominator, dtype=float)
     if den.size == 0 or den[0] == 0.0:
         raise ZeroDivisionError("denominator constant term is zero; quotient series undefined")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    t_max = _index(t_max, "t_max must be an integer >= 0", 0)
     num = np.asarray(numerator, dtype=float)[: t_max + 1]
     den = den[: np.flatnonzero(den)[-1] + 1]
     spent = np.flatnonzero(num)[-1] + 1 if np.any(num) else 0

@@ -222,9 +222,17 @@ class TestSweep:
             lambda row: row[:3] + ["x"] + row[4:],
             lambda row: row[:2] + ["1.5.2"] + row[3:],
             lambda row: row[:5] + ["--1"] + row[6:],
+            # emit_sweep_csv writes a number for these three on every row.
+            lambda row: row[:2] + [""] + row[3:],
+            lambda row: row[:3] + [""] + row[4:],
+            lambda row: row[:4] + [""] + row[5:],
+            lambda row: row[:2] + ["nan"] + row[3:],
+            lambda row: row[:3] + ["nan"] + row[4:],
+            lambda row: row[:4] + ["nan"] + row[5:],
         ],
         ids=["short", "descriptor-only", "extra-field", "maybe", "capitalised", "empty-verdict",
-             "param", "baseline", "ci"],
+             "param", "baseline", "ci", "empty-baseline", "empty-param", "empty-analytic", "nan-baseline",
+             "nan-param", "nan-analytic"],
     )
     def test_malformed_rows_rejected(self, edit):
         text = emit_sweep_csv(run_sweep(parse_model(TP_FAST_TEXT), "geometric", [0.1, 0.3], trials=20, seed=3))

@@ -427,7 +427,7 @@ class TestRenewalHorizon:
 
     @pytest.mark.parametrize("spec", [SharpRestart(10), GeometricRestart(0.1)], ids=str)
     def test_negative_law_horizon_is_rejected(self, spec):
-        with pytest.raises(ValueError, match="t_max must be nonnegative"):
+        with pytest.raises(ValueError, match="t_max must be an integer >= 0"):
             fpur_pmf(BiasedWalk(0.55, 40), spec, -1)
 
     @pytest.mark.parametrize(
@@ -834,7 +834,7 @@ class TestMeanGeometricClosedForm:
             mean_T_geometric(TP_FAST, 0.0)
         with pytest.raises(ValueError, match=r"rho must lie strictly inside \(0, 1\)"):
             mean_T_geometric(TP_FAST, 1.0)
-        with pytest.raises(ValueError, match="n_restart must be >= 1"):
+        with pytest.raises(ValueError, match="n_restart must be an integer >= 1"):
             mean_T_sharp(TP_FAST, 0)
 
 
@@ -942,7 +942,7 @@ class TestCycleTrapSharpDrop:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             cycle_trap_sharp_drop(0.25, 5, 10, 0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             cycle_trap_sharp_drop(0.25, 5, 10, 1.0)
         with pytest.raises(ValueError):
             cycle_trap_sharp_drop(0.0, 5, 10, 1)
@@ -992,10 +992,10 @@ class TestThresholds:
         [
             (lambda: cycle_trap_geometric_threshold(0, 4), "L and M must be >= 1"),
             (lambda: cycle_trap_geometric_threshold(2, 0), "L and M must be >= 1"),
-            (lambda: brw_geometric_threshold_p(0), "m must be >= 1"),
+            (lambda: brw_geometric_threshold_p(0), "m must be an integer >= 1"),
             (lambda: cycle_trap_sharp_classify(0, 10, 8), "L and M must be >= 1"),
             (lambda: cycle_trap_sharp_classify(5, 0, 8), "L and M must be >= 1"),
-            (lambda: cycle_trap_sharp_classify(5, 10, 0), "n_restart must be >= 1"),
+            (lambda: cycle_trap_sharp_classify(5, 10, 0), "n_restart must be an integer >= 1"),
             (lambda: brw_geometric_mean(0.6, 1, 0.0), "rho must lie strictly inside"),
             (lambda: brw_geometric_mean(0.6, 1, 1.0), "rho must lie strictly inside"),
         ],

@@ -1258,6 +1258,28 @@ def test_fsum_only_in_series_fsum():
     assert found == [("series", "_fsum")]
 
 
+def test_operator_index_only_in_the_integer_rule():
+    # Every integer parameter and horizon is read through series._index;
+    # only SimConfig keeps its own reading, with its TypeError.
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "index"
+                and isinstance(child.value, ast.Name) and child.value.id == "operator"
+            ) or (
+                isinstance(child, ast.ImportFrom) and child.module == "operator"
+                and any(alias.name == "index" for alias in child.names)
+            ):
+                found.append(scope)
+            visit(child, (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
+
+    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    assert set(found) == {("series", "_index"), ("montecarlo", "SimConfig", "__post_init__")}
+
+
 def test_property_tests_are_derandomized():
     # conftest loads a profile that derandomizes every @given test and keeps
     # no example database, so each run draws the same examples.

@@ -295,15 +295,23 @@ class TestHittingTimeLaw:
             ExplicitRestart(TruncatedPMF.from_masses({5: 0.5, 12: 0.3}, residual=0.2, residual_kind=AT_INFINITY)),
             1604,
         ),
+        (BiasedWalk(0.55, 3), SharpRestart(12), 1605),
+        # Trials that pass through up to three whole cycles before N = 20,
+        # so a cycle of the wrong length moves atoms; under N = 9 above no
+        # trial completes one.
+        (CycleTrap(0.5, 2, 4), SharpRestart(20), 1606),
     ]
     TRIALS = 20_000
     HORIZON = 200
     # A pair fails falsely with probability ALPHA under the chi-square
     # approximation, so the test does with at most 1e-6, by the union bound.
-    ALPHA = 2.5e-7
+    ALPHA = 1e-6 / len(PAIRS)
 
     @pytest.mark.parametrize(
-        "model, spec, seed", PAIRS, ids=["brw-geometric", "cycle-trap-sharp", "two-point-geometric", "brw-leaky-explicit"]
+        "model, spec, seed",
+        PAIRS,
+        ids=["brw-geometric", "cycle-trap-sharp", "two-point-geometric", "brw-leaky-explicit", "brw-sharp",
+             "cycle-trap-sharp-whole-cycles"],
     )
     def test_chi_square(self, model, spec, seed):
         times, _, censored = _run_trials(model, spec, SimConfig(trials=self.TRIALS, seed=seed))

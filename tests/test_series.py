@@ -275,7 +275,7 @@ class TestSeriesDivide:
             series_divide(np.array([1.0]), np.array([0.0, 1.0]), 3)
 
     def test_negative_horizon(self):
-        with pytest.raises(ValueError, match="t_max must be nonnegative"):
+        with pytest.raises(ValueError, match="t_max must be an integer >= 0"):
             series_divide(np.array([1.0]), np.array([1.0, -0.5]), -1)
 
     @given(
