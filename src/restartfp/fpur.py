@@ -8,7 +8,7 @@ Every renewal sum comes from the restart law's ``renewal`` method: closed
 forms on the model's PGF for geometric restart, else finite sums up to the
 clock's last epoch, whose flat tail of residual mass, if any, closes on the
 model's PGF and mean; the exact law is the clock's ``closed_form_law`` (sharp)
-or else divides the series of ``renewal_terms``.
+or else divides the series of its ``law_series``.
 The renewal denominator is accumulated from nonnegative terms rather than
 as "1 minus a sum", so it stays accurate even when the straightforward form
 would cancel catastrophically, and it is exactly 0 only for a preemptive
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z, _fsum, _index, series_divide
+from .series import AT_INFINITY, TRUNCATION, TruncatedPMF, _check_z, _fsum, _index, _real, series_divide
 from .models import BiasedWalk, CycleTrap, GeometricRestart, ProcessModel, RestartSpec, SharpRestart
 
 # Classification labels for sharp restart on the cycle trap.
@@ -93,17 +93,16 @@ def fpur_pmf(model: ProcessModel, spec: RestartSpec, t_max: int) -> TruncatedPMF
     """Mass function of the restarted hitting time on 0..t_max.
 
     The restart law's ``closed_form_law`` where it has one (sharp), else
-    the formal power-series division of the numerator terms u(n) P(R > n)
-    by delta(n=0) - r(n) P(U >= n), both from ``spec.renewal_terms``; below
-    U's smallest support point the law is all zeros.
+    the formal power-series division of ``spec.law_series``: the numerator
+    terms u(n) P(R > n) over delta(n=0) - r(n) P(U >= n), or under
+    geometric restart of a model with a rational PGF the short numerator and
+    denominator of that rational law.  Below U's smallest support point the
+    law is all zeros.
     """
     t_max = _index(t_max, "t_max must be an integer >= 0", 0)
     law, total = spec.closed_form_law(model, t_max), None
     if law is None:
-        num, wins, _ = spec.renewal_terms(model, t_max)
-        den = -wins[: t_max + 1]
-        den[0] = 1.0
-        quot = series_divide(num[: t_max + 1], den, t_max)
+        quot = series_divide(*spec.law_series(model, t_max), t_max)
         # One sum of the quotient sets its residual and is its mass check.
         total = _fsum(quot)
         law = quot, max(0.0, 1.0 - total)
@@ -197,8 +196,7 @@ def brw_geometric_threshold_p(m: int) -> float:
 
 def brw_geometric_threshold_m(p: float) -> float:
     """Starting-point threshold m* below which geometric restart helps."""
-    if not 0.5 < p < 1.0:
-        raise ValueError("threshold is defined only for downward bias p > 1/2")
+    p = _real(p, "threshold is defined only for downward bias 1/2 < p < 1", lambda p: 0.5 < p < 1.0)
     return (8.0 * p * (1.0 - p) - 1.0) / (2.0 * p - 1.0)
 
 

@@ -59,7 +59,8 @@ class RestartSpec:
     read: ``survival`` (with ``cdf`` and ``hit_prob`` as its complements),
     the ``survival_array`` and ``pmf_array`` vectors, the inverse-CDF
     ``draw``, ``last_epoch``, ``describe``, the closed-form mean and law
-    where they exist, and the renewal terms and sums.
+    where they exist, the renewal terms and sums, and the series a law
+    divides.
     """
 
     def cdf(self, n: int) -> float:
@@ -123,6 +124,15 @@ class RestartSpec:
         w = self.pmf_array(u.t_max + 1) * np.concatenate(([1.0], surv_u))
         return u.coefficients * surv_r, w, surv_u * surv_r
 
+    def law_series(self, model: ProcessModel, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The numerator and denominator whose quotient is T's law on
+        0..t_max: by default u(n) P(R > n) over delta(n=0) - r(n) P(U >= n),
+        from :meth:`renewal_terms`."""
+        num, wins, _ = self.renewal_terms(model, t_max)
+        den = -wins[: t_max + 1]
+        den[0] = 1.0
+        return num[: t_max + 1], den
+
     def renewal(self, model: ProcessModel, z: float) -> tuple[float, float, float]:
         """Renewal sums at ``z`` in [0, 1]: (N, W, H) with
         N = sum_n z^n u(n) P(R > n), W = sum_i z^i r(i) P(U >= i) and
@@ -185,6 +195,29 @@ class GeometricRestart(RestartSpec):
         n_sum = model.pgf(x * z)
         w_sum = self.rho * z * (1.0 - n_sum) / (1.0 - x * z)
         return n_sum, w_sum, (1.0 - model.pgf(x)) / self.rho
+
+    def law_series(self, model: ProcessModel, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """For a model whose PGF is rational, P(w) / D(w)
+        (:meth:`ProcessModel.rational_pgf`), with x = 1 - rho:
+        T(z) = P(xz) / Q(z), Q(z) = D(xz) - rho z G(xz), where
+        G(w) = (D(w) - P(w)) / (1 - w) has G_k = sum_{j>k} (P_j - D_j),
+        summed from the far end.  Q has max(deg P, deg D) + 1 terms; for the
+        trap, two-point and explicit models Q_0 = 1 and every other term is
+        <= 0, so the division adds only nonnegative terms.  Both series are
+        formed in numpy's longdouble, the powers of x as running products,
+        and rounded once: there 1 - rho is exact for rho >= 2**-12 (where
+        longdouble has 64 bits), while its rounding to a double moves the
+        law's decay rate, an error that grows linearly in n (for the traps,
+        9 to 36 times the rest at n = 2500).  Other models take the default."""
+        rational = model.rational_pgf()
+        if rational is None:
+            return super().law_series(model, t_max)
+        size = max(c.size for c in rational)
+        poly, den = (np.pad(c, (0, size - c.size)).astype(np.longdouble) for c in rational)
+        powers = np.cumprod(np.concatenate(([1.0], np.full(size - 1, 1 - np.longdouble(self.rho)))))
+        short = den * powers
+        short[1:] -= self.rho * powers[:-1] * np.cumsum((poly - den)[:0:-1])[::-1]
+        return (poly * powers)[: t_max + 1].astype(float), short[: t_max + 1].astype(float)
 
     def closed_form_mean(self, model: ProcessModel) -> float:
         """(1 - u~(1-rho)) / (rho u~(1-rho)), infinity when u~(1-rho) is 0."""
@@ -341,6 +374,11 @@ class ProcessModel:
     def pgf(self, z: float) -> float:
         raise NotImplementedError
 
+    def rational_pgf(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """U's PGF as polynomial coefficients (P, D), u~(w) = P(w) / D(w)
+        with D[0] = 1; None when it is not rational (or not stated so)."""
+        return None
+
     # Each model class binds this pmf itself: the benchmark tracer wraps pmf
     # only where a class defines it.
     def pmf(self, t_max: int | None = None) -> TruncatedPMF:
@@ -488,6 +526,12 @@ class CycleTrap(ProcessModel):
     def pgf(self, z: float) -> float:
         _check_z(z)
         return self.p * z**self.L / (1.0 - self.q * z ** (self.M + 1))
+
+    def rational_pgf(self) -> tuple[np.ndarray, np.ndarray]:
+        """P = p w^L, D = 1 - q w^(M+1)."""
+        poly, den = np.zeros(self.L + 1), np.zeros(self.M + 2)
+        poly[self.L], den[0], den[self.M + 1] = self.p, 1.0, -self.q
+        return poly, den
 
     pmf = ProcessModel.pmf
 
@@ -763,6 +807,13 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         _check_z(z)
         return self.w1 * z**self.t1 + (1.0 - self.w1) * z**self.t2
 
+    def rational_pgf(self) -> tuple[np.ndarray, np.ndarray]:
+        """P is the two atoms, D = 1."""
+        poly = np.zeros(self._default_horizon() + 1)
+        times, masses = self._atoms(0, poly.size)
+        poly[times] = masses
+        return poly, np.ones(1)
+
     def _points(self) -> tuple[tuple[int, float], tuple[int, float]]:
         return (self.t1, self.w1), (self.t2, 1.0 - self.w1)
 
@@ -811,6 +862,10 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
 
     def pgf(self, z: float) -> float:
         return self.dist.evaluate(z)
+
+    def rational_pgf(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """P is the masses and D = 1 when the residual is exactly 0."""
+        return (self.dist.coefficients, np.ones(1)) if self.dist.residual == 0.0 else None
 
     pmf = ProcessModel.pmf
 

@@ -521,11 +521,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_HELPERS._forget)
 
 
+def _cannot_hit(model: ProcessModel, spec: RestartSpec) -> bool:
+    """Whether no leg can hit: the clock surely fires by its last epoch, and
+    that epoch is at most U's smallest support point, so every leg ends by
+    the time U could hit, and a tie goes to the restart."""
+    try:
+        last, first = spec.last_epoch(), model.min_support()
+    except (NotImplementedError, ValueError):  # a class that states neither, or U with no finite support
+        return False
+    return last is not None and spec.survival(last) == 0.0 and last <= first
+
+
 def simulate_fpur(model: ProcessModel, spec: RestartSpec, config: SimConfig) -> SimEstimate:
     """Estimate E[T] for the restarted process from ``config.trials`` trials.
 
-    Preemptive pairs produce all-censored runs (flagged, not raised).
+    Preemptive pairs produce all-censored runs (flagged, not raised); a pair
+    on which no leg can hit returns that run without running its trials.
     """
+    if _cannot_hit(model, spec):
+        return _summarize([], [], config.trials, config)
     return _summarize(*_HELPERS.run(model, spec, config), config)
 
 

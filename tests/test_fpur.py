@@ -50,8 +50,10 @@ from restartfp import (
     mean_T_sharp,
     models,
     p_restart_wins,
+    series_divide,
     simulate_fpur,
 )
+import exact_laws
 from conftest import assert_generator_moments, random_explicit_pair, sums_of
 
 TP_FAST = TwoPoint(1, 0.75, 20)
@@ -215,8 +217,12 @@ class TestLongFpurPmf:
             (BiasedWalk(0.8, 3), ExplicitRestart(TruncatedPMF.from_masses({3: 0.5, 12: 0.5})), 300),
             (BiasedWalk(0.8, 3), ExplicitRestart(TruncatedPMF.from_masses({6: 0.25}, residual=0.75)), 300),
             (TRAP, SharpRestart(13), 4000),
+            (TP_SLOW, GeometricRestart(0.1), 2000),
+            (ExplicitProcess(TruncatedPMF.from_masses({1: 0.125, 3: 0.375, 4: 0.0625, 9: 0.4375})),
+             GeometricRestart(0.2), 1000),
         ],
-        ids=["walk-geometric", "trap-geometric", "walk-explicit", "walk-leaky", "trap-sharp"],
+        ids=["walk-geometric", "trap-geometric", "walk-explicit", "walk-leaky", "trap-sharp", "two-point-geometric",
+             "explicit-geometric"],
     )
     def test_law_is_summed_once(self, model, spec, t_max, fsum_calls):
         # One fsum sets a divided law's residual and is its mass check; a
@@ -225,6 +231,115 @@ class TestLongFpurPmf:
         assert sums_of(fsum_calls, dist.coefficients) == 1
         if not isinstance(spec, SharpRestart):
             assert dist.residual == max(0.0, 1.0 - math.fsum(dist.coefficients.tolist()))
+
+
+# Dyadic masses: their exact sum is 1, so the explicit process is proper in
+# exact arithmetic too.
+EXPLICIT_DYADIC = ExplicitProcess(TruncatedPMF.from_masses({1: 0.125, 3: 0.375, 4: 0.0625, 9: 0.4375}))
+RATIONAL_MODELS = [CycleTrap(0.25, 5, 10), TRAP, TwoPoint(3, 0.4, 9), TP_SLOW, EXPLICIT_DYADIC]
+
+
+def dense_law(model, spec, t_max):
+    """The law divided from the default series of ``renewal_terms``."""
+    return series_divide(*RestartSpec.law_series(spec, model, t_max), t_max)
+
+
+class TestRationalGeometricLaw:
+    """Geometric laws of models whose PGF is rational divide a short
+    denominator, never the t_max-long one of ``renewal_terms``."""
+
+    @pytest.mark.parametrize("model", RATIONAL_MODELS, ids=lambda m: m.describe())
+    def test_never_expands(self, model, monkeypatch):
+        def refuse(self, t_max=None):
+            raise AssertionError("the law expanded the underlying PMF")
+
+        monkeypatch.setattr(type(model), "pmf", refuse)
+        monkeypatch.setattr(RestartSpec, "renewal_terms", refuse)
+        law = fpur_pmf(model, GeometricRestart(0.1), 3000)
+        assert law.residual_kind == TRUNCATION
+        assert law.mean() == pytest.approx(mean_T_geometric(model, 0.1), rel=1e-9)
+
+    @pytest.mark.parametrize("model", RATIONAL_MODELS, ids=lambda m: m.describe())
+    def test_short_denominator(self, model):
+        # max(deg P, deg D) + 1 terms: Q_0 = 1, every other term <= 0.
+        poly, den = model.rational_pgf()
+        num, short = GeometricRestart(0.1).law_series(model, 3000)
+        assert den[0] == 1.0
+        assert num.size == short.size == max(poly.size, den.size)
+        assert short[0] == 1.0 and np.all(short[1:] <= 0.0)
+
+    @pytest.mark.parametrize("model", RATIONAL_MODELS, ids=lambda m: m.describe())
+    @pytest.mark.parametrize("t_max", [0, 5, 400])
+    def test_agrees_with_the_dense_route(self, model, t_max):
+        # The same law as the renewal terms' dense series: zeros where it has
+        # them, and the rest within the two routes' error budgets
+        # (TestGeometricLawOracle).
+        spec = GeometricRestart(0.1)
+        got, want = fpur_pmf(model, spec, t_max).coefficients, dense_law(model, spec, t_max)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert got == pytest.approx(want, rel=(t_max + 1) * 2**-52, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [WALK, ExplicitProcess(TruncatedPMF.from_masses({2: 0.5, 7: 0.25}, residual=0.25, residual_kind=AT_INFINITY))],
+        ids=lambda m: m.describe(),
+    )
+    def test_other_models_divide_renewal_terms(self, model, monkeypatch):
+        # The walk's PGF is algebraic, and a process with mass at infinity
+        # states none: both divide the renewal terms' dense series.
+        horizons = []
+        terms = RestartSpec.renewal_terms
+
+        def record(self, model, t_max=None):
+            horizons.append(t_max)
+            return terms(self, model, t_max)
+
+        monkeypatch.setattr(RestartSpec, "renewal_terms", record)
+        spec = GeometricRestart(0.1)
+        law = fpur_pmf(model, spec, 300)
+        assert horizons == [300]
+        assert law.coefficients.tobytes() == dense_law(model, spec, 300).tobytes()
+
+    def test_trap_ratio_converges_to_the_root_of_q(self):
+        # Q has Q(0) = 1 and every other coefficient <= 0, so it falls on
+        # z > 0 and has one positive root z*, a simple pole of T(z): the
+        # law's coefficient ratio P(T = n) / P(T = n + 1) tends to z*.
+        trap, rho = TRAP, 0.15
+        p, q, L, M, x = trap.p, trap.q, trap.L, trap.M, 1.0 - rho
+
+        def short(z):
+            w = x * z
+            tail = p * sum(w**k for k in range(L)) + q * sum(w**k for k in range(M + 1))
+            return 1.0 - q * w ** (M + 1) - rho * z * tail
+
+        lo, hi = 1.0, 2.0
+        assert short(lo) > 0.0 > short(hi)
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            lo, hi = (mid, hi) if short(mid) > 0.0 else (lo, mid)
+        assert lo == pytest.approx(1.15191479929863, rel=1e-14)
+        law = fpur_pmf(trap, GeometricRestart(rho), 2000).coefficients
+        assert law[1000:2000] / law[1001:2001] == pytest.approx(np.full(1000, lo), rel=1e-12)
+
+
+# Oracle pairs, each law checked to n = 2500 against exact_laws.
+ORACLE_PAIRS = [(TRAP, 0.15), (CycleTrap(0.25, 5, 10), 0.2), (TP_SLOW, 0.1), (EXPLICIT_DYADIC, 0.2)]
+# |err| <= 2**-1074 + ORACLE_GEOMETRIC_R (n + 1) 2**-53 |exact|.  The worst
+# ratio was 0.112 (trap (0.75, 2, 14), rho 0.15), 0.060 (trap (0.25, 5, 10),
+# rho 0.2), 0.204 (two-point) and 0.458 (explicit); the dense route's, which
+# rounds 1 - rho to a double, was 0.679, 0.557, 0.305 and 0.887, and its
+# error at n = 2500 was 8.9, 36, 49 and 270 times this route's.
+ORACLE_GEOMETRIC_R = 0.5
+
+
+class TestGeometricLawOracle:
+    @pytest.mark.parametrize("model, rho", ORACLE_PAIRS, ids=lambda v: getattr(v, "describe", lambda: str(v))())
+    def test_within_budget_and_no_worse_than_dense(self, model, rho):
+        exact = exact_laws.geometric_law(model, rho, 2500)
+        spec = GeometricRestart(rho)
+        short = exact_laws.errors(fpur_pmf(model, spec, 2500).coefficients, exact)
+        dense = exact_laws.errors(dense_law(model, spec, 2500), exact)
+        assert exact_laws.budget_ratio(short, exact) <= ORACLE_GEOMETRIC_R
+        assert all(a <= b for a, b in zip(short, dense))
 
 
 class TestMeanGeneric:

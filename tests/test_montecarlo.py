@@ -245,6 +245,51 @@ class TestTieRule:
         assert estimate.ci_low <= 4.0 <= estimate.ci_high
 
 
+# Pairs whose clock surely fires by its last epoch, at most U's smallest
+# support point: every leg restarts before it can hit.
+NO_HIT_PAIRS = [
+    (CycleTrap(0.25, 5, 10), SharpRestart(2)),
+    (CycleTrap(0.25, 5, 10), SharpRestart(5)),
+    (CycleTrap(0.25, 5, 10), ExplicitRestart(TruncatedPMF.from_masses({2: 0.5, 5: 0.5}))),
+    (BiasedWalk(0.55, 3), SharpRestart(3)),
+    (TwoPoint(4, 0.5, 9), ExplicitRestart(TruncatedPMF.from_masses({1: 0.25, 3: 0.75}))),
+    (ExplicitProcess(TruncatedPMF.from_masses({2: 0.3, 70: 0.2}, residual=0.5, residual_kind="at_infinity")),
+     SharpRestart(2)),
+]
+# One step more, or a clock that may never fire: a leg can hit.
+HIT_PAIRS = [
+    (CycleTrap(0.25, 5, 10), SharpRestart(6)),
+    (CycleTrap(0.25, 5, 10), ExplicitRestart(TruncatedPMF.from_masses({2: 0.5, 6: 0.5}))),
+    (CycleTrap(0.25, 5, 10), ExplicitRestart(TruncatedPMF.from_masses({2: 0.5}, residual=0.5))),
+    (BiasedWalk(0.55, 3), SharpRestart(4)),
+]
+
+
+class TestPairsThatCannotHit:
+    @pytest.mark.parametrize("model, spec", NO_HIT_PAIRS, ids=lambda v: v.describe())
+    def test_no_trial_runs(self, model, spec, monkeypatch):
+        # The run's fields are those of its trials at a small step cap.
+        want = [_summarize(*_run_trials(model, spec, SimConfig(7, 3, step_cap=c)), SimConfig(7, 3)) for c in (1, 50)]
+
+        def refuse(*args):
+            raise AssertionError("ran a trial")
+
+        monkeypatch.setattr(_HELPERS, "run", refuse)
+        monkeypatch.setattr(montecarlo, "_run_trials", refuse)
+        got = simulate_fpur(model, spec, SimConfig(7, 3))
+        assert repr(got) == repr(want[0]) == repr(want[1])
+        assert (got.censored, got.trials_used) == (7, 0)
+
+    @pytest.mark.parametrize("model, spec", HIT_PAIRS, ids=lambda v: v.describe())
+    def test_pairs_that_can_hit_run_their_trials(self, model, spec, monkeypatch):
+        runs = []
+        run = _HELPERS.run
+        monkeypatch.setattr(_HELPERS, "run", lambda *args: runs.append(args) or run(*args))
+        config = SimConfig(40, 3)
+        assert simulate_fpur(model, spec, config) == _summarize(*_run_trials(model, spec, config), config)
+        assert len(runs) == 1
+
+
 def chi_square_sf(stat, df):
     """P(X >= stat) for X chi-square with ``df`` degrees of freedom: the
     regularized upper incomplete gamma Q(df/2, stat/2) in closed form."""
@@ -1016,9 +1061,10 @@ def test_helpers_end_with_their_process():
 
 
 KILLED_OWNER_SCRIPT = """
-from restartfp import CycleTrap, SharpRestart, SimConfig, montecarlo, simulate_fpur
+from restartfp import CycleTrap, GeometricRestart, SimConfig, montecarlo, simulate_fpur
 montecarlo._cpus, montecarlo._LATE_S = lambda: 2, 600.0
-model, spec = CycleTrap(0.25, 7, 5), SharpRestart(1)  # every trial runs to its step cap
+# A leg outlasts U's 7 steps with probability 1e-14: every trial runs to its step cap.
+model, spec = CycleTrap(0.25, 7, 5), GeometricRestart(0.99)
 simulate_fpur(model, spec, SimConfig(trials=2, seed=5, step_cap=10))
 print(*(montecarlo._HELPERS._helper or ())[:1], flush=True)
 simulate_fpur(model, spec, SimConfig(trials=2, seed=5, step_cap=10**12))

@@ -17,6 +17,7 @@ from restartfp import (
     SharpRestart,
     TwoPoint,
     brw_geometric_mean,
+    brw_geometric_threshold_m,
     brw_geometric_threshold_p,
     cycle_trap_geometric_threshold,
     cycle_trap_sharp_classify,
@@ -77,6 +78,8 @@ ENTRIES = [
     ("cycle_trap_geometric_threshold.L", lambda x: cycle_trap_geometric_threshold(x, 14), 2, LM),
     ("cycle_trap_geometric_threshold.M", lambda x: cycle_trap_geometric_threshold(2, x), 14, LM),
     ("brw_geometric_threshold_p.m", brw_geometric_threshold_p, 3, M_WALK),
+    ("brw_geometric_threshold_m.p", brw_geometric_threshold_m, 0.7,
+     "threshold is defined only for downward bias 1/2 < p < 1"),
     ("cycle_trap_sharp_classify.L", lambda x: cycle_trap_sharp_classify(x, 4, 9), 2, LM),
     ("cycle_trap_sharp_classify.M", lambda x: cycle_trap_sharp_classify(2, x, 9), 4, LM),
     ("cycle_trap_sharp_classify.n_restart", lambda x: cycle_trap_sharp_classify(2, 4, x), 9, N),

@@ -18,7 +18,6 @@ from restartfp import (
     CycleTrap,
     GeometricRestart,
     TruncatedPMF,
-    fpur_pmf,
     series,
     series_divide,
 )
@@ -542,9 +541,11 @@ class TestSeriesDivideChunked(TestSeriesDivideSubnormal):
 
 
 class TestSeriesDivideLongLaws:
-    """The two longest divisions the benchmark makes, each with more lags
-    than one chunk reads, against the one-coefficient-at-a-time loop in
-    numpy's longdouble on the same double terms."""
+    """The two longest dense divisions of the benchmark's laws, each with
+    more lags than one chunk reads, against the one-coefficient-at-a-time
+    loop in numpy's longdouble on the same double terms: the walk's, which
+    ``fpur_pmf`` divides, and the trap's renewal series, whose law
+    ``fpur_pmf`` now divides by a short denominator instead."""
 
     @pytest.mark.parametrize(
         "make, rho, t_max",
@@ -557,7 +558,7 @@ class TestSeriesDivideLongLaws:
         den = -wins[: t_max + 1]
         den[0] = 1.0
         assert np.flatnonzero(den)[-1] > series._LAGS
-        got = fpur_pmf(model, spec, t_max).coefficients
+        got = series_divide(num[: t_max + 1], den, t_max)
         want = plain_divide(num[: t_max + 1], den, t_max, np.longdouble)
         # Exact zeros where the reference rounds to 0 as a double, and 1e-14
         # relative wherever it is clear of the subnormal range.
