@@ -72,6 +72,17 @@ _SWEEP_HEADER = ("model", "restart_family", "baseline_mean_u", *_ROW_FIELDS)
 _row_values = operator.attrgetter(*_ROW_FIELDS)
 
 
+def _built(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, every one given in
+    its order, built past its constructor as ``TruncatedPMF._summed``
+    builds a law: the keyword dict becomes the instance dict, so the value
+    equals, hashes, prints and pickles as ``cls(**fields)`` does without a
+    frozen setattr per field."""
+    value = object.__new__(cls)
+    object.__setattr__(value, "__dict__", fields)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Parameter mini-language
 # ---------------------------------------------------------------------------
@@ -164,14 +175,21 @@ def _parse_real(token: str):
     raise UsageError(f"unparseable number {token!r} in CSV")
 
 
-def emit_sweep_csv(result: SweepResult) -> str:
+def _csv_line(fields) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_HEADER)
-    for row in result.rows:
-        values = (result.baseline_mean_u, *_row_values(row))
-        writer.writerow([result.model_descriptor, result.restart_family, *map(_fmt, values)])
+    csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
+
+
+_HEADER_LINE = _csv_line(_SWEEP_HEADER)
+
+
+def emit_sweep_csv(result: SweepResult) -> str:
+    # Every row opens with the sweep's model, family and baseline, quoted by
+    # csv once (the trailing empty field keeps the comma after them).  The
+    # row's own fields are numbers and flags, which csv never quotes.
+    lead = _csv_line((result.model_descriptor, result.restart_family, _fmt(result.baseline_mean_u), ""))[:-1]
+    return _HEADER_LINE + "".join([f"{lead}{','.join(map(_fmt, _row_values(row)))}\n" for row in result.rows])
 
 
 def parse_sweep_csv(text: str) -> SweepResult:
@@ -258,17 +276,10 @@ def run_sweep(
                       f"at step cap {step_cap}; mean_t_mc is a lower bound", file=sys.stderr)
             if est.trials_used > 0:
                 mc, ci_low, ci_high = est.mean, est.ci_low, est.ci_high
-        rows.append(
-            SweepRow(
-                param=param,
-                mean_t_analytic=analytic,
-                mean_t_mc=mc,
-                ci_low=ci_low,
-                ci_high=ci_high,
-                beneficial=analytic < baseline,
-            )
-        )
-    return SweepResult(model.describe(), family, baseline, tuple(rows))
+        rows.append(_built(SweepRow, param=param, mean_t_analytic=analytic, mean_t_mc=mc, ci_low=ci_low,
+                           ci_high=ci_high, beneficial=analytic < baseline))
+    return _built(SweepResult, model_descriptor=model.describe(), restart_family=family, baseline_mean_u=baseline,
+                  rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import (AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mass, _check_z, _fsum, _index, _powers,
-                     _real)
+                     _real, _time)
 
 # Default PMF expansion policy: extend until the unrepresented finite-time
 # mass drops below RESIDUAL_TARGET, or the coefficient count hits MAX_TERMS,
@@ -28,6 +28,8 @@ from .series import (AT_INFINITY, MASS_TOL, TRUNCATION, TruncatedPMF, _check_mas
 RESIDUAL_TARGET = 1e-10
 MAX_TERMS = 10**6
 _UNIT = 2**1074
+# The exact cursor at -1, where both its sums are empty.
+_START = (-1, 0, 0, 0.0, 0.0)
 # Masses an extension computes at least: a run of asks a few masses apart
 # (one sharp sweep row per N) extends the held array once a block.
 _BLOCK = 128
@@ -67,7 +69,8 @@ class RestartSpec:
         return 1.0 - self.survival(n)
 
     def survival(self, n: int) -> float:
-        """P(R > n), n = infinity included; ``cdf`` and ``hit_prob`` complement it."""
+        """P(R > n) for an integer n or n = infinity (``series._time``);
+        ``cdf`` and ``hit_prob`` complement it."""
         raise NotImplementedError
 
     def hit_prob(self) -> float:
@@ -165,7 +168,7 @@ class GeometricRestart(RestartSpec):
         object.__setattr__(self, "_log_x", math.log1p(-self.rho))
 
     def survival(self, n: int) -> float:
-        if n < 0:
+        if (n := _time(n)) < 0:
             return 1.0
         return (1.0 - self.rho) ** n
 
@@ -234,10 +237,12 @@ class SharpRestart(RestartSpec):
     n_restart: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_restart", _index(self.n_restart, "n_restart must be an integer >= 1", 1))
+        n = _index(self.n_restart, "n_restart must be an integer >= 1", 1)
+        if n is not self.n_restart:  # a plain int is held as given
+            object.__setattr__(self, "n_restart", n)
 
     def survival(self, n: int) -> float:
-        return 1.0 if n < self.n_restart else 0.0
+        return 1.0 if _time(n) < self.n_restart else 0.0
 
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
@@ -259,17 +264,17 @@ class SharpRestart(RestartSpec):
         out[: self.n_restart] = 1.0
         return out
 
-    def _cycle(self, model: ProcessModel) -> tuple[np.ndarray, float, float, float] | None:
-        """(u(0..N-1), P(U <= N-1), sum_{n<N} n u(n), s = P(U >= N)) for one
-        cycle, with U expanded to N-1 and both sums read from the model's
-        exact cursor; None if preemptive (no mass below N)."""
-        if self.n_restart <= model.min_support():
+    def _cycle(self, model: ProcessModel) -> tuple[float, float, float] | None:
+        """(P(U <= N-1), sum_{n<N} n u(n), s = P(U >= N)) for one cycle, both
+        sums read from the model's exact cursor, which expands U to N-1;
+        None if preemptive (no mass below N)."""
+        t = self.n_restart - 1
+        if t < model.min_support():
             return None
-        head = model._prefix(self.n_restart - 1)
-        mass_below, weighted = model._head_sums(self.n_restart - 1)
-        tail = model._tail(head, mass_below)
+        mass_below, weighted = model._head_sums(t)
+        tail = model._tail(t, mass_below)
         _check_mass(mass_below + tail)
-        return None if mass_below <= 0.0 else (head, mass_below, weighted, tail)
+        return None if mass_below <= 0.0 else (mass_below, weighted, tail)
 
     def closed_form_mean(self, model: ProcessModel) -> float:
         """(sum_{n<N} n u(n) + N P(U > N-1)) / P(U <= N-1); infinity if
@@ -277,7 +282,7 @@ class SharpRestart(RestartSpec):
         cycle = self._cycle(model)
         if cycle is None:
             return math.inf
-        _, mass_below, weighted, tail = cycle
+        mass_below, weighted, tail = cycle
         return (weighted + self.n_restart * tail) / mass_below
 
     def closed_form_law(self, model: ProcessModel, t_max: int) -> tuple[np.ndarray, float]:
@@ -287,7 +292,7 @@ class SharpRestart(RestartSpec):
         cycle = self._cycle(model)
         if cycle is None:
             return np.zeros(t_max + 1), 1.0
-        head, _, _, s = cycle
+        head, s = model._prefix(self.n_restart - 1), cycle[2]
         k, j = divmod(t_max, self.n_restart)
         powers = _powers(s, k + 1)
         # P(U > j) is s plus the masses past j, not 1 minus those up to j.
@@ -363,13 +368,16 @@ class ProcessModel:
     everything else reads them through :meth:`_prefix` and :meth:`_head_sums`."""
 
     _held: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # (t, S, W): u(0..t) and fl(n u(n)), n = 0..t, summed exactly in units of 1/_UNIT.
-    _cursor: tuple[int, int, int] = field(default=(-1, 0, 0), init=False, repr=False, compare=False)
+    # (t, S, W, S / _UNIT, W / _UNIT): u(0..t) and fl(n u(n)), n = 0..t,
+    # summed exactly in units of 1/_UNIT, and the two sums rounded.
+    _cursor: tuple[int, int, int, float, float] = field(default=_START, init=False, repr=False, compare=False)
+    # describe()'s text, formatted at its first call.
+    _descriptor: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         # A pickle, such as the copy a Monte Carlo helper runs, carries the
         # parameters, not the held masses or the cursor.
-        return {**self.__dict__, "_held": None, "_cursor": (-1, 0, 0)}
+        return {**self.__dict__, "_held": None, "_cursor": _START}
 
     def pgf(self, z: float) -> float:
         raise NotImplementedError
@@ -390,7 +398,7 @@ class ProcessModel:
         head = self._prefix(t_max)
         total = _fsum(head)
         kind = AT_INFINITY if math.isinf(self.mean()) else TRUNCATION
-        return TruncatedPMF._summed(head, self._tail(head, total), kind, total)
+        return TruncatedPMF._summed(head, self._tail(t_max, total), kind, total)
 
     def _prefix(self, t_max: int | None = None) -> np.ndarray:
         """u(0..t_max) from the held masses, extended through ``_atoms`` to
@@ -411,17 +419,31 @@ class ProcessModel:
         masses, adding or subtracting the exact values of the nonzero
         masses it crosses; it is published as one tuple, so racing threads
         each move their own snapshot.  Int true division rounds correctly,
-        as fsum does."""
-        at, s, w = self._cursor
-        if at - t > t + 1:
-            at, s, w = -1, 0, 0
-        lo, hi, sign = (at, t, 1) if t > at else (t, at, -1)
-        for n, x in enumerate(self._prefix(hi)[lo + 1 :].tolist(), lo + 1):
+        as fsum does; it runs only when a nonzero mass was crossed, else the
+        tuple's rounded sums still hold (a repeated t crosses none)."""
+        cursor = self._cursor
+        at = cursor[0]
+        if t == at:
+            return cursor[3], cursor[4]
+        at, s, w, mass, weighted = _START if at - t > t + 1 else cursor
+        lo, hi, sign = (at, t, 1.0) if t > at else (t, at, -1.0)
+        held = self._held
+        if held is None or held.size <= hi:
+            held = self._prefix(hi)
+        # A one-step move reads its one mass alone.
+        crossed = ((hi, held.item(hi)),) if hi - lo == 1 else enumerate(held[lo + 1 : hi + 1].tolist(), lo + 1)
+        moved = False
+        for n, x in crossed:
             if x:
-                s += sign * _fixed(x)
-                w += sign * _fixed(n * x)
-        object.__setattr__(self, "_cursor", (t, s, w))
-        return s / _UNIT, w / _UNIT
+                # Rounding is symmetric, so fl(n (-x)) is -fl(n x).
+                x *= sign
+                s += _fixed(x)
+                w += _fixed(n * x)
+                moved = True
+        if moved:
+            mass, weighted = s / _UNIT, w / _UNIT
+        object.__setattr__(self, "_cursor", (t, s, w, mass, weighted))
+        return mass, weighted
 
     def _extend(self, held: np.ndarray, stop: int, times, masses) -> np.ndarray:
         """Hold and return u(0..stop-1), read-only (laws of U view it):
@@ -445,9 +467,9 @@ class ProcessModel:
         """Times in start..stop-1 with positive mass, each once, and the masses."""
         raise NotImplementedError
 
-    def _tail(self, head: np.ndarray, total: float) -> float:
-        """The residual past the masses ``head``, whose fsum is ``total``:
-        by default what they leave of 1."""
+    def _tail(self, t: int, total: float) -> float:
+        """The residual past u(0..t), whose fsum is ``total``: by default
+        what those masses leave of 1."""
         return max(0.0, 1.0 - total)
 
     def hit_prob(self) -> float:
@@ -496,6 +518,14 @@ class ProcessModel:
         return state, steps, False
 
     def describe(self) -> str:
+        """The model as ``family:key=value,...``, which ``cli.parse_model``
+        reads back: :meth:`_format`'s text, formatted once, then kept (a
+        one-row sweep asks it once a row)."""
+        if self._descriptor is None:
+            object.__setattr__(self, "_descriptor", self._format())
+        return self._descriptor
+
+    def _format(self) -> str:
         raise NotImplementedError
 
 
@@ -545,9 +575,9 @@ class CycleTrap(ProcessModel):
         j = np.arange(max(0, -(-(start - self.L) // period)), (stop - 1 - self.L) // period + 1)
         return self.L + j * period, self.p * self.q**j
 
-    def _tail(self, head: np.ndarray, total: float) -> float:
-        # q^(j+1) for the j + 1 cycles the head holds.
-        return self.q ** ((head.size - 1 - self.L) // (self.M + 1) + 1)
+    def _tail(self, t: int, total: float) -> float:
+        # q^(j+1) for the j + 1 cycles that end by t.
+        return self.q ** ((t - self.L) // (self.M + 1) + 1)
 
     def hit_prob(self) -> float:
         return 1.0
@@ -608,7 +638,7 @@ class CycleTrap(ProcessModel):
             return -self.L, down + self.L - start, True
         return down - end, steps, False
 
-    def describe(self) -> str:
+    def _format(self) -> str:
         return f"cycle-trap:p={self.p!r},L={self.L},M={self.M}"
 
 
@@ -754,7 +784,7 @@ class BiasedWalk(ProcessModel):
                 return 0, i - start, True
         return state, steps, False
 
-    def describe(self) -> str:
+    def _format(self) -> str:
         return f"brw:p={self.p!r},m={self.m}"
 
 
@@ -829,8 +859,8 @@ class TwoPoint(_CountdownMixin, ProcessModel):
                 atoms[t] = atoms.get(t, 0.0) + w
         return list(atoms), list(atoms.values())
 
-    def _tail(self, head: np.ndarray, total: float) -> float:
-        return _fsum(np.array([w for t, w in self._points() if t >= head.size]))
+    def _tail(self, t: int, total: float) -> float:
+        return _fsum(np.array([w for time, w in self._points() if time > t]))
 
     def hit_prob(self) -> float:
         return 1.0
@@ -847,7 +877,7 @@ class TwoPoint(_CountdownMixin, ProcessModel):
     def draw(self, u: float) -> int:
         return self.t1 if u < self.w1 else self.t2
 
-    def describe(self) -> str:
+    def _format(self) -> str:
         return f"two-point:t1={self.t1},w1={self.w1!r},t2={self.t2}"
 
 
@@ -876,8 +906,8 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
         times = start + np.flatnonzero(self.dist.coefficients[start:stop])
         return times, self.dist.coefficients[times]
 
-    def _tail(self, head: np.ndarray, total: float) -> float:
-        return self.dist.residual + _fsum(self.dist.coefficients[head.size :])
+    def _tail(self, t: int, total: float) -> float:
+        return self.dist.residual + _fsum(self.dist.coefficients[t + 1 :])
 
     def hit_prob(self) -> float:
         return 1.0 - self.dist.residual if self.dist.residual_kind == AT_INFINITY else 1.0
@@ -894,5 +924,5 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
             raise ValueError("hitting-time PMF has empty finite support")
         return int(nonzero[0])
 
-    def describe(self) -> str:
+    def _format(self) -> str:
         return f"explicit:t_max={self.dist.t_max}"

@@ -52,10 +52,20 @@ def _fsum(values: np.ndarray) -> float:
 
 
 def _index(value, message: str, least: float = -math.inf) -> int:
-    """``operator.index(value)`` if that is an int >= ``least`` (numpy integers pass), else ValueError(message)."""
+    """``operator.index(value)`` if that is an int >= ``least`` (numpy integers pass), else ValueError(message).
+    A plain int, the common case, is returned at once."""
+    if type(value) is int and value >= least:
+        return value
     if not hasattr(type(value), "__index__") or operator.index(value) < least:
         raise ValueError(message)
     return operator.index(value)
+
+
+def _time(n):
+    """A time argument ``n``: an int (numpy integers pass, negative ones
+    too) or +infinity, else ValueError.  R and U are integer-valued, so a
+    time between two integers has no probability of its own."""
+    return math.inf if n == math.inf else _index(n, "n must be an integer or infinity")
 
 
 def _real(value, message: str, inside) -> float:
@@ -168,12 +178,12 @@ class TruncatedPMF:
 
     def cumulative(self, n: int) -> float:
         """P(X <= n) over the represented range; constant beyond t_max."""
-        return _fsum(self.coefficients[: max(min(n, self.t_max) + 1, 0)])
+        return _fsum(self.coefficients[: max(min(_time(n), self.t_max) + 1, 0)])
 
     def survival(self, n: int) -> float:
         """P(X > n): the residual plus the masses past n, added from the far
         end, so there is no cancellation as in 1 - cdf(n)."""
-        if n >= self.t_max:
+        if (n := _time(n)) >= self.t_max:
             return self.residual
         return self.residual + float(np.cumsum(self.coefficients[max(n + 1, 0) :][::-1])[-1])
 

@@ -1,12 +1,15 @@
 """Command-line interface: parsing, CSV round-trips, figure presets."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import math
 import os
+import pickle
 from pathlib import Path
 
+import csv_rows
 import numpy as np
 import pytest
 
@@ -172,14 +175,14 @@ class TestSweep:
             assert row.beneficial is expected, row.param
 
     def test_ascending_sharp_rows_hold_the_longest_prefix(self, prefix_horizons):
-        # One-row sweeps at N = 2..120, as figures 8-10 are timed row by row,
-        # ask U to N - 1 (twice a row: the head, then the cursor's sums) from
-        # U's support on; the one extension holds a block, past 119, with the
-        # bytes of one first expansion.
+        # One-row sweeps at N = 2..120, as figures 8-10 are timed row by row:
+        # the first row with mass below N asks U to N - 1 = 3 for the
+        # cursor's sums; that one extension holds a block, past 119, with the
+        # bytes of one first expansion, so no later row asks U again.
         model = parse_model("brw:p=0.65,m=3")
         for n in range(2, 121):
             run_sweep(model, "sharp", [n])
-        assert prefix_horizons == [n - 1 for n in range(4, 121) for _ in range(2)]
+        assert prefix_horizons == [3]
         assert model._held.size == models._BLOCK
         assert model._held.tobytes() == parse_model("brw:p=0.65,m=3").pmf(models._BLOCK - 1).coefficients.tobytes()
 
@@ -259,6 +262,95 @@ class TestSweep:
         merged = a + b.split("\n", 1)[1]
         with pytest.raises(UsageError):
             parse_sweep_csv(merged)
+
+
+# The sharp figures' models: the walks of figures 8-10, the traps of 5 and 6.
+SHARP_FIGURE_MODELS = ["brw:p=0.8,m=3", "brw:p=0.65,m=3", "brw:p=0.54,m=3", "cycle-trap:p=0.25,L=7,M=5",
+                       "cycle-trap:p=0.25,L=5,M=10"]
+SHARP_GRID = list(range(2, 121))
+SHUFFLED_GRID = SHARP_GRID[:]
+np.random.default_rng(7).shuffle(SHUFFLED_GRID)
+ROW_ORDERS = {
+    "ascending": SHARP_GRID,
+    "descending": SHARP_GRID[::-1],
+    "shuffled": SHUFFLED_GRID,
+    "repeated": [n for n in SHARP_GRID for _ in range(2)],
+}
+
+
+def _row_bits(row):
+    return row.param, row.mean_t_analytic.hex(), row.mean_t_mc, row.ci_low, row.ci_high, row.beneficial
+
+
+class TestSweepFastPaths:
+    """One-row sweeps, the rows run_sweep builds and the CSV lines
+    emit_sweep_csv joins keep the bits of one full sweep, of publicly built
+    values and of the csv.writer emitter (``tests/csv_rows.py``)."""
+
+    @pytest.mark.parametrize("order", list(ROW_ORDERS))
+    @pytest.mark.parametrize("text", SHARP_FIGURE_MODELS)
+    def test_one_row_sweeps_equal_one_full_sweep(self, text, order):
+        full = run_sweep(parse_model(text), "sharp", SHARP_GRID)
+        expected = {row.param: _row_bits(row) for row in full.rows}
+        model = parse_model(text)
+        for n in ROW_ORDERS[order]:
+            result = run_sweep(model, "sharp", [n])
+            assert (result.model_descriptor, result.restart_family, result.baseline_mean_u.hex()) == (
+                full.model_descriptor, "sharp", full.baseline_mean_u.hex())
+            assert [_row_bits(row) for row in result.rows] == [expected[n]], n
+
+    def test_one_row_sweeps_convert_only_the_masses_crossed(self, monkeypatch):
+        # Each row's cursor converts u(t) and fl(t u(t)) of each nonzero
+        # mass it crosses, added on the way up and subtracted on the way
+        # down; a repeated N converts nothing.
+        model = parse_model("brw:p=0.65,m=3")
+        head = parse_model("brw:p=0.65,m=3").pmf(120).coefficients
+        converted = []
+        fixed = models._fixed
+        monkeypatch.setattr(models, "_fixed", lambda x: converted.append(x) or fixed(x))
+        at = -1  # no row reads U below its support, N - 1 < 3
+        for n in range(4, 121):
+            converted.clear()
+            run_sweep(model, "sharp", [n])
+            assert converted == [x for t in range(at + 1, n) if head[t] for x in (head[t], t * head[t])], n
+            at = n - 1
+            converted.clear()
+            run_sweep(model, "sharp", [n])
+            assert converted == [], n
+        for n in range(119, 3, -1):
+            converted.clear()
+            run_sweep(model, "sharp", [n])
+            assert converted == ([-head[n], -(n * head[n])] if head[n] else []), n
+
+    def test_rows_and_results_act_as_publicly_built_ones(self):
+        result = run_sweep(CycleTrap(0.25, 5, 10), "sharp", range(4, 9), trials=30, seed=1)
+        public = SweepResult(result.model_descriptor, result.restart_family, result.baseline_mean_u,
+                             tuple(SweepRow(*dataclasses.astuple(row)) for row in result.rows))
+        pairs = [(result, public), *zip(result.rows, public.rows)]
+        for built, made in pairs:
+            assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+            assert dataclasses.asdict(built) == dataclasses.asdict(made)
+            assert list(vars(built).items()) == list(vars(made).items())
+            assert pickle.loads(pickle.dumps(built)) == made
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, dataclasses.fields(built)[0].name, None)
+        assert result.rows[0].mean_t_mc is None and result.rows[-1].mean_t_mc is not None
+
+    @pytest.mark.parametrize("make", [
+        lambda: run_sweep(parse_model("brw:p=0.65,m=3"), "sharp", range(1, 60)),
+        lambda: run_sweep(CycleTrap(0.25, 5, 10), "sharp", range(2, 30), trials=30, seed=1),
+        lambda: run_sweep(parse_model(TP_FAST_TEXT), "geometric", default_rho_sweep()),
+        lambda: run_sweep(parse_model(TP_FAST_TEXT), "geometric", [0.05, 0.1, 0.3], trials=50, seed=3),
+        lambda: SweepResult('odd "model",\nname\r', "sharp, quoted", -2.5, (
+            SweepRow(3, math.inf, None, None, None, False),
+            SweepRow(np.int64(4), np.float64(1.25), 1.0, math.nan, 1.5, True),
+        )),
+        lambda: SweepResult("", "", math.nan, (SweepRow(0.5, 0.0, None, None, None, False),)),
+        lambda: SweepResult("brw:p=0.65,m=3", "sharp", 1.0, ()),
+    ], ids=["sharp", "sharp-mc", "geometric", "geometric-mc", "quoted-descriptor", "empty-lead", "no-rows"])
+    def test_emit_equals_the_csv_writer(self, make):
+        result = make()
+        assert emit_sweep_csv(result) == csv_rows.emit_sweep_csv(result)
 
 
 class TestAnalyzeCommand:

@@ -688,11 +688,12 @@ class TestRenewalHorizon:
 
     def test_analyze_on_sharp_clock_extends_once(self, prefix_horizons, atom_ranges):
         # The renewal sums and the closed form both read U to N - 1; the
-        # second read is served from the masses the first one held, and an
-        # ask a block or more past them computes no mass beyond it.
+        # renewal sums ask U once, the closed form's cursor then reads the
+        # masses that ask held, and an ask a block or more past them
+        # computes no mass beyond it.
         model, spec = BiasedWalk(0.55, 3), SharpRestart(3000)
         report = analyze(model, spec)
-        assert prefix_horizons == [2999] * 3
+        assert prefix_horizons == [2999]
         assert atom_ranges == [(0, 3000)]
         assert model._held.size == 3000
         assert report.mean_T == mean_T_sharp(BiasedWalk(0.55, 3), 3000)

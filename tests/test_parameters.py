@@ -5,6 +5,7 @@ that owns the parameter.  A numpy scalar reads as the Python value it
 stands for, so it gives that value's result, Python-typed."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 from restartfp import (
     BiasedWalk,
     CycleTrap,
+    ExplicitRestart,
     GeometricRestart,
     SharpRestart,
+    TruncatedPMF,
     TwoPoint,
     brw_geometric_mean,
     brw_geometric_threshold_m,
@@ -51,6 +54,8 @@ LM = "L and M must be integers"
 M_WALK = "m must be an integer >= 1"
 N = "n_restart must be an integer >= 1"
 HORIZON = "t_max must be an integer >= 0"
+TIME = "n must be an integer or infinity"
+LAW = TruncatedPMF([0.0, 0.5, 0.25, 0.125], residual=0.125)
 
 # (entry point and parameter, a call reading the parameter x as a result of
 # Python values, a valid x, the owner's message for an invalid x)
@@ -93,6 +98,14 @@ ENTRIES = [
     ("ProcessModel.pmf.t_max", lambda x: _law(BiasedWalk(0.6, 3).pmf(x)), 30, "t_max must be an integer"),
     ("run_sweep.sharp", lambda x: _sweep("sharp", x), 9, N),
     ("run_sweep.geometric", lambda x: _sweep("geometric", x), 0.2, RHO),
+    # A clock's or a law's time argument: R and U take integer values.
+    ("GeometricRestart.survival.n", lambda x: GeometricRestart(0.5).survival(x), 2, TIME),
+    ("GeometricRestart.cdf.n", lambda x: GeometricRestart(0.5).cdf(x), 2, TIME),
+    ("SharpRestart.survival.n", lambda x: SharpRestart(3).survival(x), 2, TIME),
+    ("ExplicitRestart.survival.n", lambda x: ExplicitRestart(LAW).survival(x), 2, TIME),
+    ("ExplicitRestart.cdf.n", lambda x: ExplicitRestart(LAW).cdf(x), 2, TIME),
+    ("TruncatedPMF.survival.n", LAW.survival, 2, TIME),
+    ("TruncatedPMF.cumulative.n", LAW.cumulative, 2, TIME),
 ]
 IDS = [entry[0] for entry in ENTRIES]
 
@@ -138,3 +151,33 @@ def test_non_integer_sharp_sweep_value_runs_no_row(monkeypatch):
     with pytest.raises(cli.UsageError, match=re.escape(N)):
         run_sweep(CycleTrap(0.25, 5, 10), "sharp", [8, 7.9])
     assert calls == []
+
+
+# P at infinity and at -3 of each time argument's entry: hit_prob reads
+# survival at infinity, and before 0 nothing has happened.
+AT_INF_AND_BEFORE = {
+    "GeometricRestart.survival.n": (0.0, 1.0),
+    "GeometricRestart.cdf.n": (1.0, 0.0),
+    "SharpRestart.survival.n": (0.0, 1.0),
+    "ExplicitRestart.survival.n": (0.125, 1.0),
+    "ExplicitRestart.cdf.n": (0.875, 0.0),
+    "TruncatedPMF.survival.n": (0.125, 1.0),
+    "TruncatedPMF.cumulative.n": (0.875, 0.0),
+}
+TIME_ENTRIES = [entry[:2] for entry in ENTRIES if entry[3] == TIME]
+
+
+@pytest.mark.parametrize("name, call", TIME_ENTRIES, ids=[name for name, _ in TIME_ENTRIES])
+def test_time_arguments_take_infinity_and_negative_integers(name, call):
+    assert (call(math.inf), call(-3)) == AT_INF_AND_BEFORE[name]
+    assert (call(np.float64(math.inf)), call(np.int64(-3))) == AT_INF_AND_BEFORE[name]
+    # A whole float is no int either: a time is read as an integer or not at all.
+    with pytest.raises(ValueError, match=re.escape(TIME)):
+        call(2.0)
+
+
+def test_geometric_clock_at_integer_times():
+    # R is integer-valued: P(R > 2) = (1/2)^2, not (1/2)^2.5 at 2.5.
+    clock = GeometricRestart(0.5)
+    assert (clock.survival(2), clock.cdf(2), clock.survival(math.inf), clock.hit_prob()) == (0.25, 0.75, 0.0, 1.0)
+    assert ExplicitRestart(LAW).hit_prob() == 0.875 and LAW.cumulative(math.inf) == 0.875
