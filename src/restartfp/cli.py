@@ -34,6 +34,7 @@ from .models import (
     TwoPoint,
 )
 from .montecarlo import DEFAULT_STEP_CAP, SimConfig, simulate_fpur
+from .series import _built
 
 DEFAULT_SEED = 1
 SEED_ENV_VAR = "RESTARTFP_SEED"
@@ -70,17 +71,6 @@ class SweepResult:
 _ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 _SWEEP_HEADER = ("model", "restart_family", "baseline_mean_u", *_ROW_FIELDS)
 _row_values = operator.attrgetter(*_ROW_FIELDS)
-
-
-def _built(cls, **fields):
-    """The frozen dataclass ``cls`` holding ``fields``, every one given in
-    its order, built past its constructor as ``TruncatedPMF._summed``
-    builds a law: the keyword dict becomes the instance dict, so the value
-    equals, hashes, prints and pickles as ``cls(**fields)`` does without a
-    frozen setattr per field."""
-    value = object.__new__(cls)
-    object.__setattr__(value, "__dict__", fields)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +276,13 @@ def run_sweep(
 # Figure presets
 # ---------------------------------------------------------------------------
 
-# (model string, restart family, caption trial count, grid or None for default)
+# (model string, restart family, caption trial count, grid)
 _FIGURE_SWEEPS: dict[str, list[tuple[str, str, int, object]]] = {
-    "1": [("two-point:t1=1,w1=0.75,t2=20", "geometric", 2000, None)],
-    "2": [("two-point:t1=1,w1=0.25,t2=20", "geometric", 2000, None)],
+    "1": [("two-point:t1=1,w1=0.75,t2=20", "geometric", 2000, default_rho_sweep())],
+    "2": [("two-point:t1=1,w1=0.25,t2=20", "geometric", 2000, default_rho_sweep())],
     "4": [
-        ("cycle-trap:p=0.75,L=2,M=14", "geometric", 500, None),
-        ("cycle-trap:p=0.5,L=2,M=4", "geometric", 500, None),
+        ("cycle-trap:p=0.75,L=2,M=14", "geometric", 500, default_rho_sweep()),
+        ("cycle-trap:p=0.5,L=2,M=4", "geometric", 500, default_rho_sweep()),
     ],
     "5": [("cycle-trap:p=0.25,L=7,M=5", "sharp", 50000, range(2, 61))],
     "6": [("cycle-trap:p=0.25,L=5,M=10", "sharp", 50000, range(2, 61))],
@@ -300,7 +290,14 @@ _FIGURE_SWEEPS: dict[str, list[tuple[str, str, int, object]]] = {
     "9": [("brw:p=0.65,m=3", "sharp", 0, range(2, 121))],
     "10": [("brw:p=0.54,m=3", "sharp", 0, range(2, 121))],
 }
-FIGURE_IDS = tuple(sorted(_FIGURE_SWEEPS) + ["3-bound", "7"])
+# The threshold tables: (file name, header, row builder).  FIGURE_IDS lists both kinds in figure order.
+_FIGURE_TABLES = {
+    "3-bound": ("fig3-bound_cycle-trap_thresholds.csv", ("L", "M", "p_star"),
+                lambda: [(L, M, fpur.cycle_trap_geometric_threshold(L, M)) for L in range(1, 6) for M in range(1, 61)]),
+    "7": ("fig7_brw_thresholds.csv", ("m", "p_star"),
+          lambda: [(m, fpur.brw_geometric_threshold_p(m)) for m in range(1, 21)]),
+}
+FIGURE_IDS = tuple(sorted([*_FIGURE_SWEEPS, *_FIGURE_TABLES], key=lambda name: int(name.partition("-")[0])))
 
 
 def _slug(text: str) -> str:
@@ -320,26 +317,16 @@ def run_figure(
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> list[str]:
     """Write the CSV files behind one preset figure; returns the paths."""
-    paths: list[str] = []
-    if figure_id in ("3-bound", "7"):
-        if figure_id == "3-bound":
-            name = "fig3-bound_cycle-trap_thresholds.csv"
-            rows = [("L", "M", "p_star")] + [(L, M, _fmt(fpur.cycle_trap_geometric_threshold(L, M)))
-                                            for L in range(1, 6) for M in range(1, 61)]
-        else:
-            name = "fig7_brw_thresholds.csv"
-            rows = [("m", "p_star")] + [(m, _fmt(fpur.brw_geometric_threshold_p(m))) for m in range(1, 21)]
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
+    if figure_id in _FIGURE_TABLES:
+        name, header, rows = _FIGURE_TABLES[figure_id]
         path = os.path.join(outdir, name)
-        _write_file(path, buf.getvalue())
+        _write_file(path, _csv_line(header) + "".join([_csv_line(map(_fmt, row)) for row in rows()]))
         return [path]
     if figure_id not in _FIGURE_SWEEPS:
         raise UsageError(f"unknown figure id {figure_id!r}; choose from {', '.join(FIGURE_IDS)}")
+    paths: list[str] = []
     for model_text, family, preset_trials, grid in _FIGURE_SWEEPS[figure_id]:
         model = parse_model(model_text)
-        if grid is None:
-            grid = default_rho_sweep()
         n_trials = preset_trials if trials is None else trials
         result = run_sweep(model, family, grid, n_trials, seed, step_cap)
         path = os.path.join(outdir, f"fig{figure_id}_{_slug(model_text)}_{family}.csv")

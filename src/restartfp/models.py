@@ -181,8 +181,11 @@ class GeometricRestart(RestartSpec):
         return f"geometric:rho={self.rho!r}"
 
     def draw(self, u: float) -> int:
-        # The epoch support starts at 1, so u = 0 still draws 1.
-        return max(1, math.ceil(math.log1p(-u) / self._log_x))
+        # The support starts at 1, so u = 0 draws 1; an epoch past every float never comes.
+        try:
+            return max(1, math.ceil(math.log1p(-u) / self._log_x))
+        except OverflowError:
+            return math.inf
 
     def last_epoch(self) -> None:
         return None
@@ -194,7 +197,7 @@ class GeometricRestart(RestartSpec):
     def renewal(self, model: ProcessModel, z: float) -> tuple[float, float, float]:
         """Closed forms on the model's PGF, with x = 1 - rho:
         N = u~(xz), W = rho z (1 - u~(xz)) / (1 - xz), H = (1 - u~(x)) / rho."""
-        x = 1.0 - self.rho
+        x = self._x() if z == 1.0 else 1.0 - self.rho
         n_sum = model.pgf(x * z)
         w_sum = self.rho * z * (1.0 - n_sum) / (1.0 - x * z)
         return n_sum, w_sum, (1.0 - model.pgf(x)) / self.rho
@@ -222,9 +225,15 @@ class GeometricRestart(RestartSpec):
         short[1:] -= self.rho * powers[:-1] * np.cumsum((poly - den)[:0:-1])[::-1]
         return (poly * powers)[: t_max + 1].astype(float), short[: t_max + 1].astype(float)
 
+    def _x(self) -> float:
+        """1 - rho, or ArithmeticError where it rounds to 1, as u~(1 - rho) would then read u~(1)."""
+        if (x := 1.0 - self.rho) == 1.0:
+            raise ArithmeticError(f"rho={self.rho!r} is lost: 1 - rho rounds to 1")
+        return x
+
     def closed_form_mean(self, model: ProcessModel) -> float:
         """(1 - u~(1-rho)) / (rho u~(1-rho)), infinity when u~(1-rho) is 0."""
-        value = model.pgf(1.0 - self.rho)
+        value = model.pgf(self._x())
         if value <= 0.0:
             return math.inf
         return (1.0 - value) / (self.rho * value)
@@ -719,7 +728,7 @@ class BiasedWalk(ProcessModel):
         chunks = []
         while not reached.size and k <= k_cap:
             # Chunks double from a block, so an early stop computes few masses.
-            masses = self._masses(k, min(k + min(_BLOCK << len(chunks), _CHUNK), k_cap + 1) - 1)
+            masses = self._atoms(m + 2 * k, m + 2 * min(k + min(_BLOCK << len(chunks), _CHUNK), k_cap + 1))[1]
             seed = sums[-1:]
             sums = np.cumsum(np.concatenate((seed, masses)))[seed.size :]
             reached = np.flatnonzero(sums >= target)
@@ -788,10 +797,17 @@ class BiasedWalk(ProcessModel):
         return f"brw:p={self.p!r},m={self.m}"
 
 
-class _CountdownMixin:
-    """Trajectory semantics for models defined directly by a hitting-time
-    distribution: the first step draws the total time, later steps count it
-    down, so each step still advances the clock by exactly one."""
+class _CountdownMixin(ProcessModel):
+    """A process defined directly by its hitting-time law: U's masses are its
+    PGF's numerator, the first step draws the total time and later steps count
+    it down, so each step still advances the clock by exactly one."""
+
+    def rational_pgf(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """U's masses to the default horizon, in a fresh array, over D = 1; None if mass lies past them."""
+        poly = np.zeros(self._default_horizon() + 1)
+        times, masses = self._atoms(0, poly.size)
+        poly[times] = masses
+        return (poly, np.ones(1)) if self._tail(poly.size - 1, _fsum(poly)) == 0.0 else None
 
     def initial_state(self):
         return None
@@ -819,7 +835,7 @@ class _CountdownMixin:
 
 
 @dataclass(frozen=True)
-class TwoPoint(_CountdownMixin, ProcessModel):
+class TwoPoint(_CountdownMixin):
     """Hitting time equal to t1 with probability w1, else t2."""
 
     t1: int
@@ -837,13 +853,6 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         _check_z(z)
         return self.w1 * z**self.t1 + (1.0 - self.w1) * z**self.t2
 
-    def rational_pgf(self) -> tuple[np.ndarray, np.ndarray]:
-        """P is the two atoms, D = 1."""
-        poly = np.zeros(self._default_horizon() + 1)
-        times, masses = self._atoms(0, poly.size)
-        poly[times] = masses
-        return poly, np.ones(1)
-
     def _points(self) -> tuple[tuple[int, float], tuple[int, float]]:
         return (self.t1, self.w1), (self.t2, 1.0 - self.w1)
 
@@ -860,7 +869,8 @@ class TwoPoint(_CountdownMixin, ProcessModel):
         return list(atoms), list(atoms.values())
 
     def _tail(self, t: int, total: float) -> float:
-        return _fsum(np.array([w for time, w in self._points() if time > t]))
+        # At most one addition past 0.0, correctly rounded, so fsum's bits.
+        return sum([w for time, w in self._points() if time > t], 0.0)
 
     def hit_prob(self) -> float:
         return 1.0
@@ -892,10 +902,6 @@ class ExplicitProcess(_CountdownMixin, _ExplicitLaw, ProcessModel):
 
     def pgf(self, z: float) -> float:
         return self.dist.evaluate(z)
-
-    def rational_pgf(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """P is the masses and D = 1 when the residual is exactly 0."""
-        return (self.dist.coefficients, np.ones(1)) if self.dist.residual == 0.0 else None
 
     pmf = ProcessModel.pmf
 

@@ -75,6 +75,15 @@ def _real(value, message: str, inside) -> float:
     return float(value)
 
 
+def _built(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass ``cls``, built past its
+    constructor: the keyword dict, every field in its order, becomes the
+    instance dict, so no frozen setattr runs per field."""
+    value = object.__new__(cls)
+    object.__setattr__(value, "__dict__", fields)
+    return value
+
+
 def _powers(x: float, size: int) -> np.ndarray:
     """x**n for n = 0..size-1, x in [0, 1].  Past the index where the powers
     fall below 2**-1100 pow returns 0, so they are left 0 unevaluated
@@ -123,8 +132,7 @@ class TruncatedPMF:
     def _summed(cls, coefficients, residual: float, residual_kind: str, total: float | None) -> "TruncatedPMF":
         """The constructor for a float64 array the library built, kept read-only,
         not copied; the mass check reads its fsum ``total`` when that is given."""
-        law = object.__new__(cls)
-        law.__dict__.update(coefficients=coefficients, residual=residual, residual_kind=residual_kind)
+        law = _built(cls, coefficients=coefficients, residual=residual, residual_kind=residual_kind)
         law.__post_init__(total, copy=False)
         return law
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, CSV round-trips, figure presets."""
 
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -398,6 +399,31 @@ class TestAnalyzeCommand:
         assert values["expected_restarts"] == "inf"
         assert values["beneficial"] == "false"
 
+    # SHA-256 of the concatenated analyze texts of every model under every
+    # restart below, in that order.  The walk texts print their sharp means
+    # and p_restart_wins, so this digest is expected to move when ROADMAP
+    # items 3 and 9 land, as figure 8's does.
+    ANALYZE_MODELS = ["cycle-trap:p=0.75,L=2,M=14", "brw:p=0.55,m=3", "brw:p=0.3,m=1", "brw:p=0.5,m=1",
+                      "two-point:t1=1,w1=0.25,t2=20"]
+    ANALYZE_RESTARTS = ["geometric:rho=0.2", "geometric:rho=0.01", "sharp:N=8", "sharp:N=2"]
+    ANALYZE_DIGEST = "dcf304f85a7ad5d1ea4a10ed7ec608642ae4ac61ff82325f0bf09bcbe6a49a0b"
+
+    def test_texts_are_frozen(self, capsys):
+        for model in self.ANALYZE_MODELS:
+            for restart in self.ANALYZE_RESTARTS:
+                assert main(["analyze", "--model", model, "--restart", restart]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == self.ANALYZE_DIGEST
+
+    def test_rate_lost_in_one_minus_rho_is_one(self, capsys):
+        # 1 - 1e-17 rounds to 1: the mean would read u~(1) and print 0.
+        argv = ["analyze", "--model", "cycle-trap:p=0.75,L=2,M=14", "--restart", "geometric:rho=1e-17"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: rho=1e-17 is lost: 1 - rho rounds to 1\n"
+
 
 class TestAnalyzeAgreesWithSweep:
     # Renewal denominators in (0, 1e-12]: both pairs hit with probability 1.
@@ -591,6 +617,8 @@ class TestFigureCommand:
     FIGURE_DIGESTS = {
         "fig1_two-point_t11-w10.75-t220_geometric.csv":
             "4f3e05f25c1b7488e7beb49cbe4ad0f5ee14ce3623558cfc9dc39fe570540967",
+        "fig2_two-point_t11-w10.25-t220_geometric.csv":
+            "ee694f2287f171bb1117e712d57e66ec8ffe96ec30df6a0373ed04c99b8889b7",
         "fig4_cycle-trap_p0.75-L2-M14_geometric.csv":
             "e720e826727f2fef9e97fa0ea07a03e820f9e68bd6a055293edc709430506b66",
         "fig4_cycle-trap_p0.5-L2-M4_geometric.csv":
@@ -599,7 +627,7 @@ class TestFigureCommand:
             "f81da830c47cf70ad724b6ee67a8738fb9c967d99a8a4ebfa7dd9e21e4103695",
     }
 
-    @pytest.mark.parametrize("figure_id", ["1", "4", "6"])
+    @pytest.mark.parametrize("figure_id", ["1", "2", "4", "6"])
     def test_monte_carlo_figure_bytes_are_frozen(self, tmp_path, figure_id):
         paths = run_figure(figure_id, outdir=str(tmp_path), trials=40, seed=3)
         assert paths
@@ -627,6 +655,36 @@ class TestFigureCommand:
         (path,) = run_figure(figure_id, outdir=str(tmp_path), trials=0)
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert digest == self.SHARP_DIGESTS[os.path.basename(path)]
+
+    # SHA-256 of the two threshold tables.
+    TABLE_DIGESTS = {
+        "fig3-bound_cycle-trap_thresholds.csv":
+            "9bdac10ac0b086ce84e533bebd9ebee88a072781aac8cb70b67369d2dd8f32b7",
+        "fig7_brw_thresholds.csv":
+            "beb24ee76da7ba2ef352ee291ae0ed02d137bdd99720d2be5e0f631a12e90501",
+    }
+
+    @pytest.mark.parametrize("figure_id", ["3-bound", "7"])
+    def test_threshold_table_bytes_are_frozen(self, tmp_path, figure_id):
+        (path,) = run_figure(figure_id, outdir=str(tmp_path))
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert digest == self.TABLE_DIGESTS[os.path.basename(path)]
+
+    def test_figure_ids_in_figure_order(self, tmp_path, capsys):
+        order = "1, 2, 3-bound, 4, 5, 6, 7, 8, 9, 10"
+        assert ", ".join(cli.FIGURE_IDS) == order
+        assert main(["figure", "11", "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown figure id '11'; choose from {order}\n"
+        assert main(["figure", "--help"]) == 0
+        assert f"one of {order}" in " ".join(capsys.readouterr().out.split())
+
+    def test_run_figure_names_no_figure_id(self):
+        # Each figure is an entry of the sweep or the table presets, written
+        # by the one path for its kind.
+        tree = ast.parse(Path(cli.__file__).read_text())
+        (run,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "run_figure"]
+        named = [node.value for node in ast.walk(run) if isinstance(node, ast.Constant) and node.value in cli.FIGURE_IDS]
+        assert named == []
 
     def test_two_trap_figure_writes_both_files(self, tmp_path):
         paths = run_figure("4", outdir=str(tmp_path), trials=0)
@@ -726,6 +784,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_rate_lost_in_one_minus_rho_is_one(self, capsys):
+        # Both rows' 1 - rho rounds to 1; their means read 0 and beneficial true.
+        argv = ["sweep", "--model", "cycle-trap:p=0.75,L=2,M=14", "--restart-family", "geometric",
+                "--rho-min", "1e-20", "--rho-max", "1e-17", "--points", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: rho=1e-20 is lost: 1 - rho rounds to 1\n"
 
     def test_numerical_failure_is_one(self, capsys, monkeypatch):
         def fail(model, spec):

@@ -30,10 +30,13 @@ from restartfp import (
     TruncatedPMF,
     TwoPoint,
     brw_geometric_mean,
+    fpur_pmf,
     mean_T_generic,
     mean_T_geometric,
+    simulate_fpur,
     underlying_samples,
 )
+from restartfp.series import _fsum
 
 
 class TestGeometricRestart:
@@ -88,6 +91,42 @@ class TestGeometricRestart:
             spec, n = GeometricRestart(rho), np.arange(1, size)
             assert spec.survival_array(size).tobytes() == ((1.0 - rho) ** np.arange(size)).tobytes()
             assert spec.pmf_array(max(size - 1, 0))[1:].tobytes() == (rho * (1.0 - rho) ** (n - 1)).tobytes()
+
+
+class TestRateLostInOneMinusRho:
+    """Where 1 - rho rounds to 1 the closed-form mean and the sums at z = 1
+    read u~(1), which has lost rho: they raise rather than answer 0."""
+
+    TRAP = CycleTrap(0.75, 2, 14)
+
+    @pytest.mark.parametrize("rho", [1e-17, 1e-20, 5e-324])
+    def test_mean_and_sums_at_one_raise(self, rho):
+        spec = GeometricRestart(rho)
+        message = f"rho={rho!r} is lost: 1 - rho rounds to 1"
+        for call in (lambda: spec.closed_form_mean(self.TRAP), lambda: spec.renewal(self.TRAP, 1.0)):
+            with pytest.raises(ArithmeticError, match=message):
+                call()
+        # Below z = 1 the sums still divide by 1 - z/2 > 0.
+        n_sum, w_sum, _ = spec.renewal(self.TRAP, 0.5)
+        assert (n_sum, w_sum) == (self.TRAP.pgf(0.5), rho * 0.5 * (1.0 - n_sum) / 0.5)
+
+    @pytest.mark.parametrize("rho", [2.0**-53, 1.2e-16, 1e-12, 0.2])
+    def test_larger_rates_keep_their_bits(self, rho):
+        spec, value = GeometricRestart(rho), self.TRAP.pgf(1.0 - rho)
+        assert spec.closed_form_mean(self.TRAP) == (1.0 - value) / (rho * value)
+        assert spec.renewal(self.TRAP, 1.0)[2] == (1.0 - value) / rho
+
+    def test_walk_closed_form_keeps_working(self):
+        assert brw_geometric_mean(0.55, 3, 1e-20) == pytest.approx(30.0, rel=1e-14)
+
+    def test_overflowing_draw_never_comes(self):
+        # log1p(-u) / log(1 - 5e-324) overflows: the epoch is infinity.
+        spec = GeometricRestart(5e-324)
+        assert spec.draw(0.0) == 1
+        assert spec.draw(0.5) == math.inf
+        assert GeometricRestart(1e-17).draw(0.5) == math.ceil(math.log1p(-0.5) / math.log1p(-1e-17))
+        estimate = simulate_fpur(self.TRAP, spec, SimConfig(200, seed=5))
+        assert estimate.trials_used == 200 and estimate.mean_restarts == 0.0
 
 
 def sharp_mean_from_law(model, n_restart):
@@ -896,6 +935,15 @@ class TestTwoPoint:
         assert short.t_max == 5
         assert short.residual == 0.25
 
+    @pytest.mark.parametrize("t1, t2", [(1, 20), (20, 1), (4, 4)])
+    @pytest.mark.parametrize("w1", [0.0, 0.25, 0.75, 1.0])
+    def test_tail_has_the_bits_of_fsum(self, t1, w1, t2):
+        # At most two weights lie past t: one addition, correctly rounded.
+        model = TwoPoint(t1, w1, t2)
+        for t in range(26):
+            want = _fsum(np.array([w for time, w in model._points() if time > t]))
+            assert model._tail(t, 0.0).hex() == want.hex()
+
     def test_countdown_trajectory(self):
         tp = TwoPoint(2, 0.5, 4)
         assert tp.initial_state() is None
@@ -972,6 +1020,43 @@ class TestExplicitProcess:
         model = ExplicitProcess(TruncatedPMF.from_masses({3: 0.0}, residual=1.0, residual_kind=AT_INFINITY))
         with pytest.raises(ValueError, match="empty finite support"):
             model.min_support()
+
+
+class TestCountdownRationalPgf:
+    """The countdown processes state U's PGF as its masses over D = 1, in an
+    array of their own, when no mass lies past those masses."""
+
+    MODELS = [
+        lambda: TwoPoint(1, 0.25, 20),
+        lambda: TwoPoint(20, 0.75, 1),
+        lambda: TwoPoint(4, 0.3, 4),
+        lambda: TwoPoint(3, 0.0, 7),
+        lambda: ExplicitProcess(TruncatedPMF.from_masses({1: 0.25, 4: 0.5, 9: 0.25})),
+    ]
+
+    @pytest.mark.parametrize("make", MODELS, ids=lambda make: make().describe())
+    def test_masses_over_one(self, make):
+        poly, den = make().rational_pgf()
+        assert den.tolist() == [1.0]
+        assert poly.tobytes() == make().pmf().coefficients.tobytes()
+        assert poly.flags.writeable
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            TruncatedPMF.from_masses({2: 0.5, 7: 0.25}, residual=0.25, residual_kind=AT_INFINITY),
+            TruncatedPMF.from_masses({2: 0.5, 7: 0.5 - 1e-12}, residual=1e-12),
+        ],
+        ids=["at-infinity", "truncation"],
+    )
+    def test_none_with_mass_past_them(self, dist):
+        assert ExplicitProcess(dist).rational_pgf() is None
+
+    @pytest.mark.parametrize("make", MODELS, ids=lambda make: make().describe())
+    def test_geometric_law_holds_no_mass(self, make):
+        model = make()
+        fpur_pmf(model, GeometricRestart(0.1), 300)
+        assert model._prefix().size == 0
 
 
 class TestPmfMatchesPgf:
@@ -1219,65 +1304,90 @@ def test_tails_return_only_the_residual():
     assert not any(isinstance(value, ast.Tuple) for value in returns)
 
 
-def test_powers_of_arange_only_in_series_powers():
-    # Every vector of powers x**n comes from series._powers, which leaves
-    # the zeros pow returns past underflow unevaluated.
+def _scopes(match):
+    """The scope, (module, class or function, ...), around each node of
+    src/ that ``match`` accepts."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            right = getattr(child, "right", None)
-            if (
-                isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
-                and isinstance(right, ast.Call) and isinstance(right.func, ast.Attribute)
-                and right.func.attr == "arange"
-            ):
+            if match(child):
                 found.append(scope)
             visit(child, (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
 
     for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), (path.stem,))
-    assert found == [("series", "_powers")]
+    return found
+
+
+def test_powers_of_arange_only_in_series_powers():
+    # Every vector of powers x**n comes from series._powers, which leaves
+    # the zeros pow returns past underflow unevaluated.
+    def match(node):
+        right = getattr(node, "right", None)
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(right, ast.Call) and isinstance(right.func, ast.Attribute)
+            and right.func.attr == "arange"
+        )
+
+    assert _scopes(match) == [("series", "_powers")]
 
 
 def test_fsum_only_in_series_fsum():
     # Every exact sum goes through series._fsum, which adds only the
     # nonzero terms; math.fsum is named nowhere else.
-    found = []
+    def match(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "fsum") or (
+            isinstance(node, ast.ImportFrom) and any(alias.name == "fsum" for alias in node.names)
+        )
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == "fsum") or (
-                isinstance(child, ast.ImportFrom) and any(alias.name == "fsum" for alias in child.names)
-            ):
-                found.append(scope)
-            visit(child, (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
-
-    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), (path.stem,))
-    assert found == [("series", "_fsum")]
+    assert _scopes(match) == [("series", "_fsum")]
 
 
 def test_operator_index_only_in_the_integer_rule():
     # Every integer parameter and horizon is read through series._index;
     # only SimConfig keeps its own reading, with its TypeError.
-    found = []
+    def match(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "index"
+            and isinstance(node.value, ast.Name) and node.value.id == "operator"
+        ) or (
+            isinstance(node, ast.ImportFrom) and node.module == "operator"
+            and any(alias.name == "index" for alias in node.names)
+        )
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if (
-                isinstance(child, ast.Attribute) and child.attr == "index"
-                and isinstance(child.value, ast.Name) and child.value.id == "operator"
-            ) or (
-                isinstance(child, ast.ImportFrom) and child.module == "operator"
-                and any(alias.name == "index" for alias in child.names)
-            ):
-                found.append(scope)
-            visit(child, (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
+    assert set(_scopes(match)) == {("series", "_index"), ("montecarlo", "SimConfig", "__post_init__")}
 
-    for path in sorted(Path(restartfp.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), (path.stem,))
-    assert set(found) == {("series", "_index"), ("montecarlo", "SimConfig", "__post_init__")}
+
+def test_object_new_only_in_series_built():
+    # One helper builds a frozen value past its constructor: the laws
+    # TruncatedPMF._summed checks and the sweep's rows and result.
+    def match(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+        )
+
+    assert _scopes(match) == [("series", "_built")]
+
+
+def test_rational_pgf_is_stated_once_per_kind():
+    # The base's None, the trap's two polynomials, and the countdown
+    # processes' masses over D = 1.
+    def match(node):
+        return isinstance(node, ast.FunctionDef) and node.name == "rational_pgf"
+
+    assert sorted(_scopes(match)) == [("models", "CycleTrap"), ("models", "ProcessModel"), ("models", "_CountdownMixin")]
+
+
+def test_walk_kernel_has_one_caller():
+    # The default horizon takes its chunks through _atoms, as every
+    # extension does.
+    def match(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_masses"
+
+    assert _scopes(match) == [("models", "BiasedWalk", "_atoms")]
 
 
 def test_property_tests_are_derandomized():

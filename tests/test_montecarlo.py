@@ -884,6 +884,48 @@ class TestHelperFaults:
         assert split_estimate(model, self.SPEC, self.CONFIG) == self.want()
         assert helper_pids() == pids
 
+    def test_shared_model_that_does_not_pickle(self, monkeypatch):
+        # ExplicitProcess is a class helpers run, but this one's law is of a
+        # class defined here: the model does not pickle, so the caller runs
+        # the whole range and no helper is forked for it.
+        class LocalPMF(TruncatedPMF):
+            pass
+
+        model = ExplicitProcess(LocalPMF([0.0, 0.25, 0.0, 0.5, 0.25]))
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(model)
+        with monkeypatch.context() as patch:
+            use_parts(patch, 1)
+            want = split_estimate(model, self.SPEC, self.CONFIG)
+        _HELPERS.close()
+
+        def refuse():
+            raise AssertionError("a helper was forked")
+
+        monkeypatch.setattr(montecarlo, "_fork_helper", refuse)
+        assert split_estimate(model, self.SPEC, self.CONFIG) == want
+        assert helper_pids() == []
+
+    def test_fork_that_fails(self, monkeypatch):
+        # The caller runs the helper's range, the pipes made for the helper
+        # are closed, and the next run forks a helper again.
+        _HELPERS.close()
+        pipes, closed = [], []
+        pipe, close = os.pipe, os.close
+
+        def failing_fork():
+            raise OSError("no fork")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", failing_fork)
+            patch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+            patch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
+            assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        assert helper_pids() == []
+        assert len(pipes) == 2 and {fd for ends in pipes for fd in ends} <= set(closed)
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == self.want()
+        assert len(helper_pids()) == 1
+
     def test_user_subclass_runs_in_the_caller(self, monkeypatch):
         # Patched after the helper was forked: the helper's copy of the
         # class would run the old legs.  The caller runs, and sees, them all.
