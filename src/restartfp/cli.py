@@ -265,7 +265,9 @@ def run_sweep(
                 print(f"warning: {family} param={_fmt(param)}: {est.censored} of {trials} trials censored "
                       f"at step cap {step_cap}; mean_t_mc is a lower bound", file=sys.stderr)
             if est.trials_used > 0:
-                mc, ci_low, ci_high = est.mean, est.ci_low, est.ci_high
+                mc = est.mean
+            if est.trials_used > 1:  # one trial has no spread, so no interval
+                ci_low, ci_high = est.ci_low, est.ci_high
         rows.append(_built(SweepRow, param=param, mean_t_analytic=analytic, mean_t_mc=mc, ci_low=ci_low,
                            ci_high=ci_high, beneficial=analytic < baseline))
     return _built(SweepResult, model_descriptor=model.describe(), restart_family=family, baseline_mean_u=baseline,

@@ -36,6 +36,9 @@ _BLOCK = 128
 # Walk masses one kernel call computes at most, so its temporaries stay
 # small however far an expansion runs.
 _CHUNK = 4096
+# Visits to 0 a trap leg reads one uniform at a time; a leg with more
+# compares them in one strided pass, whose fixed cost is about this many reads.
+_FEW_VISITS = 8
 
 
 def _fixed(x: float) -> int:
@@ -550,6 +553,9 @@ class CycleTrap(ProcessModel):
     p: float
     L: int
     M: int
+    # p as a 0-d array: a strided comparison against it skips the conversion
+    # numpy makes of a float operand, about a fifth of the comparison's time.
+    _p_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _real(self.p, "p must lie in (0, 1]", lambda p: 0 < p <= 1))
@@ -557,6 +563,7 @@ class CycleTrap(ProcessModel):
             object.__setattr__(self, name, _index(getattr(self, name), "L and M must be integers"))
         if self.L < 1 or self.M < 1:
             raise ValueError("L and M must be >= 1")
+        object.__setattr__(self, "_p_array", np.array(self.p))
 
     @property
     def q(self) -> float:
@@ -623,14 +630,15 @@ class CycleTrap(ProcessModel):
             return 0
         return state + 1
 
-    def leg_input(self, chunk: np.ndarray) -> bytes:
-        """One byte per uniform: 1 where it is below p (a step down from 0)."""
-        return (chunk < self.p).tobytes()
+    def leg_input(self, chunk: np.ndarray) -> np.ndarray:
+        """The chunk itself: a leg reads only the uniforms of its visits to 0."""
+        return chunk
 
-    def run_leg(self, state: int, u: bytes, start: int, steps: int):
+    def run_leg(self, state: int, u: np.ndarray, start: int, steps: int):
         # Only a step from 0 reads its uniform, and 0 recurs every M + 1
         # steps until one steps down: a climb or a descent is settled by
-        # arithmetic, and the uniforms read at 0 by one strided search.
+        # arithmetic, and the uniforms read at 0 one by one, or by one
+        # strided comparison when there are more than _FEW_VISITS of them.
         # ``down`` is where the leg's step down from 0 is, or was.
         period, end = self.M + 1, start + steps
         if state < 0:
@@ -639,10 +647,18 @@ class CycleTrap(ProcessModel):
             i = start + (period - state) % period  # where the walk is next at 0
             if i > end:
                 return state + steps, steps, False
-            k = u[i:end:period].find(1)
-            if k < 0:
-                return (end - i) % period, steps, False
-            down = i + k * period
+            if end - i <= _FEW_VISITS * period:
+                p = self.p
+                for down in range(i, end, period):
+                    if u.item(down) < p:
+                        break
+                else:
+                    return (end - i) % period, steps, False
+            else:
+                k = (u[i:end:period] < self._p_array).tobytes().find(1)
+                if k < 0:
+                    return (end - i) % period, steps, False
+                down = i + k * period
         if down + self.L <= end:
             return -self.L, down + self.L - start, True
         return down - end, steps, False
@@ -822,12 +838,16 @@ class _CountdownMixin(ProcessModel):
             raise ValueError("cannot step a terminal state")
         return state - 1
 
-    def run_leg(self, state, u: list, start: int, steps: int):
+    def leg_input(self, chunk: np.ndarray) -> np.ndarray:
+        """The chunk itself: a leg reads at most its first uniform."""
+        return chunk
+
+    def run_leg(self, state, u: np.ndarray, start: int, steps: int):
         # After the first draw the countdown is arithmetic; a draw in the
         # mass at infinity leaves an infinite state that never reaches 0.
         taken = 0
         if state is None:
-            state = self.draw(u[start]) - 1
+            state = self.draw(u.item(start)) - 1
             taken = 1
         if state <= steps - taken:
             return 0, taken + state, True

@@ -14,7 +14,11 @@ than half of it, and never smaller than ``_FIRST_CHUNK``; later chunks
 double up to ``_MAX_CHUNK``.
 A model consumes each chunk in the form :meth:`ProcessModel.leg_input` makes
 of it, through :meth:`ProcessModel.run_leg`, one call per stretch of a leg
-within a chunk; epoch draws read the chunk's own floats.
+within a chunk; epoch draws read the chunk's own floats.  A model converts
+only what its legs read: the walk reads every uniform, so it masks the
+whole chunk once; the cycle trap reads the chunk itself at its visits to 0,
+one at a time, or by one strided comparison when a stretch has more than a
+few; a countdown process reads the one uniform that draws its time.
 
 A run of two or more trials is split in two contiguous halves when two
 CPUs are usable.  The caller runs the first; the second goes to a helper
@@ -23,11 +27,12 @@ process's life, which runs the same trial loop on a pickled copy of the
 model.  The halves' results are joined in trial order, so a run's results
 do not depend on whether it was split.  The helper runs only restartfp's
 own model and restart classes, and is forked again when a name its trial
-loop reads in restartfp has been rebound since it was forked; any other
-class runs in the caller.  The caller runs the second half itself when the
-helper cannot (a model that does not pickle, an exception, a dead or late
-helper, a call from a thread other than the main one or from a forked
-child), and drops a helper that failed.
+loop reads in restartfp, or numpy's ``Philox`` or ``Generator``, has been
+rebound since it was forked; any other class runs in the caller.  The
+caller runs the second half itself when the helper cannot (a model that
+does not pickle, an exception, a dead or late helper, a call from a thread
+other than the main one or from a forked child), and drops a helper that
+failed.
 """
 
 from __future__ import annotations
@@ -317,8 +322,11 @@ def _cpus() -> int:
 
 
 def _names() -> list:
-    """What every name in ``_NAMESPACES`` is bound to now, in order."""
-    return [value for space in _NAMESPACES for value in space.values()]
+    """What every name in ``_NAMESPACES`` is bound to now, in order, then
+    the numpy classes the trial loop builds its stream from.  Those are read
+    here, when a split run starts, so that importing restartfp does not
+    import ``numpy.random``."""
+    return [value for space in _NAMESPACES for value in space.values()] + [np.random.Philox, np.random.Generator]
 
 
 def _read(fd: int, size: int, wait=None) -> bytes:

@@ -512,6 +512,21 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_one_trial_rows_print_no_interval(self, capsys, monkeypatch):
+        # One trial gives a mean but no spread: the interval fields stay empty
+        # rather than showing a zero-width interval.
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        args = ["sweep", "--model", "cycle-trap:p=0.75,L=2,M=14", "--restart-family", "sharp",
+                "--n-min", "5", "--n-max", "6", "--trials", "1"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            '"cycle-trap:p=0.75,L=2,M=14",sharp,7,5,3.6666666666666665,7,,,true',
+            '"cycle-trap:p=0.75,L=2,M=14",sharp,7,6,4,2,,,true',
+        ]
+        rows = parse_sweep_csv("\n".join(lines)).rows
+        assert [(row.mean_t_mc, row.ci_low, row.ci_high) for row in rows] == [(7, None, None), (2, None, None)]
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "99")
         args = [

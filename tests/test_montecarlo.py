@@ -43,7 +43,7 @@ from restartfp import (
     underlying_samples,
 )
 import restartfp
-from restartfp import montecarlo
+from restartfp import models, montecarlo
 from restartfp.montecarlo import _FIRST_CHUNK, _HELPERS, DEFAULT_STEP_CAP, _run_trials, _stdev, _summarize
 
 TP_FAST = TwoPoint(1, 0.75, 20)
@@ -662,6 +662,80 @@ class TestLegKernels:
         got = model.run_leg(state, model.leg_input(np.array(u)), start, steps)
         assert got == step_by_step(model, state, u, start, steps)
 
+    @staticmethod
+    def leg(model, state, u, start, steps):
+        """The kernel's leg, checked against the step-by-step one."""
+        got = model.run_leg(state, model.leg_input(u), start, steps)
+        assert got == step_by_step(model, state, u.tolist(), start, steps)
+        return got
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["switch count", "one more"])
+    @pytest.mark.parametrize("down", [None, 0, "last"])
+    def test_trap_stretch_at_the_switch(self, extra, down):
+        # A stretch from 0 with exactly _FEW_VISITS visits is read one visit
+        # at a time, one with a visit more by the strided comparison; both
+        # find a step down at the first or the last visit, or none.
+        model, start = CycleTrap(0.3, 2, 3), 5
+        period = model.M + 1
+        visits = models._FEW_VISITS + extra
+        steps = (visits - 1) * period + 1
+        u = np.full(start + steps + 10, 0.5)
+        if down is not None:
+            u[start + (visits - 1 if down == "last" else 0) * period] = 0.1
+        assert len(range(start, start + steps, period)) == visits
+        got = self.leg(model, 0, u, start, steps)
+        if down is None:
+            assert got == (1, steps, False)
+        elif down == "last":
+            assert got == (-1, steps, False)  # one step into the descent
+        else:
+            assert got == (-model.L, model.L, True)
+        # The same stretch, long enough to finish a descent from the last visit.
+        self.leg(model, 0, u, start, steps + model.L)
+
+    @pytest.mark.parametrize("state", range(-3, 5))
+    @pytest.mark.parametrize("steps", [1, 2, 4, 5, 9, 60])
+    def test_trap_with_p_one(self, state, steps):
+        # Every visit to 0 steps down, since every uniform is below 1.
+        model, u = CycleTrap(1.0, 4, 4), np.random.default_rng(state + 10).random(80)
+        needed = state + model.L if state < 0 else (model.M + 1 - state) % (model.M + 1) + model.L
+        got = self.leg(model, state, u, 3, steps)
+        assert got[1:] == ((needed, True) if needed <= steps else (steps, False))
+
+    @pytest.mark.parametrize("state", [1, 2, 5, 6, -1, -2, -3])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 7, 8, 12, 30, 150])
+    def test_trap_legs_from_mid_climb_or_mid_descent(self, state, steps):
+        # Legs cut before the climb reaches 0 or the descent reaches -L, and
+        # legs that go on past it, from a stretch with few or many visits.
+        model = CycleTrap(0.2, 4, 6)
+        u = np.random.default_rng(steps).random(200)
+        self.leg(model, state, u, 7, steps)
+
+    @pytest.mark.parametrize("steps", [1, 5, 40, 120])
+    def test_trap_reads_only_its_visits_to_zero(self, steps):
+        # NaN everywhere but at the visits: the legs are those of the full chunk.
+        model, start, state = CycleTrap(0.1, 3, 5), 4, 2
+        full = np.random.default_rng(steps).random(200)
+        u = np.full(200, np.nan)
+        first = start + (model.M + 1 - state)
+        u[first::model.M + 1] = full[first::model.M + 1]
+        got = model.run_leg(state, model.leg_input(u), start, steps)
+        assert got == step_by_step(model, state, full.tolist(), start, steps)
+
+    @pytest.mark.parametrize("model", [TwoPoint(1, 0.75, 20), TwoPoint(3, 0.5, 7), EXPLICIT_WITH_INFINITY],
+                             ids=["two-point-1", "two-point-3", "explicit"])
+    @pytest.mark.parametrize("draw", [0.0, 0.1, 0.4, 0.6, 0.9])
+    @pytest.mark.parametrize("steps", [1, 3, 25])
+    def test_countdown_reads_only_its_draw(self, model, draw, steps):
+        # NaN everywhere but u[start]: a read of any other uniform draws a
+        # different time (NaN is never below a weight or a CDF value).
+        start = 6
+        u = np.full(start + steps + 4, np.nan)
+        u[start] = draw
+        got = self.leg(model, None, u, start, steps)
+        time = model.draw(draw)
+        assert got == ((0, time, True) if time <= steps else (time - steps, steps, False))
+
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked only where os.fork exists")
 
@@ -960,6 +1034,22 @@ class TestHelperFaults:
         assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == want
         assert pid not in helper_pids() and len(helper_pids()) == 1
 
+    def test_patched_numpy_generator(self, monkeypatch):
+        # numpy's Generator patched after the helper was forked: the helper
+        # is forked again, so the whole run reads the patched uniforms.
+        unpatched = split_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        pid = helper_pids()[0]
+
+        class HalvedGenerator(np.random.Generator):
+            def random(self, *args, **kwargs):
+                return super().random(*args, **kwargs) / 2
+
+        monkeypatch.setattr(np.random, "Generator", HalvedGenerator)
+        want = one_process_estimate(self.MODEL, self.SPEC, self.CONFIG)
+        assert want != unpatched
+        assert split_estimate(self.MODEL, self.SPEC, self.CONFIG) == want
+        assert pid not in helper_pids() and len(helper_pids()) == 1
+
     def test_class_defined_after_the_fork(self, monkeypatch):
         # The helper's copy of this module lacks the class: the caller runs
         # it, and the helper is kept.
@@ -1087,6 +1177,17 @@ montecarlo._cpus, montecarlo._LATE_S = lambda: 2, 600.0
 cli.run_sweep(CycleTrap(0.25, 5, 10), "sharp", range(2, 12), 400, 5)
 print(*(montecarlo._HELPERS._helper or ())[:1])
 """
+
+
+def test_import_leaves_numpy_random_unimported():
+    # The helper's watch list reads numpy's stream classes only when a split
+    # run starts, so importing restartfp does not import numpy.random.
+    src = str(Path(restartfp.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, restartfp; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+                          check=True)
+    assert done.stdout.split() == ["False"]
 
 
 @needs_fork
